@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import WeightVector, orness as _orness, uniform_weights
+from .core import WeightVector, _check_request, _orness_array, uniform_weights
 
 # Successful results must reproduce the requested orness this closely.
 ORNESS_TOL = 1e-9
@@ -89,12 +89,6 @@ def exponential_raw(a: float, n: int, kind: str = "or-like") -> WeightVector:
     return WeightVector(_exponential_array(a, n, kind == "or-like"))
 
 
-def _exponential_orness(a: float, n: int, or_like: bool) -> float:
-    w = _exponential_array(a, n, or_like)
-    coef = np.arange(n - 1, -1, -1, dtype=float)
-    return float(coef @ w / (n - 1))
-
-
 def _calibrated_exponential_array(orness: float, n: int):
     or_like = orness > 0.5
     # Or-like orness rises 0 -> 1 with a; and-like falls 1 -> 0.
@@ -102,7 +96,7 @@ def _calibrated_exponential_array(orness: float, n: int):
     iterations = 0
     for iterations in range(1, _BISECT_MAX_ITER + 1):
         mid = 0.5 * (lo + hi)
-        val = _exponential_orness(mid, n, or_like)
+        val = _orness_array(_exponential_array(mid, n, or_like))
         rising = or_like
         if (val < orness) == rising:
             lo = mid
@@ -112,9 +106,7 @@ def _calibrated_exponential_array(orness: float, n: int):
             break
     a = 0.5 * (lo + hi)
     w = _exponential_array(a, n, or_like)
-    coef = np.arange(n - 1, -1, -1, dtype=float)
-    achieved = float(coef @ w / (n - 1))
-    return w, a, achieved, iterations
+    return w, a, _orness_array(w), iterations
 
 
 def exponential_weights(orness: float, n: int):
@@ -125,10 +117,7 @@ def exponential_weights(orness: float, n: int):
     orness within tolerance (does not happen for valid inputs; the map is
     continuous and monotone on [0, 1]).
     """
-    if not 0.0 <= orness <= 1.0:
-        raise ValueError(f"orness must be in [0, 1]; got {orness}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2; got {n}")
+    _check_request(orness, n, 2)
     w, a, achieved, iterations = _calibrated_exponential_array(orness, n)
     residual = abs(achieved - orness)
     converged = residual <= ORNESS_TOL
@@ -157,10 +146,7 @@ def exponential_weights_no_preset(orness: float, n: int) -> WeightVector:
     """Exponential weights with the shape parameter set to the requested
     orness directly (no calibration).  Exact only at 0 and 1; included to
     mirror the no-preset rows of the timing comparison."""
-    if not 0.0 <= orness <= 1.0:
-        raise ValueError(f"orness must be in [0, 1]; got {orness}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2; got {n}")
+    _check_request(orness, n, 2)
     return WeightVector(_no_preset_exponential_array(orness, n))
 
 
@@ -255,7 +241,6 @@ def _maxent_bracket(F, n, A, scan_points=400):
 def _maxent_fallback_array(a: float, n: int) -> np.ndarray:
     # Direct constrained maximization of the entropy, used only when the
     # polynomial route cannot even bracket a root.
-    coef = np.arange(n - 1, -1, -1, dtype=float) / (n - 1)
     x0 = np.full(n, 1.0 / n)
 
     def neg_entropy(w):
@@ -269,7 +254,7 @@ def _maxent_fallback_array(a: float, n: int) -> np.ndarray:
         bounds=[(0.0, 1.0)] * n,
         constraints=[
             {"type": "eq", "fun": lambda w: w.sum() - 1.0},
-            {"type": "eq", "fun": lambda w: coef @ w - a},
+            {"type": "eq", "fun": lambda w: _orness_array(w) - a},
         ],
         options={"maxiter": 60, "ftol": 1e-14},
     )
@@ -309,8 +294,7 @@ def _constraint_residual(w1: float, a: float, n: int):
     w = _rebuild_from_first_weight(w1, a, n)
     if w is None:
         return None
-    coef = np.arange(n - 1, -1, -1, dtype=float)
-    return float(coef @ w / (n - 1)) - a
+    return _orness_array(w) - a
 
 
 def _polish_first_weight(w1: float, a: float, n: int) -> float:
@@ -356,8 +340,7 @@ def _maxent_array(orness: float, n: int) -> np.ndarray:
         w1 = _newton_bisection(F, dF, bracket[0], bracket[1])
         w = _rebuild_from_first_weight(w1, a, n)
         if w is not None and _rebuild_is_trustworthy(w1, a, n):
-            coef = np.arange(n - 1, -1, -1, dtype=float)
-            if abs(float(coef @ w / (n - 1)) - a) > 1e-10:
+            if abs(_orness_array(w) - a) > 1e-10:
                 w1 = _polish_first_weight(w1, a, n)
                 w = _rebuild_from_first_weight(w1, a, n)
     else:
@@ -375,10 +358,7 @@ def maxent_weights(orness: float, n: int) -> WeightVector:
     result (achieved orness off by more than ``ORNESS_TOL`` or weights
     outside [0, 1]); an invalid vector is never returned silently.
     """
-    if not 0.0 <= orness <= 1.0:
-        raise ValueError(f"orness must be in [0, 1]; got {orness}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2; got {n}")
+    _check_request(orness, n, 2)
     if orness in (0.0, 1.0):
         raise UnsupportedOrnessError(
             "maximum-entropy weights require 0 < orness < 1: the entropy "
@@ -401,7 +381,7 @@ def maxent_weights(orness: float, n: int) -> WeightVector:
             orness=orness,
             n=n,
         ) from exc
-    residual = abs(_orness(vec) - orness)
+    residual = abs(_orness_array(vec.w) - orness)
     if residual > ORNESS_TOL:
         raise MaxentInstabilityError(
             f"maximum-entropy solve unstable at orness={orness} n={n}: "

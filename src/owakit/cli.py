@@ -1,6 +1,10 @@
 """Command-line front end: gen, sweep and bench.
 
-Exit codes: 0 success, 2 usage error, 3 method-domain error (e.g.
+The ``--method`` choices come from :data:`owakit.reports.METHODS`, the
+one place that lists the methods, plus ``all``.
+
+Exit codes: 0 success, 2 usage error (including any ``ValueError`` the
+library raises for an invalid request), 3 method-domain error (e.g.
 maximum entropy at orness 0 or 1), 4 I/O error.
 """
 
@@ -9,17 +13,8 @@ import json
 import sys
 
 from . import __version__
-from .baselines import (
-    CalibrationError,
-    MaxentInstabilityError,
-    UnsupportedOrnessError,
-)
 from .reports import (
-    ALL_METHODS,
-    METHOD_EXPONENTIAL,
-    METHOD_EXPONENTIAL_NO_PRESET,
-    METHOD_LINEAR,
-    METHOD_MAXENT,
+    METHODS,
     STATUS_OK,
     bench,
     evaluate_method,
@@ -35,13 +30,8 @@ EXIT_USAGE = 2
 EXIT_METHOD_DOMAIN = 3
 EXIT_IO = 4
 
-_METHOD_FLAG = {
-    "linear": [METHOD_LINEAR],
-    "exp": [METHOD_EXPONENTIAL],
-    "exp-nopreset": [METHOD_EXPONENTIAL_NO_PRESET],
-    "maxent": [METHOD_MAXENT],
-    "all": list(ALL_METHODS),
-}
+# ``--method`` value -> the method names it selects, in table order.
+_FLAG_METHODS = {m.flag: [m.name] for m in METHODS} | {"all": [m.name for m in METHODS]}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="operator size")
     gen.add_argument("--orness", type=float, required=True, help="desired orness in [0, 1]")
     gen.add_argument(
-        "--method", choices=sorted(_METHOD_FLAG), default="linear", help="weight method"
+        "--method", choices=sorted(_FLAG_METHODS), default="linear", help="weight method"
     )
     gen.add_argument("--beta", type=float, default=1.5, help="linear-family shape in [1, 1.5]")
     gen.add_argument(
@@ -66,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="evaluate methods over an orness grid, write CSV")
     sw.add_argument("--n", type=int, required=True, help="operator size")
     sw.add_argument(
-        "--method", choices=sorted(_METHOD_FLAG), default="all", help="method(s) to sweep"
+        "--method", choices=sorted(_FLAG_METHODS), default="all", help="method(s) to sweep"
     )
     sw.add_argument(
         "--beta",
@@ -89,25 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if not 0.0 <= args.orness <= 1.0:
-        print(f"orness must be in [0, 1]; got {args.orness}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.n < 1:
-        print(f"n must be >= 1; got {args.n}", file=sys.stderr)
-        return EXIT_USAGE
     reports = []
-    for method in _METHOD_FLAG[args.method]:
+    for method in _FLAG_METHODS[args.method]:
         try:
-            if method == METHOD_MAXENT and args.orness in (0.0, 1.0):
-                raise UnsupportedOrnessError(
-                    "maximum-entropy weights are undefined at orness 0 and 1 "
-                    "(every weight must be strictly positive)"
-                )
-            beta = args.beta if method == METHOD_LINEAR else None
-            report = evaluate_method(method, args.orness, args.n, beta)
-        except (UnsupportedOrnessError, MaxentInstabilityError, CalibrationError) as exc:
-            print(f"{method}: {exc}", file=sys.stderr)
-            return EXIT_METHOD_DOMAIN
+            report = evaluate_method(method, args.orness, args.n, args.beta)
         except ValueError as exc:
             print(f"{method}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -137,15 +112,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.steps < 2:
-        print(f"steps must be >= 2; got {args.steps}", file=sys.stderr)
-        return EXIT_USAGE
     if args.n < 2:
         print(f"n must be >= 2 for a sweep; got {args.n}", file=sys.stderr)
         return EXIT_USAGE
     betas = args.beta if args.beta else [1.5]
-    methods = _METHOD_FLAG[args.method]
-    rows = sweep(args.n, methods, betas=betas, steps=args.steps)
+    try:
+        rows = sweep(args.n, _FLAG_METHODS[args.method], betas=betas, steps=args.steps)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     provenance = (
         f"sweep --n {args.n} --method {args.method} "
         f"--steps {args.steps} betas={','.join(format(b, 'g') for b in betas)}"
@@ -159,13 +134,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.reps < 1:
-        print(f"reps must be >= 1; got {args.reps}", file=sys.stderr)
+    try:
+        reports = bench(args.n, reps=args.reps)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
-    if any(n < 3 for n in args.n):
-        print("benchmark sizes must be >= 3", file=sys.stderr)
-        return EXIT_USAGE
-    reports = bench(args.n, reps=args.reps)
     if args.format == "json":
         print(
             json.dumps(

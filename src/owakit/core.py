@@ -1,5 +1,6 @@
 """Core OWA machinery: weight vectors, aggregation, orness and dispersion."""
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -107,8 +108,27 @@ def orness(w: WeightVector) -> float:
             stacklevel=2,
         )
         return 0.5
+    return _orness_array(w.w)
+
+
+def _orness_array(w: np.ndarray) -> float:
+    """Orness of a plain weight array of length n >= 2 (no validation)."""
+    n = w.size
     coef = np.arange(n - 1, -1, -1, dtype=float)
-    return float(coef @ w.w / (n - 1))
+    return float(coef @ w / (n - 1))
+
+
+def _check_request(orness: float, n, min_n: int) -> None:
+    """Raise ValueError unless orness is in [0, 1] and ``n`` is an integer
+    (numpy integers included) of at least ``min_n``."""
+    if not 0.0 <= orness <= 1.0:
+        raise ValueError(f"orness must be in [0, 1]; got {orness}")
+    try:
+        operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer; got {n!r}") from None
+    if n < min_n:
+        raise ValueError(f"n must be >= {min_n}; got {n}")
 
 
 def dispersion(w: WeightVector) -> float:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrnessTarget, WeightVector
+from .core import OrnessTarget, WeightVector, _check_request
 
 # Largest negative weight attributable to rounding; anything worse is a bug.
 _NEGATIVE_EPS = 1e-12
@@ -97,8 +97,7 @@ def linear_weights(target, n: int) -> WeightVector:
     """
     if not isinstance(target, OrnessTarget):
         target = OrnessTarget(float(target))
-    if n < 1:
-        raise ValueError(f"n must be >= 1; got {n}")
+    _check_request(target.orness, n, 1)
     w = _weight_array(target.orness, n, target.beta)
     small = (w < 0.0) & (w > -_NEGATIVE_EPS)
     if small.any():

@@ -1,5 +1,8 @@
 """Sweeps over orness grids and the timing benchmark, with CSV emission.
 
+:data:`METHODS` is the one place that lists the weight methods;
+evaluation, sweeps, the benchmark and the CLI all iterate it.
+
 A sweep evaluates one or more weight-determination methods at every point
 of an orness grid and records achieved orness, dispersion and the full
 weight vector per point; this is the data behind the comparison plots.
@@ -15,7 +18,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,21 +34,65 @@ from .baselines import (
     exponential_weights_no_preset,
     maxent_weights,
 )
-from .core import WeightVector, dispersion, orness
+from .core import OrnessTarget, dispersion, orness
 from .linear import _weight_array, linear_weights
-from .core import OrnessTarget
 
 METHOD_LINEAR = "linear"
 METHOD_EXPONENTIAL = "exponential"
 METHOD_EXPONENTIAL_NO_PRESET = "exponential-no-preset"
 METHOD_MAXENT = "maxent"
 
-ALL_METHODS = (
-    METHOD_LINEAR,
-    METHOD_EXPONENTIAL,
-    METHOD_EXPONENTIAL_NO_PRESET,
-    METHOD_MAXENT,
+
+@dataclass(frozen=True)
+class Method:
+    """One weight method: its name, its CLI ``--method`` flag, the
+    validated call ``weights(orness, n, beta)`` returning a WeightVector,
+    the bare array ``kernel(orness, n, beta)`` the benchmark times,
+    whether it takes the linear-family ``beta`` (the others ignore it) and
+    whether orness 0 and 1 are in its domain (``endpoints``).
+    """
+
+    name: str
+    flag: str
+    weights: Callable
+    kernel: Callable
+    takes_beta: bool = False
+    endpoints: bool = True
+
+
+# The validated calls are looked up in this module's namespace at call
+# time (hence the lambdas), so rebinding e.g. ``reports.maxent_weights``
+# reaches every sweep.
+METHODS = (
+    Method(
+        METHOD_LINEAR,
+        "linear",
+        weights=lambda a, n, beta: linear_weights(OrnessTarget(a, beta), n),
+        kernel=lambda a, n, beta: _weight_array(a, n, beta),
+        takes_beta=True,
+    ),
+    Method(
+        METHOD_EXPONENTIAL,
+        "exp",
+        weights=lambda a, n, beta: exponential_weights(a, n)[0],
+        kernel=lambda a, n, beta: _calibrated_exponential_array(a, n),
+    ),
+    Method(
+        METHOD_EXPONENTIAL_NO_PRESET,
+        "exp-nopreset",
+        weights=lambda a, n, beta: exponential_weights_no_preset(a, n),
+        kernel=lambda a, n, beta: _no_preset_exponential_array(a, n),
+    ),
+    Method(
+        METHOD_MAXENT,
+        "maxent",
+        weights=lambda a, n, beta: maxent_weights(a, n),
+        kernel=lambda a, n, beta: _maxent_array(a, n),
+        endpoints=False,
+    ),
 )
+
+ALL_METHODS = tuple(m.name for m in METHODS)
 
 STATUS_OK = "ok"
 STATUS_UNSTABLE = "unstable"
@@ -84,33 +131,30 @@ class BenchReport:
     relative_time: float
 
 
+def _method(name: str) -> Method:
+    """The :data:`METHODS` entry called ``name``."""
+    for m in METHODS:
+        if m.name == name:
+            return m
+    raise ValueError(f"unknown method {name!r}")
+
+
 def evaluate_method(
     method: str, requested: float, n: int, beta: Optional[float] = None
 ) -> MethodReport:
-    """Run one method at one grid point, capturing failures as statuses."""
+    """Run one method at one grid point, capturing failures as statuses.
+    ``beta`` (default 1.5) is dropped for methods that do not take it."""
+    m = _method(method)
+    beta = (1.5 if beta is None else beta) if m.takes_beta else None
     try:
-        if method == METHOD_LINEAR:
-            b = 1.5 if beta is None else beta
-            vec = linear_weights(OrnessTarget(requested, b), n)
-            beta_out = b
-        elif method == METHOD_EXPONENTIAL:
-            vec, _ = exponential_weights(requested, n)
-            beta_out = None
-        elif method == METHOD_EXPONENTIAL_NO_PRESET:
-            vec = exponential_weights_no_preset(requested, n)
-            beta_out = None
-        elif method == METHOD_MAXENT:
-            vec = maxent_weights(requested, n)
-            beta_out = None
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        vec = m.weights(requested, n, beta)
     except UnsupportedOrnessError:
         return MethodReport(method, beta, n, requested, None, None, None, STATUS_UNSUPPORTED)
     except (MaxentInstabilityError, CalibrationError):
         return MethodReport(method, beta, n, requested, None, None, None, STATUS_UNSTABLE)
     return MethodReport(
         method=method,
-        beta=beta_out,
+        beta=beta,
         n=n,
         requested_orness=requested,
         achieved_orness=orness(vec),
@@ -128,7 +172,7 @@ def sweep(
 ) -> list:
     """Evaluate ``methods`` on the grid orness = k/(steps-1), k = 0..steps-1.
 
-    Linear rows are produced once per beta; the other methods ignore
+    Methods that take beta produce rows once per beta; the others ignore
     betas.  Rows come back sorted by (method, requested_orness, beta).
     """
     if steps < 2:
@@ -138,13 +182,10 @@ def sweep(
     grid = [k / (steps - 1) for k in range(steps)]
     rows = []
     for method in methods:
-        if method == METHOD_LINEAR:
-            for requested in grid:
-                for beta in betas:
-                    rows.append(evaluate_method(method, requested, n, beta))
-        else:
-            for requested in grid:
-                rows.append(evaluate_method(method, requested, n))
+        method_betas = betas if _method(method).takes_beta else (None,)
+        for requested in grid:
+            for beta in method_betas:
+                rows.append(evaluate_method(method, requested, n, beta))
     rows.sort(
         key=lambda r: (r.method, r.requested_orness, r.beta if r.beta is not None else -1.0)
     )
@@ -216,9 +257,15 @@ def read_sweep_csv(path: str) -> list:
     with open(path, newline="") as fh:
         lines = [line for line in fh if not line.startswith("#")]
     reader = csv.reader(lines)
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: no header line")
     n = len(header) - 7
     for rec in reader:
+        if len(rec) != len(header) or int(rec[2]) != n:
+            raise ValueError(
+                f"{path} line {reader.line_num}: row does not match the header's n={n}"
+            )
         weights = [opt_float(v) for v in rec[7:]]
         rows.append(
             MethodReport(
@@ -232,7 +279,6 @@ def read_sweep_csv(path: str) -> list:
                 status=rec[6],
             )
         )
-    assert all(r.n == n for r in rows) or not rows
     return rows
 
 
@@ -253,42 +299,16 @@ def report_to_dict(r: MethodReport) -> dict:
 # Benchmark
 # ---------------------------------------------------------------------------
 
-def _bench_variants():
-    # Six rows: the linear family at its three reference shapes, the
-    # exponential with and without preset, and maximum entropy.
-    return [
-        (METHOD_LINEAR, 1.0),
-        (METHOD_LINEAR, 1.25),
-        (METHOD_LINEAR, 1.5),
-        (METHOD_EXPONENTIAL, None),
-        (METHOD_EXPONENTIAL_NO_PRESET, None),
-        (METHOD_MAXENT, None),
-    ]
+# The linear family is timed at its three reference shapes.
+_BENCH_BETAS = (1.0, 1.25, 1.5)
 
 
-def _timed_pass(method: str, beta: Optional[float], n: int, grid) -> float:
+def _timed_pass(kernel: Callable, beta: Optional[float], n: int, grid) -> float:
     """One timed traversal of the grid.  Only weight generation is inside
     the timed region; failures at unreachable points count as work done."""
     start = time.perf_counter()
-    if method == METHOD_LINEAR:
-        for a in grid:
-            _weight_array(a, n, beta)
-    elif method == METHOD_EXPONENTIAL:
-        for a in grid:
-            _calibrated_exponential_array(a, n)
-    elif method == METHOD_EXPONENTIAL_NO_PRESET:
-        for a in grid:
-            _no_preset_exponential_array(a, n)
-    elif method == METHOD_MAXENT:
-        for a in grid:
-            if a in (0.0, 1.0):
-                continue
-            try:
-                _maxent_array(a, n)
-            except (MaxentInstabilityError, ValueError):
-                pass
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    for a in grid:
+        kernel(a, n, beta)
     return time.perf_counter() - start
 
 
@@ -304,13 +324,16 @@ def bench(n_list: Sequence[int], reps: int = 20, grid_points: int = 101) -> list
         if n < 3:
             raise ValueError(f"benchmark sizes must be >= 3; got {n}")
     grid = [k / (grid_points - 1) for k in range(grid_points)]
+    interior = [a for a in grid if 0.0 < a < 1.0]
     reports = []
     for n in n_list:
         measured = []
-        for method, beta in _bench_variants():
-            _timed_pass(method, beta, n, grid)  # warm-up, untimed
-            times = [_timed_pass(method, beta, n, grid) for _ in range(reps)]
-            measured.append((method, beta, float(np.mean(times)), float(np.min(times))))
+        for m in METHODS:
+            points = grid if m.endpoints else interior
+            for beta in _BENCH_BETAS if m.takes_beta else (None,):
+                _timed_pass(m.kernel, beta, n, points)  # warm-up, untimed
+                times = [_timed_pass(m.kernel, beta, n, points) for _ in range(reps)]
+                measured.append((m.name, beta, float(np.mean(times)), float(np.min(times))))
         fastest = min(best for _, _, _, best in measured)
         for method, beta, mean_time, best_time in measured:
             reports.append(

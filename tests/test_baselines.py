@@ -161,3 +161,29 @@ class TestMaxent:
                 # The analytic solver claims optimality; the brute search
                 # must never beat it by more than its own resolution.
                 assert d_oracle <= d + 1e-6
+
+
+WEIGHT_CALLS = {
+    "linear": linear_weights,
+    "exponential": exponential_weights,
+    "exponential-no-preset": exponential_weights_no_preset,
+    "maxent": maxent_weights,
+}
+
+
+@pytest.mark.parametrize("n", [5.0, 5.5, float("nan")])
+@pytest.mark.parametrize("call", WEIGHT_CALLS.values(), ids=WEIGHT_CALLS.keys())
+def test_n_must_be_an_integer(call, n):
+    # One contract for every weight call: a ValueError naming n, never a
+    # TypeError from numpy, a flagged breakdown or a silent result.
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        call(0.3, n)
+
+
+@pytest.mark.parametrize("call", WEIGHT_CALLS.values(), ids=WEIGHT_CALLS.keys())
+def test_numpy_integer_n_is_accepted(call):
+    def weights(n):
+        out = call(0.3, n)
+        return (out[0] if isinstance(out, tuple) else out).w
+
+    np.testing.assert_array_equal(weights(np.int64(5)), weights(5))

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from owakit.cli import EXIT_IO, EXIT_METHOD_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from owakit.reports import read_sweep_csv
+from owakit.reports import METHODS, read_sweep_csv
 
 
 def run(args, capsys):
@@ -59,6 +59,14 @@ class TestGen:
         assert code == EXIT_USAGE
         assert "orness" in err
 
+    @pytest.mark.parametrize("m", METHODS, ids=lambda m: m.flag)
+    def test_method_flag_prints_that_method(self, m, capsys):
+        code, out, _ = run(["gen", "--n", "5", "--orness", "0.3", "--method", m.flag], capsys)
+        assert code == EXIT_OK
+        assert [line for line in out.splitlines() if line.startswith("method:")] == [
+            f"method: {m.name}" + (" (beta=1.5)" if m.takes_beta else "")
+        ]
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--n", "5", "--orness", "0.5", "--bogus"])
@@ -111,6 +119,19 @@ class TestSweep:
             capsys,
         )
         assert code == EXIT_USAGE
+
+    def test_library_value_error_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run(
+            [
+                "sweep", "--n", "5", "--method", "linear", "--beta", "2.0",
+                "--out", str(out_path),
+            ],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert err.count("\n") == 1 and "beta" in err
+        assert not out_path.exists()
 
 
 class TestBench:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from owakit import reports
 from owakit.reports import (
     ALL_METHODS,
     METHOD_LINEAR,
+    METHODS,
     METHOD_MAXENT,
     STATUS_OK,
     STATUS_UNSTABLE,
@@ -117,6 +119,21 @@ class TestCsv:
             "method,beta,n,requested_orness,achieved_orness,dispersion,status,w1,w2,w3"
         )
 
+    def test_row_disagreeing_with_header_raises(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_sweep_csv(sweep(3, [METHOD_LINEAR], steps=5), 3, str(path), "")
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace(",3,", ",4,", 1)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="n=3"):
+            read_sweep_csv(str(path))
+
+    def test_missing_header_raises(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# owakit comment only\n")
+        with pytest.raises(ValueError, match="no header"):
+            read_sweep_csv(str(path))
+
     def test_unwritable_path_raises_oserror(self, tmp_path):
         rows = sweep(3, [METHOD_LINEAR], steps=5)
         with pytest.raises(OSError):
@@ -137,3 +154,40 @@ class TestBench:
             bench([3], reps=0)
         with pytest.raises(ValueError):
             bench([2], reps=1)
+
+
+class TestMethodTable:
+    def test_names_match_all_methods(self):
+        assert tuple(m.name for m in METHODS) == ALL_METHODS
+
+    @pytest.mark.parametrize("m", METHODS, ids=lambda m: m.name)
+    def test_evaluate_ok(self, m):
+        assert evaluate_method(m.name, 0.3, 5).status == STATUS_OK
+
+    @pytest.mark.parametrize("m", METHODS, ids=lambda m: m.name)
+    def test_sweep_rows_per_beta(self, m):
+        rows = sweep(5, [m.name], betas=(1.0, 1.5), steps=3)
+        assert len(rows) == 3 * (2 if m.takes_beta else 1)
+
+    def test_bench_order(self):
+        got = [(r.method, r.beta) for r in bench([5], reps=1, grid_points=3)]
+        assert got == [
+            ("linear", 1.0),
+            ("linear", 1.25),
+            ("linear", 1.5),
+            ("exponential", None),
+            ("exponential-no-preset", None),
+            ("maxent", None),
+        ]
+
+    def test_weights_looked_up_at_call_time(self, monkeypatch):
+        calls = []
+        original = reports.maxent_weights
+
+        def counting(orness, n):
+            calls.append(orness)
+            return original(orness, n)
+
+        monkeypatch.setattr(reports, "maxent_weights", counting)
+        sweep(5, ["maxent"], steps=5)
+        assert calls == [0.0, 0.25, 0.5, 0.75, 1.0]
