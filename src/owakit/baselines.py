@@ -7,18 +7,20 @@ calibration here is bisection on the monotone parameter-to-orness map.
 The maximum-entropy method maximizes dispersion subject to the orness
 constraint.  The optimum has geometric structure, which reduces the whole
 problem to one polynomial equation in the first weight, solved by a
-safeguarded Newton/bisection hybrid.  Near extreme orness and large n the
-polynomial becomes ill-conditioned (catastrophic cancellation between
-terms of order A**(n-1)); results that fail validation raise a flagged
-error instead of returning garbage.
+safeguarded Newton/bisection hybrid.  Where the polynomial overflows
+(large n) and no root can be bracketed, the first weight is found
+instead by bisection on the achieved orness of the rebuilt geometric
+vector.  Near extreme orness and large n the problem becomes
+ill-conditioned (catastrophic cancellation between terms of order
+A**(n-1)); results that fail validation raise a flagged error instead of
+returning garbage.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .core import WeightVector, _check_request, _orness_array, uniform_weights
+from .core import WeightVector, _check_n, _check_request, _orness_array, uniform_weights
 
 # Successful results must reproduce the requested orness this closely.
 ORNESS_TOL = 1e-9
@@ -82,8 +84,7 @@ def exponential_raw(a: float, n: int, kind: str = "or-like") -> WeightVector:
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"parameter a must be in [0, 1]; got {a}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2; got {n}")
+    n = _check_n(n, 2)
     if kind not in ("or-like", "and-like"):
         raise ValueError(f"kind must be 'or-like' or 'and-like'; got {kind!r}")
     return WeightVector(_exponential_array(a, n, kind == "or-like"))
@@ -117,7 +118,7 @@ def exponential_weights(orness: float, n: int):
     orness within tolerance (does not happen for valid inputs; the map is
     continuous and monotone on [0, 1]).
     """
-    _check_request(orness, n, 2)
+    n = _check_request(orness, n, 2)
     w, a, achieved, iterations = _calibrated_exponential_array(orness, n)
     residual = abs(achieved - orness)
     converged = residual <= ORNESS_TOL
@@ -146,7 +147,7 @@ def exponential_weights_no_preset(orness: float, n: int) -> WeightVector:
     """Exponential weights with the shape parameter set to the requested
     orness directly (no calibration).  Exact only at 0 and 1; included to
     mirror the no-preset rows of the timing comparison."""
-    _check_request(orness, n, 2)
+    n = _check_request(orness, n, 2)
     return WeightVector(_no_preset_exponential_array(orness, n))
 
 
@@ -238,33 +239,6 @@ def _maxent_bracket(F, n, A, scan_points=400):
     return float(ws[i]), float(ws[i + 1])
 
 
-def _maxent_fallback_array(a: float, n: int) -> np.ndarray:
-    # Direct constrained maximization of the entropy, used only when the
-    # polynomial route cannot even bracket a root.
-    x0 = np.full(n, 1.0 / n)
-
-    def neg_entropy(w):
-        wp = np.clip(w, 1e-300, None)
-        return float((wp * np.log(wp)).sum())
-
-    res = minimize(
-        neg_entropy,
-        x0,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * n,
-        constraints=[
-            {"type": "eq", "fun": lambda w: w.sum() - 1.0},
-            {"type": "eq", "fun": lambda w: _orness_array(w) - a},
-        ],
-        options={"maxiter": 60, "ftol": 1e-14},
-    )
-    w = np.asarray(res.x, dtype=float)
-    if not np.all(np.isfinite(w)) or w.min() < -1e-9 or w.sum() <= 0.0:
-        return None
-    w = np.clip(w, 0.0, None)
-    return w / w.sum()
-
-
 def _rebuild_from_first_weight(w1: float, a: float, n: int):
     """Weights implied by a candidate first weight: the last weight from
     the two constraints, geometric interpolation in between (done in logs
@@ -300,8 +274,9 @@ def _constraint_residual(w1: float, a: float, n: int):
 def _polish_first_weight(w1: float, a: float, n: int) -> float:
     """Bisection directly on the achieved-orness residual of the rebuilt
     vector.  Cleans up the ill-conditioned near-0.5 region where the
-    first-weight polynomial has a near-double root; only called when the
-    rebuild map is trustworthy."""
+    first-weight polynomial has a near-double root, and solves outright
+    when the polynomial gave no bracket; only called when the rebuild map
+    is trustworthy."""
     A = (n - 1) * a
     lo = (1.0 / n) * (1.0 + 1e-15)
     hi = (1.0 / (n - A)) * (1.0 - 1e-15)
@@ -336,15 +311,17 @@ def _maxent_array(orness: float, n: int) -> np.ndarray:
 
     F, dF, A, B = _maxent_polynomial(a, n)
     bracket = _maxent_bracket(F, n, A)
-    if bracket is not None:
-        w1 = _newton_bisection(F, dF, bracket[0], bracket[1])
-        w = _rebuild_from_first_weight(w1, a, n)
-        if w is not None and _rebuild_is_trustworthy(w1, a, n):
-            if abs(_orness_array(w) - a) > 1e-10:
-                w1 = _polish_first_weight(w1, a, n)
-                w = _rebuild_from_first_weight(w1, a, n)
+    if bracket is None:
+        # No sign change (the polynomial overflows at large n): start from
+        # the uniform 1/n and let the orness bisection below find the root.
+        w1 = 1.0 / n
     else:
-        w = _maxent_fallback_array(a, n)
+        w1 = _newton_bisection(F, dF, bracket[0], bracket[1])
+    w = _rebuild_from_first_weight(w1, a, n)
+    if w is not None and _rebuild_is_trustworthy(w1, a, n):
+        if abs(_orness_array(w) - a) > 1e-10:
+            w1 = _polish_first_weight(w1, a, n)
+            w = _rebuild_from_first_weight(w1, a, n)
     if w is not None and mirrored:
         w = w[::-1]
     return w
@@ -358,7 +335,7 @@ def maxent_weights(orness: float, n: int) -> WeightVector:
     result (achieved orness off by more than ``ORNESS_TOL`` or weights
     outside [0, 1]); an invalid vector is never returned silently.
     """
-    _check_request(orness, n, 2)
+    n = _check_request(orness, n, 2)
     if orness in (0.0, 1.0):
         raise UnsupportedOrnessError(
             "maximum-entropy weights require 0 < orness < 1: the entropy "

@@ -11,6 +11,7 @@ maximum entropy at orness 0 or 1), 4 I/O error.
 import argparse
 import json
 import sys
+import warnings
 
 from . import __version__
 from .reports import (
@@ -82,7 +83,11 @@ def _cmd_gen(args) -> int:
     reports = []
     for method in _FLAG_METHODS[args.method]:
         try:
-            report = evaluate_method(method, args.orness, args.n, args.beta)
+            with warnings.catch_warnings():
+                # The printed orness of an n = 1 vector is the documented
+                # 0.5 convention; the library's warning about it is noise here.
+                warnings.filterwarnings("ignore", "orness of a length-1", UserWarning)
+                report = evaluate_method(method, args.orness, args.n, args.beta)
         except ValueError as exc:
             print(f"{method}: {exc}", file=sys.stderr)
             return EXIT_USAGE

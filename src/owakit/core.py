@@ -118,17 +118,24 @@ def _orness_array(w: np.ndarray) -> float:
     return float(coef @ w / (n - 1))
 
 
-def _check_request(orness: float, n, min_n: int) -> None:
-    """Raise ValueError unless orness is in [0, 1] and ``n`` is an integer
-    (numpy integers included) of at least ``min_n``."""
+def _check_request(orness: float, n, min_n: int) -> int:
+    """``n`` as a plain int; ValueError unless orness is in [0, 1] and
+    ``n`` passes :func:`_check_n`."""
     if not 0.0 <= orness <= 1.0:
         raise ValueError(f"orness must be in [0, 1]; got {orness}")
+    return _check_n(n, min_n)
+
+
+def _check_n(n, min_n: int) -> int:
+    """``n`` as a plain int; ValueError unless it is an integer (numpy
+    integers included) of at least ``min_n``."""
     try:
-        operator.index(n)
+        index = operator.index(n)
     except TypeError:
         raise ValueError(f"n must be an integer; got {n!r}") from None
-    if n < min_n:
+    if index < min_n:
         raise ValueError(f"n must be >= {min_n}; got {n}")
+    return index
 
 
 def dispersion(w: WeightVector) -> float:

@@ -97,7 +97,7 @@ def linear_weights(target, n: int) -> WeightVector:
     """
     if not isinstance(target, OrnessTarget):
         target = OrnessTarget(float(target))
-    _check_request(target.orness, n, 1)
+    n = _check_request(target.orness, n, 1)
     w = _weight_array(target.orness, n, target.beta)
     small = (w < 0.0) & (w > -_NEGATIVE_EPS)
     if small.any():

@@ -2,9 +2,10 @@
 
 Nothing here shares a code path with the production modules: the 2x2
 system is assembled from power sums computed by explicit loops and solved
-by Cramer's rule, and the entropy maximizer is found by brute grid search
-over the constrained simplex slice.  Deliberately simple; used by the
-test suite and to derive frozen expected values.
+by Cramer's rule, the entropy maximizer is found by brute grid search
+over the constrained simplex slice, and for larger n by bisection on the
+rate of its known geometric form.  Deliberately simple; used by the test
+suite and to derive frozen expected values.
 """
 
 from dataclasses import dataclass
@@ -130,3 +131,46 @@ def maxent_oracle(orness: float, n: int, grid_steps: int = 100):
         points_per_dim = 17
     assert best is not None, "constraint slice unexpectedly empty"
     return best
+
+
+def _geometric_log_weights(t: float, n: int) -> np.ndarray:
+    # log w_i for w_i proportional to exp(-t*i), normalised by log-sum-exp.
+    z = -t * np.arange(n, dtype=float)
+    top = z.max()
+    return z - (top + np.log(np.exp(z - top).sum()))
+
+
+def maxent_geometric_oracle(orness: float, n: int) -> np.ndarray:
+    """Maximum-entropy weights for any n >= 2, from their known form.
+
+    The optimum is geometric, w_i proportional to exp(-t*i) for
+    i = 0..n-1 (O'Hagan 1988; Fuller & Majlender 2001), and its orness
+    rises monotonically with the rate t.  So t is found by bisection on
+    the orness, to the last representable digit; the weights are
+    normalised in log-sum-exp form, so no power over- or underflows
+    before the final ``exp``.
+    """
+    if not 0.0 < orness < 1.0:
+        raise ValueError(f"orness must be in (0, 1); got {orness}")
+    if n < 2:
+        raise ValueError(f"n must be >= 2; got {n}")
+    position = np.arange(n - 1, -1, -1, dtype=float) / (n - 1)
+
+    def orness_at(t):
+        return float(np.exp(_geometric_log_weights(t, n)) @ position)
+
+    lo, hi = -1.0, 1.0
+    while orness_at(lo) > orness:
+        lo *= 2.0
+    while orness_at(hi) < orness:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if orness_at(mid) < orness:
+            lo = mid
+        else:
+            hi = mid
+    t = lo if abs(orness_at(lo) - orness) <= abs(orness_at(hi) - orness) else hi
+    return np.exp(_geometric_log_weights(t, n))

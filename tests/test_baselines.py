@@ -168,6 +168,7 @@ WEIGHT_CALLS = {
     "exponential": exponential_weights,
     "exponential-no-preset": exponential_weights_no_preset,
     "maxent": maxent_weights,
+    "exponential-raw": exponential_raw,
 }
 
 
@@ -187,3 +188,22 @@ def test_numpy_integer_n_is_accepted(call):
         return (out[0] if isinstance(out, tuple) else out).w
 
     np.testing.assert_array_equal(weights(np.int64(5)), weights(5))
+
+
+def test_exponential_raw_parameter_error_names_a():
+    # Checked before n, so a bad ``a`` is reported even with a bad n.
+    with pytest.raises(ValueError, match="^parameter a must be in"):
+        exponential_raw(float("nan"), 5.0)
+
+
+@pytest.mark.parametrize("call", WEIGHT_CALLS.values(), ids=WEIGHT_CALLS.keys())
+def test_numpy_integer_n_gives_identical_bits(call):
+    # n is used as a plain int: numpy's power of a float to an int64
+    # rounds differently from Python's in the last bit.
+    def weights(a, n):
+        out = call(a, n)
+        return (out[0] if isinstance(out, tuple) else out).w
+
+    for n in (5, 40):
+        for a in np.linspace(0.05, 0.95, 19):
+            np.testing.assert_array_equal(weights(float(a), np.int64(n)), weights(float(a), n))

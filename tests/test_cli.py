@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import owakit
 from owakit.cli import EXIT_IO, EXIT_METHOD_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from owakit.reports import METHODS, read_sweep_csv
 
@@ -145,3 +149,41 @@ class TestBench:
     def test_bad_reps_exits_2(self, capsys):
         code, _, _ = run(["bench", "--n", "3", "--reps", "0"], capsys)
         assert code == EXIT_USAGE
+
+
+
+def _fresh_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this
+    owakit, so imports and warnings show as a user would see them."""
+    src = os.path.dirname(os.path.dirname(owakit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=False,
+    )
+
+
+def test_gen_n1_prints_no_warning():
+    proc = _fresh_python(
+        "-m", "owakit.cli", "gen", "--n", "1", "--orness", "0.5", "--method", "linear"
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[:3] == [
+        "method: linear (beta=1.5)",
+        "weights: 1",
+        "orness: 0.5",
+    ]
+
+
+def test_import_does_not_load_scipy():
+    proc = _fresh_python(
+        "-c",
+        "import sys, owakit.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,0 +1,129 @@
+"""Every maximum-entropy result labelled ok must be the true optimum.
+
+The optimum is geometric, w_i proportional to exp(-t*i), so an ok vector
+must (1) reproduce the requested orness, (2) have constant steps in
+log w and (3) match the dispersion of the independent geometric oracle
+at the orness it achieved.  Results may instead be flagged with
+MaxentInstabilityError; they may not come back wrong.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from owakit import MaxentInstabilityError, maxent_weights
+from owakit.baselines import ORNESS_TOL
+from owakit.oracle import maxent_geometric_oracle, maxent_oracle
+
+GEOMETRIC_TOL = 1e-9
+DISPERSION_TOL = 1e-9
+
+NS = list(range(3, 61)) + [100, 150, 300, 1000, 10**4]
+ORNESS_GRID = np.linspace(0.01, 0.99, 49)
+
+# Points where a solve without a bracket once returned a non-optimal
+# vector labelled ok: near orness 0 (spread of diff(log w) 31 and 12)
+# and within ~3e-4 of 0.5 (spread ~1e-7).
+NAMED_POINTS = [
+    (40, 0.011156888444406765),
+    (35, 0.01),
+    (64, 0.5003081952937841),
+    (70, 0.49993014249152934),
+]
+
+
+def _dispersion(w):
+    pos = w[w > 0.0]  # 0 ln 0 = 0; the oracle's tail can underflow
+    return float(-(pos * np.log(pos)).sum())
+
+
+def _orness(w):
+    n = w.size
+    return float(np.arange(n - 1, -1, -1, dtype=float) @ w / (n - 1))
+
+
+def certification_problem(orness, n):
+    """None if ``maxent_weights(orness, n)`` is flagged or certified;
+    otherwise a description of how the ok result is wrong."""
+    try:
+        w = maxent_weights(orness, n).w
+    except MaxentInstabilityError:
+        return None
+    return weights_problem(w, orness)
+
+
+def weights_problem(w, orness):
+    """None if ``w`` is the maximum-entropy optimum at ``orness``."""
+    achieved = _orness(w)
+    if not abs(achieved - orness) <= ORNESS_TOL:
+        return f"orness residual {abs(achieved - orness):.3g}"
+    if w.min() <= 0.0:
+        return "a weight is not strictly positive"
+    steps = np.diff(np.log(w))
+    spread = float(steps.max() - steps.min())
+    if not spread <= GEOMETRIC_TOL:
+        return f"not geometric: spread of diff(log w) is {spread:.3g}"
+    # Compared at the achieved orness: a correct result may sit up to
+    # ORNESS_TOL off the request, which moves the optimum's dispersion.
+    gap = _dispersion(w) - _dispersion(maxent_geometric_oracle(achieved, w.size))
+    if not abs(gap) <= DISPERSION_TOL:
+        return f"dispersion off the optimum by {gap:.3g}"
+    return None
+
+
+@pytest.mark.parametrize("n, orness", NAMED_POINTS)
+def test_named_points_are_certified_or_flagged(n, orness):
+    assert certification_problem(orness, n) is None
+
+
+def test_every_ok_result_is_the_optimum():
+    problems = [
+        (n, float(a), problem)
+        for n in NS
+        for a in ORNESS_GRID
+        if (problem := certification_problem(float(a), n)) is not None
+    ]
+    assert problems == []
+
+
+@pytest.mark.parametrize("n", [1000, 10**4])
+def test_moderate_orness_is_solved_without_a_bracket(n):
+    # At these n the first-weight polynomial overflows everywhere, so no
+    # bracket is found; the orness bisection must deliver, not flag.
+    for a in (0.1, 0.3, 0.45, 0.55, 0.7, 0.9):
+        assert weights_problem(maxent_weights(a, n).w, a) is None
+
+
+class TestGeometricOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_grid_search_oracle(self, n):
+        for a in np.linspace(0.1, 0.9, 17):
+            w = maxent_geometric_oracle(float(a), n)
+            w_grid = maxent_oracle(float(a), n)
+            assert abs(_dispersion(w) - _dispersion(w_grid)) <= 1e-6
+            # The grid search can only approach the optimum from below.
+            assert _dispersion(w_grid) <= _dispersion(w) + 1e-12
+
+    @pytest.mark.parametrize("n", [2, 7, 300, 10**4])
+    def test_simplex_and_orness(self, n):
+        for a in (1e-6, 0.2, 0.5, 0.8, 1.0 - 1e-6):
+            w = maxent_geometric_oracle(a, n)
+            assert abs(w.sum() - 1.0) <= 1e-12
+            assert abs(_orness(w) - a) <= 1e-14
+
+    def test_domain(self):
+        for bad in (0.0, 1.0):
+            with pytest.raises(ValueError, match="orness"):
+                maxent_geometric_oracle(bad, 5)
+        with pytest.raises(ValueError, match="n must be"):
+            maxent_geometric_oracle(0.3, 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    n=st.integers(3, 300),
+    orness=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_property_certified_or_flagged(n, orness):
+    assert certification_problem(orness, n) is None

@@ -1,0 +1,57 @@
+"""Property tests for the invariants every weight vector must keep.
+
+Examples are drawn deterministically (``derandomize=True``, no example
+database), so the suite gives the same verdict on every run.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from owakit import OrnessTarget, aggregate, exponential_weights, linear_weights
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+ornesses = st.floats(0.0, 1.0)
+betas = st.floats(1.0, 1.5)
+
+
+def _orness(w):
+    n = w.size
+    return math.fsum(np.arange(n - 1, -1, -1, dtype=float) * w) / (n - 1)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(n=st.integers(2, 10**6), orness=ornesses, beta=betas)
+@example(n=10**6, orness=0.99, beta=1.5)
+def test_linear_simplex_and_exact_orness(n, orness, beta):
+    w = linear_weights(OrnessTarget(orness, beta), n).w
+    assert w.min() >= 0.0 and w.max() <= 1.0
+    assert abs(math.fsum(w) - 1.0) <= 1e-12
+    assert abs(_orness(w) - orness) <= 1e-12
+
+
+@PROPERTY
+@given(n=st.integers(2, 2000), orness=ornesses, beta=betas)
+def test_linear_mirror_symmetry(n, orness, beta):
+    lhs = linear_weights(OrnessTarget(orness, beta), n).w
+    rhs = linear_weights(OrnessTarget(1.0 - orness, beta), n).w[::-1]
+    np.testing.assert_allclose(lhs, rhs, rtol=0.0, atol=1e-12)
+
+
+@PROPERTY
+@given(
+    x=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40),
+    orness=ornesses,
+    beta=betas,
+)
+def test_aggregate_lies_between_min_and_max(x, orness, beta):
+    scale = max(1.0, max(abs(v) for v in x))
+    for w in (
+        linear_weights(OrnessTarget(orness, beta), len(x)),
+        exponential_weights(orness, len(x))[0],
+    ):
+        y = aggregate(w, x)
+        assert min(x) - 1e-12 * scale <= y <= max(x) + 1e-12 * scale
