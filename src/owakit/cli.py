@@ -9,6 +9,7 @@ maximum entropy at orness 0 or 1), 4 I/O error.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -89,8 +90,7 @@ def _cmd_gen(args) -> int:
                 warnings.filterwarnings("ignore", "orness of a length-1", UserWarning)
                 report = evaluate_method(method, args.orness, args.n, args.beta)
         except ValueError as exc:
-            print(f"{method}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"{method}: {exc}") from exc
         if report.status != STATUS_OK:
             print(
                 f"{method}: no valid weights at orness {args.orness} "
@@ -118,14 +118,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.n < 2:
-        print(f"n must be >= 2 for a sweep; got {args.n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"n must be >= 2 for a sweep; got {args.n}")
     betas = args.beta if args.beta else [1.5]
-    try:
-        rows = sweep(args.n, _FLAG_METHODS[args.method], betas=betas, steps=args.steps)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+    rows = sweep(args.n, _FLAG_METHODS[args.method], betas=betas, steps=args.steps)
     provenance = (
         f"sweep --n {args.n} --method {args.method} "
         f"--steps {args.steps} betas={','.join(format(b, 'g') for b in betas)}"
@@ -139,29 +134,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        reports = bench(args.n, reps=args.reps)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+    reports = bench(args.n, reps=args.reps)
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "method": r.method,
-                        "beta": r.beta,
-                        "n": r.n,
-                        "reps": r.reps,
-                        "mean_time": r.mean_time,
-                        "best_time": r.best_time,
-                        "relative_time": r.relative_time,
-                    }
-                    for r in reports
-                ],
-                indent=2,
-            )
-        )
+        print(json.dumps([dataclasses.asdict(r) for r in reports], indent=2))
     elif args.format == "csv":
         print("method,beta,n,reps,mean_time,best_time,relative_time")
         for r in reports:
@@ -184,14 +159,16 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"gen": _cmd_gen, "sweep": _cmd_sweep, "bench": _cmd_bench}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    return _cmd_bench(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,6 +14,17 @@ class DimensionMismatchError(ValueError):
     """Raised when a weight vector and an input vector disagree in length."""
 
 
+def _checked_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; ValueError naming ``name`` unless it
+    is 1-d, non-empty and finite.  May share the caller's buffer."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError(f"{name} must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class WeightVector:
     """An OWA weight vector.
@@ -26,11 +37,7 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.w, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("weights must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("weights must be finite")
+        arr = _checked_array(self.w, "weights")
         if arr.min() < -WEIGHT_SUM_TOL or arr.max() > 1.0 + WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weights must lie in [0, 1]; got range "
@@ -80,11 +87,8 @@ class InputVector:
     x: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.x, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("inputs must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("inputs must be finite")
+        # Freeze a view, not the caller's own array, which stays writeable.
+        arr = _checked_array(self.x, "inputs").view()
         arr.flags.writeable = False
         object.__setattr__(self, "x", arr)
 
@@ -145,7 +149,8 @@ def dispersion(w: WeightVector) -> float:
     """
     arr = w.w
     pos = arr[arr > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+    # 0.0 - s, not -s: a single atom sums to 0.0 and must give +0.0.
+    return 0.0 - float((pos * np.log(pos)).sum())
 
 
 def aggregate(w: WeightVector, x) -> float:

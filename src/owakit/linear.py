@@ -10,10 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrnessTarget, WeightVector, _check_request
-
-# Largest negative weight attributable to rounding; anything worse is a bug.
-_NEGATIVE_EPS = 1e-12
+from .core import WEIGHT_SUM_TOL, OrnessTarget, WeightVector, _check_n
 
 
 @dataclass(frozen=True)
@@ -97,14 +94,11 @@ def linear_weights(target, n: int) -> WeightVector:
     """
     if not isinstance(target, OrnessTarget):
         target = OrnessTarget(float(target))
-    n = _check_request(target.orness, n, 1)
+    n = _check_n(n, 1)
     w = _weight_array(target.orness, n, target.beta)
-    small = (w < 0.0) & (w > -_NEGATIVE_EPS)
-    if small.any():
-        w = np.where(small, 0.0, w)
+    # Rounding can leave a weight a hair below zero; WeightVector rejects
+    # anything further below.
+    if -WEIGHT_SUM_TOL < w.min() < 0.0:
+        w = np.maximum(w, 0.0)
         w = w / w.sum()
-    if w.min() < 0.0:
-        raise AssertionError(
-            f"internal error: weight {w.min():.17g} below rounding tolerance"
-        )
     return WeightVector(w)

@@ -95,7 +95,9 @@ def maxent_oracle(orness: float, n: int, grid_steps: int = 100):
     Supports n in {2, ..., 5} only; the search is exponential in n and is
     meant for desk-scale verification.  Deterministic: fixed grids, ties
     broken by first occurrence.  Returns a plain numpy array summing to 1
-    with the requested orness satisfied exactly by construction.
+    with the requested orness satisfied exactly by construction.  Raises
+    ``ArithmeticError`` when the grid reaches no feasible point, which
+    can happen at extreme orness (e.g. 0.97 at n = 4).
     """
     if not 0.0 < orness < 1.0:
         raise ValueError(f"orness must be in (0, 1); got {orness}")
@@ -129,7 +131,8 @@ def maxent_oracle(orness: float, n: int, grid_steps: int = 100):
                 center = free[i]
         half /= 8.0
         points_per_dim = 17
-    assert best is not None, "constraint slice unexpectedly empty"
+    if best is None:
+        raise ArithmeticError(f"no feasible grid point at orness={orness} n={n}")
     return best
 
 

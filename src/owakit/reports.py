@@ -159,7 +159,7 @@ def evaluate_method(
         requested_orness=requested,
         achieved_orness=orness(vec),
         dispersion=dispersion(vec),
-        w=tuple(float(v) for v in vec.w),
+        w=tuple(vec.w.tolist()),
         status=STATUS_OK,
     )
 

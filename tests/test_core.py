@@ -1,8 +1,11 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import owakit
 from owakit import (
     DimensionMismatchError,
     InputVector,
@@ -91,6 +94,10 @@ class TestDispersion:
     def test_single_atom(self):
         assert dispersion(WeightVector([1, 0, 0, 0, 0])) == 0.0
 
+    @pytest.mark.parametrize("w", [[1.0], [0.0, 0.0, 1.0]])
+    def test_single_atom_is_positive_zero(self, w):
+        assert math.copysign(1.0, dispersion(WeightVector(w))) == 1.0
+
     def test_uniform_n5(self):
         assert dispersion(uniform_weights(5)) == pytest.approx(math.log(5), abs=1e-12)
 
@@ -153,3 +160,22 @@ class TestAggregate:
     def test_accepts_input_vector(self):
         xv = InputVector([2.0, 1.0])
         assert aggregate(WeightVector([1, 0]), xv) == 2.0
+
+    def test_leaves_caller_array_writeable(self):
+        x = np.array([1.0, 2.0, 3.0])
+        aggregate(uniform_weights(3), x)
+        xv = InputVector(x)
+        x[0] = 5.0
+        assert not xv.x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            xv.x[0] = 0.0
+
+
+def test_library_has_no_assert_statements():
+    # ``python -O`` strips asserts, so none may carry library behaviour.
+    sources = sorted(pathlib.Path(owakit.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name} has assert statements at lines {lines}"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owakit import MaxentInstabilityError, maxent_weights
+from owakit import MaxentInstabilityError, baselines, maxent_weights
 from owakit.baselines import ORNESS_TOL
 from owakit.oracle import maxent_geometric_oracle, maxent_oracle
 
@@ -93,6 +93,21 @@ def test_moderate_orness_is_solved_without_a_bracket(n):
     # bracket is found; the orness bisection must deliver, not flag.
     for a in (0.1, 0.3, 0.45, 0.55, 0.7, 0.9):
         assert weights_problem(maxent_weights(a, n).w, a) is None
+
+
+def test_polish_stops_once_the_bracket_cannot_shrink(monkeypatch):
+    # At (0.97, 50) the polish bisection reaches adjacent floats long
+    # before its 200-step cap; each further step repeats the same midpoint.
+    calls = []
+    residual = baselines._constraint_residual
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(baselines, "_constraint_residual", counted)
+    assert weights_problem(maxent_weights(0.97, 50).w, 0.97) is None
+    assert 0 < len(calls) <= 64
 
 
 class TestGeometricOracle:

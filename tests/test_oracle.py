@@ -67,3 +67,7 @@ class TestMaxentOracle:
             maxent_oracle(0.5, 6)
         with pytest.raises(ValueError):
             maxent_oracle(0.5, 4, grid_steps=50)
+
+    def test_no_feasible_grid_point_raises(self):
+        with pytest.raises(ArithmeticError, match="no feasible grid point"):
+            maxent_oracle(0.97, 4)

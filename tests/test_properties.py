@@ -4,13 +4,20 @@ Examples are drawn deterministically (``derandomize=True``, no example
 database), so the suite gives the same verdict on every run.
 """
 
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owakit import OrnessTarget, aggregate, exponential_weights, linear_weights
+from owakit.cli import _FLAG_METHODS, EXIT_METHOD_DOMAIN, EXIT_OK, main
+from owakit.reports import STATUS_OK, evaluate_method, read_sweep_csv, report_to_dict, sweep
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -55,3 +62,45 @@ def test_aggregate_lies_between_min_and_max(x, orness, beta):
     ):
         y = aggregate(w, x)
         assert min(x) - 1e-12 * scale <= y <= max(x) + 1e-12 * scale
+
+
+def _run_cli(args):
+    """``owakit`` exit code and stdout; stdout captured by redirection
+    because Hypothesis rejects the function-scoped ``capsys`` fixture."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(args)
+    return code, out.getvalue()
+
+
+method_flags = st.sampled_from(sorted(_FLAG_METHODS))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(n=st.integers(2, 40), orness=ornesses, beta=betas, flag=method_flags)
+def test_cli_gen_json_round_trips(n, orness, beta, flag):
+    reports = [evaluate_method(m, orness, n, beta) for m in _FLAG_METHODS[flag]]
+    code, out = _run_cli(
+        ["gen", "--n", str(n), "--orness", repr(orness), "--beta", repr(beta),
+         "--method", flag, "--format", "json"]
+    )
+    if any(r.status != STATUS_OK for r in reports):
+        assert code == EXIT_METHOD_DOMAIN and out == ""
+        return
+    assert code == EXIT_OK
+    expected = [report_to_dict(r) for r in reports]
+    assert json.loads(out) == (expected[0] if len(expected) == 1 else expected)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(n=st.integers(2, 40), steps=st.integers(2, 12), beta=betas, flag=method_flags)
+def test_cli_sweep_csv_round_trips(n, steps, beta, flag):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep.csv")
+        code, _ = _run_cli(
+            ["sweep", "--n", str(n), "--steps", str(steps), "--beta", repr(beta),
+             "--method", flag, "--out", path]
+        )
+        assert code == EXIT_OK
+        back = read_sweep_csv(path)
+    assert back == sweep(n, _FLAG_METHODS[flag], betas=[beta], steps=steps)

@@ -134,6 +134,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="no header"):
             read_sweep_csv(str(path))
 
+    def test_no_negative_zero_cell(self, tmp_path):
+        # Linear at orness 0 and 1 is a single atom: dispersion 0, not -0.
+        path = tmp_path / "s.csv"
+        write_sweep_csv(sweep(5, ALL_METHODS, steps=3), 5, str(path), "")
+        cells = [c for line in path.read_text().splitlines()[1:] for c in line.split(",")]
+        assert "0" in cells and "-0" not in cells
+
     def test_unwritable_path_raises_oserror(self, tmp_path):
         rows = sweep(3, [METHOD_LINEAR], steps=5)
         with pytest.raises(OSError):
