@@ -27,6 +27,9 @@ ORNESS_TOL = 1e-9
 
 _BISECT_PARAM_TOL = 1e-12
 _BISECT_MAX_ITER = 200
+_NEWTON_XTOL = 1e-15
+_NEWTON_MAX_ITER = 120
+_BRACKET_SCAN_POINTS = 400
 
 
 class UnsupportedOrnessError(ValueError):
@@ -155,7 +158,7 @@ def exponential_weights_no_preset(orness: float, n: int) -> WeightVector:
 # Maximum entropy
 # ---------------------------------------------------------------------------
 
-def _newton_bisection(func, dfunc, lo, hi, xtol=1e-15, maxiter=120):
+def _newton_bisection(func, dfunc, lo, hi):
     """Root of ``func`` bracketed in [lo, hi]; Newton steps when they stay
     in the bracket and halve it fast enough, bisection otherwise."""
     flo = func(lo)
@@ -170,7 +173,7 @@ def _newton_bisection(func, dfunc, lo, hi, xtol=1e-15, maxiter=120):
     dx_old = abs(hi - lo)
     dx = dx_old
     f = func(x)
-    for _ in range(maxiter):
+    for _ in range(_NEWTON_MAX_ITER):
         df = dfunc(x)
         with np.errstate(over="ignore", invalid="ignore"):
             newton_ok = (
@@ -188,7 +191,7 @@ def _newton_bisection(func, dfunc, lo, hi, xtol=1e-15, maxiter=120):
             dx_old = dx
             dx = 0.5 * (hi - lo)
             x_new = lo + dx
-        if abs(dx) < xtol * max(1.0, abs(x_new)):
+        if abs(dx) < _NEWTON_XTOL * max(1.0, abs(x_new)):
             return x_new
         x = x_new
         f = func(x)
@@ -219,15 +222,15 @@ def _maxent_polynomial(a: float, n: int):
             base = B - n * w
             return base**n - n * n * w * base ** (n - 1) - np.exp(logA) * (A - n)
 
-    return F, dF, A, B
+    return F, dF, A
 
 
-def _maxent_bracket(F, n, A, scan_points=400):
+def _maxent_bracket(F, n, A):
     # The admissible interval is (1/n, 1/(n-A)); scan from the high end for
     # the sign change nearest the interior root.
     lo = 1.0 / n
     hi = 1.0 / (n - A)
-    ws = np.linspace(lo, hi, scan_points)
+    ws = np.linspace(lo, hi, _BRACKET_SCAN_POINTS)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = F(ws)
     sgn = np.sign(vals)
@@ -312,7 +315,7 @@ def _maxent_array(orness: float, n: int) -> np.ndarray:
     mirrored = orness < 0.5
     a = 1.0 - orness if mirrored else orness
 
-    F, dF, A, B = _maxent_polynomial(a, n)
+    F, dF, A = _maxent_polynomial(a, n)
     bracket = _maxent_bracket(F, n, A)
     if bracket is None:
         # No sign change (the polynomial overflows at large n): start from

@@ -5,16 +5,18 @@ one place that lists the methods, plus ``all``.
 
 Exit codes: 0 success, 2 usage error (including any ``ValueError`` the
 library raises for an invalid request), 3 method-domain error (e.g.
-maximum entropy at orness 0 or 1), 4 I/O error.
+maximum entropy at orness 0 or 1), 4 I/O error (also a closed stdout).
 """
 
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import warnings
 
 from . import __version__
+from .core import DEFAULT_BETA
 from .reports import (
     METHODS,
     STATUS_OK,
@@ -50,7 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--method", choices=sorted(_FLAG_METHODS), default="linear", help="weight method"
     )
-    gen.add_argument("--beta", type=float, default=1.5, help="linear-family shape in [1, 1.5]")
+    gen.add_argument(
+        "--beta", type=float, default=DEFAULT_BETA, help="linear-family shape in [1, 1.5]"
+    )
     gen.add_argument(
         "--format", choices=["plain", "json", "csv"], default="plain", help="output format"
     )
@@ -64,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--beta",
         type=float,
         action="append",
-        help="linear-family shape; repeat the flag for several (default 1.5)",
+        help=f"linear-family shape; repeat the flag for several (default {DEFAULT_BETA:g})",
     )
     sw.add_argument("--steps", type=int, default=101, help="grid points over [0, 1]")
     sw.add_argument("--out", required=True, help="output CSV path (written atomically)")
@@ -119,7 +123,7 @@ def _cmd_gen(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.n < 2:
         raise ValueError(f"n must be >= 2 for a sweep; got {args.n}")
-    betas = args.beta if args.beta else [1.5]
+    betas = args.beta if args.beta else [DEFAULT_BETA]
     rows = sweep(args.n, _FLAG_METHODS[args.method], betas=betas, steps=args.steps)
     provenance = (
         f"sweep --n {args.n} --method {args.method} "
@@ -165,10 +169,16 @@ _COMMANDS = {"gen": _cmd_gen, "sweep": _cmd_sweep, "bench": _cmd_bench}
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # E.g. ``| head``; devnull keeps the interpreter's last flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
 
 
 if __name__ == "__main__":

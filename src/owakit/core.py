@@ -8,6 +8,8 @@ import numpy as np
 
 # Closed-form weight constructions should be exact to rounding.
 WEIGHT_SUM_TOL = 1e-12
+# Linear-family shape exponent when none is given: the steepest slope.
+DEFAULT_BETA = 1.5
 
 
 class DimensionMismatchError(ValueError):
@@ -68,16 +70,21 @@ class WeightVector:
 @dataclass(frozen=True)
 class OrnessTarget:
     """A requested orness in [0, 1] plus the shape exponent of the
-    linear family (defaults to 1.5, the steepest admissible slope)."""
+    linear family (defaults to ``DEFAULT_BETA``)."""
 
     orness: float
-    beta: float = 1.5
+    beta: float = DEFAULT_BETA
 
     def __post_init__(self):
         if not 0.0 <= self.orness <= 1.0:
             raise ValueError(f"orness must be in [0, 1]; got {self.orness}")
-        if not 1.0 <= self.beta <= 1.5:
-            raise ValueError(f"beta must be in [1.0, 1.5]; got {self.beta}")
+        _check_beta(self.beta)
+
+
+def _check_beta(beta: float) -> None:
+    """ValueError unless ``beta`` is in [1, 1.5], where every linear weight is >= 0."""
+    if not 1.0 <= beta <= 1.5:
+        raise ValueError(f"beta must be in [1.0, 1.5]; got {beta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,15 +137,15 @@ def _check_request(orness: float, n, min_n: int) -> int:
     return _check_n(n, min_n)
 
 
-def _check_n(n, min_n: int) -> int:
-    """``n`` as a plain int; ValueError unless it is an integer (numpy
-    integers included) of at least ``min_n``."""
+def _check_n(n, min_n: int, name: str = "n") -> int:
+    """``n`` as a plain int; ValueError naming ``name`` unless it is an
+    integer (numpy integers included) of at least ``min_n``."""
     try:
         index = operator.index(n)
     except TypeError:
-        raise ValueError(f"n must be an integer; got {n!r}") from None
+        raise ValueError(f"{name} must be an integer; got {n!r}") from None
     if index < min_n:
-        raise ValueError(f"n must be >= {min_n}; got {n}")
+        raise ValueError(f"{name} must be >= {min_n}; got {n}")
     return index
 
 

@@ -34,7 +34,7 @@ from .baselines import (
     exponential_weights_no_preset,
     maxent_weights,
 )
-from .core import OrnessTarget, dispersion, orness
+from .core import DEFAULT_BETA, OrnessTarget, _check_n, dispersion, orness
 from .linear import _weight_array, linear_weights
 
 METHOD_LINEAR = "linear"
@@ -143,9 +143,9 @@ def evaluate_method(
     method: str, requested: float, n: int, beta: Optional[float] = None
 ) -> MethodReport:
     """Run one method at one grid point, capturing failures as statuses.
-    ``beta`` (default 1.5) is dropped for methods that do not take it."""
+    ``beta`` (default ``DEFAULT_BETA``) is dropped for methods that do not take it."""
     m = _method(method)
-    beta = (1.5 if beta is None else beta) if m.takes_beta else None
+    beta = (DEFAULT_BETA if beta is None else beta) if m.takes_beta else None
     try:
         vec = m.weights(requested, n, beta)
     except UnsupportedOrnessError:
@@ -167,7 +167,7 @@ def evaluate_method(
 def sweep(
     n: int,
     methods: Sequence[str],
-    betas: Sequence[float] = (1.5,),
+    betas: Sequence[float] = (DEFAULT_BETA,),
     steps: int = 101,
 ) -> list:
     """Evaluate ``methods`` on the grid orness = k/(steps-1), k = 0..steps-1.
@@ -175,11 +175,9 @@ def sweep(
     Methods that take beta produce rows once per beta; the others ignore
     betas.  Rows come back sorted by (method, requested_orness, beta).
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2; got {steps}")
+    grid = _grid(steps, "steps")
     if not methods:
         raise ValueError("at least one method is required")
-    grid = [k / (steps - 1) for k in range(steps)]
     rows = []
     for method in methods:
         method_betas = betas if _method(method).takes_beta else (None,)
@@ -190,6 +188,12 @@ def sweep(
         key=lambda r: (r.method, r.requested_orness, r.beta if r.beta is not None else -1.0)
     )
     return rows
+
+
+def _grid(points, name: str) -> list:
+    """Orness grid k/(points-1), k = 0..points-1, for an integer ``points`` >= 2."""
+    points = _check_n(points, 2, name)
+    return [k / (points - 1) for k in range(points)]
 
 
 def _fmt(value) -> str:
@@ -318,12 +322,9 @@ def bench(n_list: Sequence[int], reps: int = 20, grid_points: int = 101) -> list
     Returns one :class:`BenchReport` per (method, n); within each n the
     relative time is normalized so the fastest method reads 1.0.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1; got {reps}")
-    for n in n_list:
-        if n < 3:
-            raise ValueError(f"benchmark sizes must be >= 3; got {n}")
-    grid = [k / (grid_points - 1) for k in range(grid_points)]
+    reps = _check_n(reps, 1, "reps")
+    n_list = [_check_n(n, 3) for n in n_list]
+    grid = _grid(grid_points, "grid_points")
     interior = [a for a in grid if 0.0 < a < 1.0]
     reports = []
     for n in n_list:

@@ -152,16 +152,21 @@ class TestBench:
 
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this owakit."""
+    src = os.path.dirname(os.path.dirname(owakit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _fresh_python(*args):
     """Run ``python *args`` in a fresh interpreter that imports this
     owakit, so imports and warnings show as a user would see them."""
-    src = os.path.dirname(os.path.dirname(owakit.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_fresh_env(),
         check=False,
     )
 
@@ -187,3 +192,22 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_closed_stdout_exits_4_without_traceback():
+    # Like `owakit gen ... | head -1`: the JSON (about 200 kB) is larger
+    # than a pipe buffer, and the reader goes away after one line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "owakit.cli", "gen", "--n", "2000", "--orness", "0.3",
+         "--method", "all", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_fresh_env(),
+    )
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_IO
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from owakit import OrnessTarget, f_alpha, linear_coefficients, linear_weights, orness
+from owakit.linear import _weight_array
 from owakit.oracle import solve_system_oracle
 
 BETAS = (1.0, 1.25, 1.5)
@@ -62,6 +63,20 @@ class TestLinearCoefficients:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="linear_weights"):
             linear_coefficients(0.3, 2)
+
+    @pytest.mark.parametrize("n", [5.0, 5.5, float("nan")])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            linear_coefficients(0.3, n)
+
+    def test_numpy_integer_n(self):
+        assert linear_coefficients(0.3, np.int64(5)) == linear_coefficients(0.3, 5)
+
+    def test_beta_one_is_the_flat_line(self):
+        for alpha in np.linspace(0.0, 0.5, 51):
+            assert f_alpha(alpha, 1.0) == 2 * alpha
+            for n in (3, 5, 100):
+                assert linear_coefficients(alpha, n, 1.0).K == 0.0
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_constraint_rows_hold(self, beta):
@@ -159,3 +174,17 @@ class TestOracleAgreement:
                 K_ref, b_ref = solve_system_oracle(alpha, n, beta)
                 assert c.K == pytest.approx(K_ref, abs=1e-10)
                 assert c.b == pytest.approx(b_ref, abs=1e-10)
+
+
+class TestOneClosedForm:
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_weights_are_built_from_the_coefficients(self, beta):
+        # Criterion 1's grid: every weight vector is, bit for bit, the
+        # line K*i + b plus 1 - delta that linear_coefficients reports.
+        for n in (3, 5, 10, 50, 100):
+            for a in np.linspace(0.0, 1.0, 101):
+                c = linear_coefficients(min(a, 1.0 - a), n, beta)
+                rebuilt = np.append(c.K * np.arange(1, n) + c.b, 1.0 - c.delta)
+                if a > 0.5:
+                    rebuilt = rebuilt[::-1]
+                assert _weight_array(a, n, beta).tobytes() == rebuilt.tobytes(), (a, n)

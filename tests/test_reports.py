@@ -85,6 +85,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(5, [METHOD_LINEAR], steps=1)
 
+    def test_steps_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            sweep(5, [METHOD_LINEAR], steps=2.5)
+
 
 class TestCsv:
     def test_round_trip_is_lossless(self, tmp_path):
@@ -161,6 +165,20 @@ class TestBench:
             bench([3], reps=0)
         with pytest.raises(ValueError):
             bench([2], reps=1)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(n_list=[3.5]), "n"),
+            (dict(n_list=[10], grid_points=1), "grid_points"),
+            (dict(n_list=[10], grid_points=0), "grid_points"),
+            (dict(n_list=[10], grid_points=50.5), "grid_points"),
+            (dict(n_list=[10], reps=2.5), "reps"),
+        ],
+    )
+    def test_counts_must_be_integers_in_range(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            bench(**kwargs)
 
 
 class TestMethodTable:
