@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightVector, _check_n, _check_request, _orness_array, uniform_weights
+from .core import WeightVector, _check_n, _check_request, _orness_array
 
 # Successful results must reproduce the requested orness this closely.
 ORNESS_TOL = 1e-9
@@ -381,5 +381,4 @@ __all__ = [
     "exponential_weights",
     "exponential_weights_no_preset",
     "maxent_weights",
-    "uniform_weights",
 ]

@@ -24,8 +24,7 @@ from .reports import (
     evaluate_method,
     report_to_dict,
     sweep,
-    sweep_header,
-    sweep_rows_as_records,
+    sweep_lines,
     write_sweep_csv,
 )
 
@@ -108,9 +107,7 @@ def _cmd_gen(args) -> int:
         payload = [report_to_dict(r) for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
     elif args.format == "csv":
-        print(",".join(sweep_header(args.n)))
-        for record in sweep_rows_as_records(reports, args.n):
-            print(",".join(record))
+        sys.stdout.writelines(sweep_lines(reports, args.n, "\n"))
     else:
         for r in reports:
             print(f"method: {r.method}" + (f" (beta={r.beta})" if r.beta is not None else ""))
@@ -167,8 +164,12 @@ _COMMANDS = {"gen": _cmd_gen, "sweep": _cmd_sweep, "bench": _cmd_bench}
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:
+            sys.stdout.flush()  # --help and --version print, then exit here
+            raise
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code

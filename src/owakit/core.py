@@ -164,15 +164,17 @@ def aggregate(w: WeightVector, x) -> float:
     """Aggregate ``x`` with the OWA operator ``w``.
 
     ``x`` may be an :class:`InputVector` or any 1-d sequence; it is
-    sorted descending internally (ties keep their original relative
-    order), so the caller need not pre-order anything.
+    sorted descending internally, so the caller need not pre-order
+    anything.
     """
     xv = x if isinstance(x, InputVector) else InputVector(x)
     if xv.n != w.n:
         raise DimensionMismatchError(
             f"weight vector has length {w.n} but input vector has length {xv.n}"
         )
-    ordered = xv.x[np.argsort(-xv.x, kind="stable")]
+    # Contiguous, unlike np.sort(x)[::-1], whose reversed view changes the
+    # dot product's summation order and with it the last bit.
+    ordered = -np.sort(-xv.x)
     return float(w.w @ ordered)
 
 

@@ -209,41 +209,36 @@ def sweep_header(n: int) -> list:
     )
 
 
-def sweep_rows_as_records(rows, n: int):
-    """Rows as flat string records matching :func:`sweep_header`."""
-    records = []
+def sweep_lines(rows, n: int, end: str = "\r\n"):
+    """The header line, then one line per row, each ending in ``end``.
+
+    Numbers are written at 17 significant digits; a row without weights
+    gets ``n`` empty weight cells.  Method and status names contain no
+    comma, quote or line break, so no cell needs CSV quoting.
+    """
+    weights = ",".join(["%.17g"] * n) + end
+    no_weights = "," * (n - 1) + end
+    yield ",".join(sweep_header(n)) + end
     for r in rows:
-        weights = list(r.w) if r.w is not None else [None] * n
-        records.append(
-            [
-                r.method,
-                _fmt(r.beta),
-                str(r.n),
-                _fmt(r.requested_orness),
-                _fmt(r.achieved_orness),
-                _fmt(r.dispersion),
-                r.status,
-            ]
-            + [_fmt(v) for v in weights]
-        )
-    return records
+        yield (
+            f"{r.method},{_fmt(r.beta)},{r.n},{_fmt(r.requested_orness)},"
+            f"{_fmt(r.achieved_orness)},{_fmt(r.dispersion)},{r.status},"
+        ) + (no_weights if r.w is None else weights % tuple(r.w))
 
 
 def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
     """Write a sweep to ``path`` atomically (temp file, then rename).
 
     The first line is a ``#`` comment carrying the tool version and the
-    flags that produced the file; the data below it never varies between
-    identical runs.
+    flags that produced the file, ending in ``\\n``; the header and rows
+    below it end in ``\\r\\n`` and never vary between identical runs.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(f"# owakit {__version__} {provenance}".rstrip() + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(sweep_header(n))
-            writer.writerows(sweep_rows_as_records(rows, n))
+            fh.writelines(sweep_lines(rows, n))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -211,3 +211,30 @@ def test_closed_stdout_exits_4_without_traceback():
     assert proc.wait(timeout=60) == EXIT_IO
     assert "Traceback" not in stderr
     assert "Exception ignored" not in stderr
+
+
+@pytest.mark.parametrize(
+    "args", [["--version"], ["--help"], ["gen", "--help"], ["sweep", "--help"]], ids=" ".join
+)
+def test_help_into_closed_pipe_exits_4_without_traceback(args):
+    # Like `owakit sweep --help | true` with stdout block-buffered: the
+    # read end is closed before the child starts, so every write fails.
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "owakit.cli", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+            check=False,
+        )
+    finally:
+        os.close(write_end)
+    stderr = proc.stderr.decode()
+    assert proc.returncode == EXIT_IO, stderr
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr

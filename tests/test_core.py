@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import pathlib
 
@@ -13,6 +14,7 @@ from owakit import (
     WeightVector,
     aggregate,
     dispersion,
+    linear_weights,
     orness,
     uniform_weights,
 )
@@ -169,6 +171,32 @@ class TestAggregate:
         assert not xv.x.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             xv.x[0] = 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 100])
+    def test_bit_identical_to_stable_argsort(self, n):
+        # The reference is the stable argsort gather.  A sort that merely
+        # orders the same values is not enough: the dot product must see a
+        # contiguous array so its summation order, and every last bit, stay.
+        rng = np.random.default_rng(n)
+        signs = np.array([-1.0, -0.0, 0.0, 1.0])
+        if 4**n <= 1024:
+            patterns = signs[np.array(list(itertools.product(range(4), repeat=n)))]
+        else:
+            patterns = np.vstack(
+                [np.repeat(signs[:, None], n, axis=1), rng.choice(signs, (1000, n))]
+            )
+        rows = np.vstack(
+            [
+                rng.integers(0, 10, (200, n)).astype(float),
+                rng.standard_normal((200, n)),
+                patterns,
+            ]
+        )
+        for a in (0.0, 0.3, 0.8, 1.0):
+            w = linear_weights(OrnessTarget(a), n)
+            got = np.array([aggregate(w, x) for x in rows])
+            ref = np.array([float(w.w @ x[np.argsort(-x, kind="stable")]) for x in rows])
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (n, a)
 
 
 def test_library_has_no_assert_statements():

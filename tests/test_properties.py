@@ -12,6 +12,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +39,19 @@ def test_linear_simplex_and_exact_orness(n, orness, beta):
     assert w.min() >= 0.0 and w.max() <= 1.0
     assert abs(math.fsum(w) - 1.0) <= 1e-12
     assert abs(_orness(w) - orness) <= 1e-12
+
+
+@pytest.mark.parametrize("orness", [0.0, 0.3, 0.5, 0.7, 1.0])
+def test_linear_simplex_and_exact_orness_at_largest_n(orness):
+    # The top of the documented size range, one vector at a time (80 MB).
+    # numpy's pairwise sums err by about 1e-15 here, far inside 1e-12.
+    n = 10**7
+    w = linear_weights(OrnessTarget(orness, 1.5), n).w
+    assert w.min() >= 0.0 and w.max() <= 1.0
+    assert abs(w.sum() - 1.0) <= 1e-12
+    coef = np.arange(n - 1, -1, -1, dtype=float)
+    coef *= w
+    assert abs(coef.sum() / (n - 1) - orness) <= 1e-12
 
 
 @PROPERTY

@@ -1,9 +1,16 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
+import owakit
 from owakit import reports
+from owakit.cli import main
 from owakit.reports import (
     ALL_METHODS,
+    METHOD_EXPONENTIAL,
+    METHOD_EXPONENTIAL_NO_PRESET,
     METHOD_LINEAR,
     METHODS,
     METHOD_MAXENT,
@@ -149,6 +156,62 @@ class TestCsv:
         rows = sweep(3, [METHOD_LINEAR], steps=5)
         with pytest.raises(OSError):
             write_sweep_csv(rows, 3, str(tmp_path / "no_dir" / "s.csv"), "")
+
+
+def _reference_cell(value):
+    return "" if value is None else format(value, ".17g")
+
+
+def _reference_csv(rows, n, provenance, newline="\r\n"):
+    """A sweep CSV written the plain way, as the reference for the
+    library's writer: one ``format(v, ".17g")`` per cell, then
+    ``csv.writer``, under the same ``#`` provenance line."""
+    buf = io.StringIO(newline="")
+    buf.write(f"# owakit {owakit.__version__} {provenance}".rstrip() + "\n")
+    writer = csv.writer(buf, lineterminator=newline)
+    writer.writerow(
+        ["method", "beta", "n", "requested_orness", "achieved_orness", "dispersion", "status"]
+        + [f"w{i}" for i in range(1, n + 1)]
+    )
+    for r in rows:
+        weights = r.w if r.w is not None else [None] * n
+        writer.writerow(
+            [r.method, _reference_cell(r.beta), str(r.n)]
+            + [_reference_cell(v) for v in (r.requested_orness, r.achieved_orness, r.dispersion)]
+            + [r.status]
+            + [_reference_cell(v) for v in weights]
+        )
+    return buf.getvalue()
+
+
+class TestCsvMatchesReference:
+    @pytest.mark.parametrize(
+        "n, methods",
+        [(n, ALL_METHODS) for n in (2, 3, 5, 10, 100)]
+        + [(1000, (METHOD_LINEAR, METHOD_EXPONENTIAL, METHOD_EXPONENTIAL_NO_PRESET))],
+    )
+    def test_sweep(self, tmp_path, n, methods):
+        rows = sweep(n, methods, betas=(1.0, 1.25, 1.5), steps=101)
+        path = tmp_path / "s.csv"
+        write_sweep_csv(rows, n, str(path), f"sweep --n {n}")
+        assert path.read_bytes() == _reference_csv(rows, n, f"sweep --n {n}").encode()
+
+    @pytest.mark.parametrize("provenance", ["sweep --n 100 --method maxent", ""])
+    def test_rows_without_weights(self, tmp_path, provenance):
+        rows = [evaluate_method(METHOD_MAXENT, a, 100) for a in (0.0, 0.5, 0.99, 1.0)]
+        assert [r.status for r in rows] == [
+            STATUS_UNSUPPORTED, STATUS_OK, STATUS_UNSTABLE, STATUS_UNSUPPORTED
+        ]
+        path = tmp_path / "s.csv"
+        write_sweep_csv(rows, 100, str(path), provenance)
+        assert path.read_bytes() == _reference_csv(rows, 100, provenance).encode()
+
+    def test_gen_csv_stdout(self, capsys):
+        args = ["gen", "--n", "7", "--orness", "0.3", "--method", "all", "--format", "csv"]
+        assert main(args) == 0
+        rows = [evaluate_method(m.name, 0.3, 7) for m in METHODS]
+        expected = _reference_csv(rows, 7, "", newline="\n").split("\n", 1)[1]
+        assert capsys.readouterr().out == expected
 
 
 class TestBench:
