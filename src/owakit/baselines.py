@@ -2,7 +2,8 @@
 
 The exponential family fixes a geometric shape for the weights and needs
 its internal parameter calibrated ("preset") to hit a requested orness;
-calibration here is bisection on the monotone parameter-to-orness map.
+calibration here is bisection on the monotone parameter-to-orness map,
+run for a whole array of requested values at once.
 
 The maximum-entropy method maximizes dispersion subject to the orness
 constraint.  The optimum has geometric structure, which reduces the whole
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightVector, _check_n, _check_request, _orness_array
+from .core import WeightVector, _check_n, _check_request, _orness_array, _orness_rows
 
 # Successful results must reproduce the requested orness this closely.
 ORNESS_TOL = 1e-9
@@ -69,13 +70,16 @@ class CalibrationResult:
 # Exponential family
 # ---------------------------------------------------------------------------
 
-def _exponential_array(a: float, n: int, or_like: bool) -> np.ndarray:
-    # Or-like: w_i = a(1-a)^(i-1) for i < n, w_n = (1-a)^(n-1); telescopes to 1.
-    w = np.empty(n)
-    w[: n - 1] = a * (1.0 - a) ** np.arange(n - 1)
-    w[n - 1] = (1.0 - a) ** (n - 1)
-    if not or_like:
-        w = w[::-1]
+def _exponential_rows(a: np.ndarray, n: int) -> np.ndarray:
+    """Or-like geometric weights, one row per parameter in the 1-d array
+    ``a``: w_i = a(1-a)^(i-1) for i < n and w_n = (1-a)^(n-1), which
+    telescope to 1.  The and-like vector is the same row reversed."""
+    w = np.empty((a.size, n))
+    base = 1.0 - a
+    np.power(base[:, np.newaxis], np.arange(n - 1), out=w[:, : n - 1])
+    w *= a[:, np.newaxis]
+    # Python's float ** per value: numpy's array power differs in the last bit.
+    w[:, n - 1] = [b ** (n - 1) for b in base.tolist()]
     return w
 
 
@@ -90,27 +94,42 @@ def exponential_raw(a: float, n: int, kind: str = "or-like") -> WeightVector:
     n = _check_n(n, 2)
     if kind not in ("or-like", "and-like"):
         raise ValueError(f"kind must be 'or-like' or 'and-like'; got {kind!r}")
-    return WeightVector(_exponential_array(a, n, kind == "or-like"))
+    w = _exponential_rows(np.array([a], dtype=float), n)[0]
+    return WeightVector(w if kind == "or-like" else w[::-1])
 
 
-def _calibrated_exponential_array(orness: float, n: int):
+def _calibrated_exponential_array(orness: np.ndarray, n: int):
+    """Bisection on the parameter for every target in the 1-d array
+    ``orness`` at once.  Returns the weights (one row per target), the
+    parameters, the achieved orness values (floats) and the number of
+    halvings, which is the same for every target."""
     or_like = orness > 0.5
-    # Or-like orness rises 0 -> 1 with a; and-like falls 1 -> 0.
-    lo, hi = 0.0, 1.0
+    # Or-like orness rises 0 -> 1 with a; and-like falls 1 -> 0.  An
+    # and-like row is an or-like row reversed, so its orness weighs the
+    # or-like row with the coefficients reversed.  Each row's products are
+    # summed on their own, so no row's result depends on the others.
+    coef = np.arange(n - 1, -1, -1, dtype=float)
+    coefs = np.where(or_like[:, np.newaxis], coef, coef[::-1])
+    # Every interval starts as [0, 1] and is halved exactly at each step,
+    # so all rows share one width hi - lo and only lo is kept per row.
+    # These sums of dyadic numbers are exact: lo + width/2 is the midpoint
+    # (lo + hi)/2 bit for bit.
+    lo, width = np.zeros(orness.size), 1.0
     iterations = 0
     for iterations in range(1, _BISECT_MAX_ITER + 1):
-        mid = 0.5 * (lo + hi)
-        val = _orness_array(_exponential_array(mid, n, or_like))
-        rising = or_like
-        if (val < orness) == rising:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_PARAM_TOL:
+        mid = lo + 0.5 * width
+        products = _exponential_rows(mid, n)
+        products *= coefs
+        val = np.add.reduce(products, axis=1) / (n - 1)
+        lo = np.where((val < orness) == or_like, mid, lo)
+        width *= 0.5
+        if width <= _BISECT_PARAM_TOL:
             break
-    a = 0.5 * (lo + hi)
-    w = _exponential_array(a, n, or_like)
-    return w, a, _orness_array(w), iterations
+    a = lo + 0.5 * width
+    w = _exponential_rows(a, n)
+    achieved = _orness_rows([row if up else row[::-1] for row, up in zip(w, or_like)])
+    w[~or_like] = w[~or_like, ::-1]
+    return w, a, achieved, iterations
 
 
 def exponential_weights(orness: float, n: int):
@@ -122,7 +141,8 @@ def exponential_weights(orness: float, n: int):
     continuous and monotone on [0, 1]).
     """
     n = _check_request(orness, n, 2)
-    w, a, achieved, iterations = _calibrated_exponential_array(orness, n)
+    w, a, achieved, iterations = _calibrated_exponential_array(np.array([orness], dtype=float), n)
+    a, achieved = float(a[0]), achieved[0]
     residual = abs(achieved - orness)
     converged = residual <= ORNESS_TOL
     if not converged:
@@ -135,15 +155,17 @@ def exponential_weights(orness: float, n: int):
     result = CalibrationResult(
         parameter=a, achieved_orness=achieved, iterations=iterations, converged=True
     )
-    return WeightVector(w), result
+    return WeightVector(w[0]), result
 
 
-def _no_preset_exponential_array(orness: float, n: int) -> np.ndarray:
+def _no_preset_exponential_array(orness: np.ndarray, n: int) -> np.ndarray:
     # Parameter used directly, no calibration: the classical shortcut whose
     # achieved orness drifts from the request away from the endpoints.
-    if orness > 0.5:
-        return _exponential_array(orness, n, True)
-    return _exponential_array(1.0 - orness, n, False)
+    # Or-like with a = orness above 0.5, and-like with a = 1 - orness below.
+    and_like = orness <= 0.5
+    w = _exponential_rows(np.where(and_like, 1.0 - orness, orness), n)
+    w[and_like] = w[and_like, ::-1]
+    return w
 
 
 def exponential_weights_no_preset(orness: float, n: int) -> WeightVector:
@@ -151,7 +173,7 @@ def exponential_weights_no_preset(orness: float, n: int) -> WeightVector:
     orness directly (no calibration).  Exact only at 0 and 1; included to
     mirror the no-preset rows of the timing comparison."""
     n = _check_request(orness, n, 2)
-    return WeightVector(_no_preset_exponential_array(orness, n))
+    return WeightVector(_no_preset_exponential_array(np.array([orness], dtype=float), n)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,28 @@ def _checked_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _simplex_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows``, a non-empty 2-d float array holding one weight vector per
+    row, clipped to [0, 1].  ValueError for the first row with a weight
+    outside [0, 1] or a sum off 1, both by more than ``WEIGHT_SUM_TOL``;
+    a NaN fails the range check."""
+    total = rows.sum(axis=1)
+    if not (
+        rows.min() >= -WEIGHT_SUM_TOL
+        and rows.max() <= 1.0 + WEIGHT_SUM_TOL
+        and abs(total - 1.0).max() <= WEIGHT_SUM_TOL
+    ):
+        lows, highs = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
+        for low, high, row_sum in zip(lows, highs, total.tolist()):
+            if not (low >= -WEIGHT_SUM_TOL and high <= 1.0 + WEIGHT_SUM_TOL):
+                raise ValueError(
+                    f"weights must lie in [0, 1]; got range [{low:.17g}, {high:.17g}]"
+                )
+            if not abs(row_sum - 1.0) <= WEIGHT_SUM_TOL:
+                raise ValueError(f"weights must sum to 1; got {row_sum:.17g}")
+    return np.clip(rows, 0.0, 1.0)
+
+
 @dataclass(frozen=True, eq=False)
 class WeightVector:
     """An OWA weight vector.
@@ -39,16 +61,7 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
-        arr = _checked_array(self.w, "weights")
-        if arr.min() < -WEIGHT_SUM_TOL or arr.max() > 1.0 + WEIGHT_SUM_TOL:
-            raise ValueError(
-                f"weights must lie in [0, 1]; got range "
-                f"[{arr.min():.17g}, {arr.max():.17g}]"
-            )
-        total = arr.sum()
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1; got {total:.17g}")
-        arr = np.clip(arr, 0.0, 1.0)
+        arr = _simplex_rows(_checked_array(self.w, "weights")[np.newaxis])[0]
         arr.flags.writeable = False
         object.__setattr__(self, "w", arr)
 
@@ -124,9 +137,16 @@ def orness(w: WeightVector) -> float:
 
 def _orness_array(w: np.ndarray) -> float:
     """Orness of a plain weight array of length n >= 2 (no validation)."""
-    n = w.size
+    return _orness_rows((w,))[0]
+
+
+def _orness_rows(rows) -> list:
+    """Orness of each weight array in ``rows``, all of one length n >= 2,
+    as floats.  One 1-d dot product per row: a matrix-vector product over
+    all rows rounds differently in the last bit."""
+    n = len(rows[0])
     coef = np.arange(n - 1, -1, -1, dtype=float)
-    return float(coef @ w / (n - 1))
+    return [float(coef @ w / (n - 1)) for w in rows]
 
 
 def _check_request(orness: float, n, min_n: int) -> int:
@@ -154,8 +174,12 @@ def dispersion(w: WeightVector) -> float:
 
     Ranges from 0 (single atom) to ln n (uniform weights).
     """
-    arr = w.w
-    pos = arr[arr > 0.0]
+    return _dispersion_array(w.w)
+
+
+def _dispersion_array(w: np.ndarray) -> float:
+    """Dispersion of a plain weight array (no validation)."""
+    pos = w[w > 0.0]
     # 0.0 - s, not -s: a single atom sums to 0.0 and must give +0.0.
     return 0.0 - float((pos * np.log(pos)).sum())
 
@@ -179,5 +203,6 @@ def aggregate(w: WeightVector, x) -> float:
 
 
 def uniform_weights(n: int) -> WeightVector:
-    """The simple-average operator of size ``n``."""
+    """The simple-average operator of size ``n``, an integer >= 1."""
+    n = _check_n(n, 1)
     return WeightVector(np.full(n, 1.0 / n))

@@ -62,22 +62,34 @@ def linear_coefficients(alpha: float, n: int, beta: float = DEFAULT_BETA) -> Lin
     return LinearCoefficients(*_coefficients(alpha, n, f_alpha(alpha, beta)))
 
 
-def _weight_array(orness: float, n: int, beta: float) -> np.ndarray:
-    """Plain-array fast path shared by linear_weights and the benchmark."""
+def _weight_array(orness: np.ndarray, n: int, beta: float) -> np.ndarray:
+    """Weights of size ``n``, one row per value of the 1-d array ``orness``
+    (no validation).  Each row is computed on its own: row i equals the
+    one-row result for ``orness[i]`` bit for bit."""
     if n == 1:
-        return np.ones(1)
+        return np.ones((orness.size, 1))
     if n == 2:
-        return np.array([orness, 1.0 - orness])
-    alpha = orness if orness <= 0.5 else 1.0 - orness
-    K, b, delta = _coefficients(alpha, n, _f(alpha, beta))
-    if K == 0.0:  # a flat line (always so at beta = 1): fill a constant
-        w = np.empty(n)
-        w.fill(b)
-    else:
-        w = np.arange(1.0, n + 1) * K + b
-    w[n - 1] = 1.0 - delta
-    if orness > 0.5:
-        w = w[::-1]
+        return np.stack([orness, 1.0 - orness], axis=1)
+    # Row by row from the scalar closed form: that keeps Python's float **
+    # (numpy's array power differs in the last bit), and on a short grid
+    # or a single value it costs less than broadcasting over the rows.
+    steps = np.arange(1.0, n + 1)
+    w = np.empty((orness.size, n))
+    for row, a in zip(w, orness.tolist()):
+        alpha = a if a <= 0.5 else 1.0 - a
+        K, b, delta = _coefficients(alpha, n, _f(alpha, beta))
+        np.multiply(steps, K, out=row)
+        row += b
+        row[n - 1] = 1.0 - delta
+        if a > 0.5:
+            row[:] = row[::-1]
+        # Rounding can leave a weight a hair below zero: clip such a row
+        # and renormalize it; WeightVector rejects anything further below.
+        # The rounded line K*i + b is monotone in i and 1 - delta > 0, so
+        # the least weight sits at i = 1 or i = n - 1.
+        if -WEIGHT_SUM_TOL < min(K + b, K * (n - 1) + b) < 0.0:
+            np.maximum(row, 0.0, out=row)
+            row /= row.sum()
     return w
 
 
@@ -92,10 +104,4 @@ def linear_weights(target, n: int) -> WeightVector:
     if not isinstance(target, OrnessTarget):
         target = OrnessTarget(float(target))
     n = _check_n(n, 1)
-    w = _weight_array(target.orness, n, target.beta)
-    # Rounding can leave a weight a hair below zero; WeightVector rejects
-    # anything further below.
-    if -WEIGHT_SUM_TOL < w.min() < 0.0:
-        w = np.maximum(w, 0.0)
-        w = w / w.sum()
-    return WeightVector(w)
+    return WeightVector(_weight_array(np.array([target.orness], dtype=float), n, target.beta)[0])

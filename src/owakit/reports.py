@@ -6,11 +6,13 @@ evaluation, sweeps, the benchmark and the CLI all iterate it.
 A sweep evaluates one or more weight-determination methods at every point
 of an orness grid and records achieved orness, dispersion and the full
 weight vector per point; this is the data behind the comparison plots.
-Points where a method cannot deliver (maximum entropy at orness 0/1, or
-its unstable region) are recorded with an explanatory status rather than
-dropped.  CSV files are written atomically and deterministically: no
-timestamps, numbers at 17 significant digits so parsing them back is
-lossless.
+The linear, exponential and no-preset methods build a whole grid in one
+array call per (method, beta) and validate it once; maximum entropy,
+whose solver branches per point, runs point by point.  Points where a
+method cannot deliver (maximum entropy at orness 0/1, or an unstable
+solve) are recorded with an explanatory status rather than dropped.  CSV
+files are written atomically and deterministically: no timestamps,
+numbers at 17 significant digits so parsing them back is lossless.
 """
 
 import csv
@@ -24,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import (
+    ORNESS_TOL,
     CalibrationError,
     MaxentInstabilityError,
     UnsupportedOrnessError,
@@ -34,7 +37,18 @@ from .baselines import (
     exponential_weights_no_preset,
     maxent_weights,
 )
-from .core import DEFAULT_BETA, OrnessTarget, _check_n, dispersion, orness
+from .core import (
+    DEFAULT_BETA,
+    OrnessTarget,
+    WeightVector,
+    _check_beta,
+    _check_n,
+    _dispersion_array,
+    _orness_rows,
+    _simplex_rows,
+    dispersion,
+    orness,
+)
 from .linear import _weight_array, linear_weights
 
 METHOD_LINEAR = "linear"
@@ -45,11 +59,24 @@ METHOD_MAXENT = "maxent"
 
 @dataclass(frozen=True)
 class Method:
-    """One weight method: its name, its CLI ``--method`` flag, the
-    validated call ``weights(orness, n, beta)`` returning a WeightVector,
-    the bare array ``kernel(orness, n, beta)`` the benchmark times,
-    whether it takes the linear-family ``beta`` (the others ignore it) and
-    whether orness 0 and 1 are in its domain (``endpoints``).
+    """One weight method.
+
+    - ``name`` and ``flag``: its name and its CLI ``--method`` flag.
+    - ``weights(orness, n, beta)``: the validated call, returning a
+      WeightVector.
+    - ``kernel(orness, n, beta)``: the bare weights for a 1-d array of
+      orness values, one row per value (for maximum entropy a list, with
+      None where the solve fails).  The benchmark times it on one value
+      at a time.
+    - ``takes_beta``: whether it takes the linear-family ``beta`` (the
+      others ignore it).
+    - ``endpoints``: whether orness 0 and 1 are in its domain.
+    - ``min_n``: the smallest size it accepts.
+    - ``calibrated``: whether its weights come from a numerical search, so
+      a sweep row whose orness misses the request by more than
+      ``ORNESS_TOL`` is unstable.
+    - ``per_point``: whether a sweep runs it one point at a time through
+      ``weights`` instead of one ``kernel`` call over the grid.
     """
 
     name: str
@@ -58,24 +85,30 @@ class Method:
     kernel: Callable
     takes_beta: bool = False
     endpoints: bool = True
+    min_n: int = 2
+    calibrated: bool = False
+    per_point: bool = False
 
 
-# The validated calls are looked up in this module's namespace at call
-# time (hence the lambdas), so rebinding e.g. ``reports.maxent_weights``
-# reaches every sweep.
+# The maximum-entropy call is looked up in this module's namespace at call
+# time (hence the lambda), so rebinding ``reports.maxent_weights`` reaches
+# every sweep.  The other methods' sweeps call their kernels directly;
+# rebinding their validated calls reaches only ``evaluate_method``.
 METHODS = (
     Method(
         METHOD_LINEAR,
         "linear",
         weights=lambda a, n, beta: linear_weights(OrnessTarget(a, beta), n),
-        kernel=lambda a, n, beta: _weight_array(a, n, beta),
+        kernel=_weight_array,
         takes_beta=True,
+        min_n=1,
     ),
     Method(
         METHOD_EXPONENTIAL,
         "exp",
         weights=lambda a, n, beta: exponential_weights(a, n)[0],
-        kernel=lambda a, n, beta: _calibrated_exponential_array(a, n),
+        kernel=lambda a, n, beta: _calibrated_exponential_array(a, n)[0],
+        calibrated=True,
     ),
     Method(
         METHOD_EXPONENTIAL_NO_PRESET,
@@ -87,8 +120,9 @@ METHODS = (
         METHOD_MAXENT,
         "maxent",
         weights=lambda a, n, beta: maxent_weights(a, n),
-        kernel=lambda a, n, beta: _maxent_array(a, n),
+        kernel=lambda a, n, beta: [_maxent_array(x, n) for x in a.tolist()],
         endpoints=False,
+        per_point=True,
     ),
 )
 
@@ -145,7 +179,7 @@ def evaluate_method(
     """Run one method at one grid point, capturing failures as statuses.
     ``beta`` (default ``DEFAULT_BETA``) is dropped for methods that do not take it."""
     m = _method(method)
-    beta = (DEFAULT_BETA if beta is None else beta) if m.takes_beta else None
+    beta = _beta_for(m, beta)
     try:
         vec = m.weights(requested, n, beta)
     except UnsupportedOrnessError:
@@ -164,6 +198,11 @@ def evaluate_method(
     )
 
 
+def _beta_for(m: Method, beta: Optional[float]) -> Optional[float]:
+    """``beta`` (default ``DEFAULT_BETA``) if ``m`` takes one, else None."""
+    return (DEFAULT_BETA if beta is None else beta) if m.takes_beta else None
+
+
 def sweep(
     n: int,
     methods: Sequence[str],
@@ -173,20 +212,47 @@ def sweep(
     """Evaluate ``methods`` on the grid orness = k/(steps-1), k = 0..steps-1.
 
     Methods that take beta produce rows once per beta; the others ignore
-    betas.  Rows come back sorted by (method, requested_orness, beta).
+    betas, but at least one is required.  Rows come back sorted by
+    (method, requested_orness, beta).
     """
     grid = _grid(steps, "steps")
     if not methods:
         raise ValueError("at least one method is required")
+    if not betas:
+        raise ValueError("at least one beta is required")
     rows = []
     for method in methods:
-        method_betas = betas if _method(method).takes_beta else (None,)
-        for requested in grid:
-            for beta in method_betas:
-                rows.append(evaluate_method(method, requested, n, beta))
+        m = _method(method)
+        if m.per_point:
+            rows.extend(evaluate_method(method, requested, n) for requested in grid)
+            continue
+        for beta in betas if m.takes_beta else (None,):
+            beta = _beta_for(m, beta)
+            if beta is not None:
+                _check_beta(beta)
+            rows.extend(_grid_rows(m, grid, _check_n(n, m.min_n), beta))
     rows.sort(
         key=lambda r: (r.method, r.requested_orness, r.beta if r.beta is not None else -1.0)
     )
+    return rows
+
+
+def _grid_rows(m: Method, grid: list, n: int, beta: Optional[float]) -> list:
+    """One row per grid point from a single kernel call and a single
+    validation of the whole weight matrix."""
+    w = _simplex_rows(m.kernel(np.array(grid), n, beta))
+    if n == 1:
+        # Every row is [1.0], whose orness is the warned 0.5 convention.
+        achieved = [orness(WeightVector(w[0]))] * len(grid)
+    else:
+        achieved = _orness_rows(w)
+    rows = []
+    for requested, got, row in zip(grid, achieved, w):
+        if m.calibrated and abs(got - requested) > ORNESS_TOL:
+            rows.append(MethodReport(m.name, beta, n, requested, None, None, None, STATUS_UNSTABLE))
+            continue
+        disp, values = _dispersion_array(row), tuple(row.tolist())
+        rows.append(MethodReport(m.name, beta, n, requested, got, disp, values, STATUS_OK))
     return rows
 
 
@@ -303,8 +369,9 @@ _BENCH_BETAS = (1.0, 1.25, 1.5)
 
 
 def _timed_pass(kernel: Callable, beta: Optional[float], n: int, grid) -> float:
-    """One timed traversal of the grid.  Only weight generation is inside
-    the timed region; failures at unreachable points count as work done."""
+    """One timed traversal of the grid, one kernel call per one-element
+    array in ``grid``.  Only weight generation is inside the timed region;
+    failures at unreachable points count as work done."""
     start = time.perf_counter()
     for a in grid:
         kernel(a, n, beta)
@@ -319,8 +386,8 @@ def bench(n_list: Sequence[int], reps: int = 20, grid_points: int = 101) -> list
     """
     reps = _check_n(reps, 1, "reps")
     n_list = [_check_n(n, 3) for n in n_list]
-    grid = _grid(grid_points, "grid_points")
-    interior = [a for a in grid if 0.0 < a < 1.0]
+    grid = [np.array([a]) for a in _grid(grid_points, "grid_points")]
+    interior = [a for a in grid if 0.0 < a[0] < 1.0]
     reports = []
     for n in n_list:
         measured = []

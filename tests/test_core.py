@@ -18,6 +18,7 @@ from owakit import (
     orness,
     uniform_weights,
 )
+from owakit.core import _simplex_rows
 
 
 def random_weight_vectors(count, rng):
@@ -51,6 +52,33 @@ class TestWeightVector:
         v = WeightVector([0.5, 0.5])
         with pytest.raises(ValueError):
             v.w[0] = 0.9
+
+
+class TestSimplexRows:
+    def test_first_bad_row_is_reported(self):
+        rows = np.array([[0.5, 0.5], [0.5, 0.6], [1.2, -0.2]])
+        with pytest.raises(ValueError, match="sum to 1; got 1.1"):
+            _simplex_rows(rows)
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]; got range \[-0.2"):
+            _simplex_rows(rows[[0, 2, 1]])
+
+    def test_nan_fails_the_range_check(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            _simplex_rows(np.array([[0.5, 0.5], [np.nan, 1.0]]))
+
+    def test_clips_within_tolerance(self):
+        rows = _simplex_rows(np.array([[1.0 + 5e-13, -5e-13], [0.25, 0.75]]))
+        np.testing.assert_array_equal(rows, [[1.0, 0.0], [0.25, 0.75]])
+
+
+class TestUniformWeights:
+    @pytest.mark.parametrize("n", [0, -3, 2.5, float("nan"), "3"])
+    def test_n_must_be_an_integer_of_at_least_one(self, n):
+        with pytest.raises(ValueError, match="^n must be"):
+            uniform_weights(n)
+
+    def test_numpy_integer_n(self):
+        np.testing.assert_array_equal(uniform_weights(np.int64(4)).w, [0.25] * 4)
 
 
 class TestOrnessTarget:

@@ -181,10 +181,11 @@ class TestOneClosedForm:
     def test_weights_are_built_from_the_coefficients(self, beta):
         # Criterion 1's grid: every weight vector is, bit for bit, the
         # line K*i + b plus 1 - delta that linear_coefficients reports.
+        grid = np.linspace(0.0, 1.0, 101)
         for n in (3, 5, 10, 50, 100):
-            for a in np.linspace(0.0, 1.0, 101):
+            for a, w in zip(grid, _weight_array(grid, n, beta)):
                 c = linear_coefficients(min(a, 1.0 - a), n, beta)
                 rebuilt = np.append(c.K * np.arange(1, n) + c.b, 1.0 - c.delta)
                 if a > 0.5:
                     rebuilt = rebuilt[::-1]
-                assert _weight_array(a, n, beta).tobytes() == rebuilt.tobytes(), (a, n)
+                assert w.tobytes() == rebuilt.tobytes(), (a, n)

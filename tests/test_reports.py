@@ -92,6 +92,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(5, [METHOD_LINEAR], steps=1)
 
+    @pytest.mark.parametrize("methods", [[METHOD_LINEAR], [METHOD_EXPONENTIAL]])
+    def test_at_least_one_beta(self, methods):
+        with pytest.raises(ValueError, match="^at least one beta is required$"):
+            sweep(5, methods, betas=(), steps=11)
+
+    @pytest.mark.parametrize("betas", [(0.9,), (1.0, 1.6)])
+    def test_beta_out_of_range(self, betas):
+        with pytest.raises(ValueError, match="^beta must be in"):
+            sweep(5, [METHOD_LINEAR], betas=betas, steps=11)
+
+    @pytest.mark.parametrize("method, n", [(METHOD_LINEAR, 0), (METHOD_EXPONENTIAL, 1)])
+    def test_n_below_the_method_minimum(self, method, n):
+        with pytest.raises(ValueError, match="^n must be >="):
+            sweep(n, [method], steps=11)
+
     def test_steps_must_be_an_integer(self):
         with pytest.raises(ValueError, match="steps must be an integer"):
             sweep(5, [METHOD_LINEAR], steps=2.5)
