@@ -26,8 +26,9 @@ from .core import WeightVector, _check_n, _check_request, _orness_array, _orness
 # Successful results must reproduce the requested orness this closely.
 ORNESS_TOL = 1e-9
 
-_BISECT_PARAM_TOL = 1e-12
-_BISECT_MAX_ITER = 200
+# Halvings of the exponential parameter's bracket [0, 1]: 2^-40 <= 1e-12,
+# so every calibrated parameter is pinned to within 1e-12.
+_HALVINGS = 40
 _NEWTON_XTOL = 1e-15
 _NEWTON_MAX_ITER = 120
 _BRACKET_SCAN_POINTS = 400
@@ -115,21 +116,18 @@ def _calibrated_exponential_array(orness: np.ndarray, n: int):
     # These sums of dyadic numbers are exact: lo + width/2 is the midpoint
     # (lo + hi)/2 bit for bit.
     lo, width = np.zeros(orness.size), 1.0
-    iterations = 0
-    for iterations in range(1, _BISECT_MAX_ITER + 1):
+    for _ in range(_HALVINGS):
         mid = lo + 0.5 * width
         products = _exponential_rows(mid, n)
         products *= coefs
         val = np.add.reduce(products, axis=1) / (n - 1)
         lo = np.where((val < orness) == or_like, mid, lo)
         width *= 0.5
-        if width <= _BISECT_PARAM_TOL:
-            break
     a = lo + 0.5 * width
     w = _exponential_rows(a, n)
     achieved = _orness_rows([row if up else row[::-1] for row, up in zip(w, or_like)])
     w[~or_like] = w[~or_like, ::-1]
-    return w, a, achieved, iterations
+    return w, a, achieved, _HALVINGS
 
 
 def exponential_weights(orness: float, n: int):

@@ -89,9 +89,14 @@ class OrnessTarget:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self):
-        if not 0.0 <= self.orness <= 1.0:
-            raise ValueError(f"orness must be in [0, 1]; got {self.orness}")
+        _check_orness(self.orness)
         _check_beta(self.beta)
+
+
+def _check_orness(orness: float) -> None:
+    """ValueError unless ``orness`` is in [0, 1] (NaN is not)."""
+    if not 0.0 <= orness <= 1.0:
+        raise ValueError(f"orness must be in [0, 1]; got {orness}")
 
 
 def _check_beta(beta: float) -> None:
@@ -150,10 +155,9 @@ def _orness_rows(rows) -> list:
 
 
 def _check_request(orness: float, n, min_n: int) -> int:
-    """``n`` as a plain int; ValueError unless orness is in [0, 1] and
-    ``n`` passes :func:`_check_n`."""
-    if not 0.0 <= orness <= 1.0:
-        raise ValueError(f"orness must be in [0, 1]; got {orness}")
+    """``n`` as a plain int; ValueError unless orness passes
+    :func:`_check_orness` and ``n`` passes :func:`_check_n`."""
+    _check_orness(orness)
     return _check_n(n, min_n)
 
 
@@ -191,14 +195,14 @@ def aggregate(w: WeightVector, x) -> float:
     sorted descending internally, so the caller need not pre-order
     anything.
     """
-    xv = x if isinstance(x, InputVector) else InputVector(x)
-    if xv.n != w.n:
+    xs = x.x if isinstance(x, InputVector) else _checked_array(x, "inputs")
+    if xs.size != w.n:
         raise DimensionMismatchError(
-            f"weight vector has length {w.n} but input vector has length {xv.n}"
+            f"weight vector has length {w.n} but input vector has length {xs.size}"
         )
     # Contiguous, unlike np.sort(x)[::-1], whose reversed view changes the
     # dot product's summation order and with it the last bit.
-    ordered = -np.sort(-xv.x)
+    ordered = -np.sort(-xs)
     return float(w.w @ ordered)
 
 

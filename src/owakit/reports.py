@@ -1,11 +1,14 @@
 """Sweeps over orness grids and the timing benchmark, with CSV emission.
 
 :data:`METHODS` is the one place that lists the weight methods;
-evaluation, sweeps, the benchmark and the CLI all iterate it.
+evaluation, sweeps, the benchmark and the CLI all iterate it, and this
+module reaches the kernels only through it.
 
 A sweep evaluates one or more weight-determination methods at every point
 of an orness grid and records achieved orness, dispersion and the full
 weight vector per point; this is the data behind the comparison plots.
+:func:`evaluate_method` is a sweep of one point, so every report comes
+from one code path.
 The linear, exponential and no-preset methods build a whole grid in one
 array call per (method, beta) and validate it once; maximum entropy,
 whose solver branches per point, runs point by point.  Points where a
@@ -16,6 +19,7 @@ numbers at 17 significant digits so parsing them back is lossless.
 """
 
 import csv
+import dataclasses
 import os
 import tempfile
 import time
@@ -27,29 +31,26 @@ import numpy as np
 from . import __version__
 from .baselines import (
     ORNESS_TOL,
-    CalibrationError,
     MaxentInstabilityError,
     UnsupportedOrnessError,
     _calibrated_exponential_array,
     _maxent_array,
     _no_preset_exponential_array,
-    exponential_weights,
-    exponential_weights_no_preset,
     maxent_weights,
 )
 from .core import (
     DEFAULT_BETA,
-    OrnessTarget,
     WeightVector,
     _check_beta,
     _check_n,
+    _check_orness,
     _dispersion_array,
     _orness_rows,
     _simplex_rows,
     dispersion,
     orness,
 )
-from .linear import _weight_array, linear_weights
+from .linear import _weight_array
 
 METHOD_LINEAR = "linear"
 METHOD_EXPONENTIAL = "exponential"
@@ -62,67 +63,54 @@ class Method:
     """One weight method.
 
     - ``name`` and ``flag``: its name and its CLI ``--method`` flag.
-    - ``weights(orness, n, beta)``: the validated call, returning a
-      WeightVector.
     - ``kernel(orness, n, beta)``: the bare weights for a 1-d array of
       orness values, one row per value (for maximum entropy a list, with
       None where the solve fails).  The benchmark times it on one value
       at a time.
+    - ``point(orness, n)``: for a method whose solver branches per point,
+      the validated call, returning a WeightVector, that reports run at
+      each point instead of ``kernel``; None for the others.
     - ``takes_beta``: whether it takes the linear-family ``beta`` (the
       others ignore it).
     - ``endpoints``: whether orness 0 and 1 are in its domain.
     - ``min_n``: the smallest size it accepts.
     - ``calibrated``: whether its weights come from a numerical search, so
-      a sweep row whose orness misses the request by more than
-      ``ORNESS_TOL`` is unstable.
-    - ``per_point``: whether a sweep runs it one point at a time through
-      ``weights`` instead of one ``kernel`` call over the grid.
+      a row whose orness misses the request by more than ``ORNESS_TOL``
+      is unstable.
     """
 
     name: str
     flag: str
-    weights: Callable
     kernel: Callable
+    point: Optional[Callable] = None
     takes_beta: bool = False
     endpoints: bool = True
     min_n: int = 2
     calibrated: bool = False
-    per_point: bool = False
 
 
 # The maximum-entropy call is looked up in this module's namespace at call
 # time (hence the lambda), so rebinding ``reports.maxent_weights`` reaches
-# every sweep.  The other methods' sweeps call their kernels directly;
-# rebinding their validated calls reaches only ``evaluate_method``.
+# every report.
 METHODS = (
-    Method(
-        METHOD_LINEAR,
-        "linear",
-        weights=lambda a, n, beta: linear_weights(OrnessTarget(a, beta), n),
-        kernel=_weight_array,
-        takes_beta=True,
-        min_n=1,
-    ),
+    Method(METHOD_LINEAR, "linear", kernel=_weight_array, takes_beta=True, min_n=1),
     Method(
         METHOD_EXPONENTIAL,
         "exp",
-        weights=lambda a, n, beta: exponential_weights(a, n)[0],
         kernel=lambda a, n, beta: _calibrated_exponential_array(a, n)[0],
         calibrated=True,
     ),
     Method(
         METHOD_EXPONENTIAL_NO_PRESET,
         "exp-nopreset",
-        weights=lambda a, n, beta: exponential_weights_no_preset(a, n),
         kernel=lambda a, n, beta: _no_preset_exponential_array(a, n),
     ),
     Method(
         METHOD_MAXENT,
         "maxent",
-        weights=lambda a, n, beta: maxent_weights(a, n),
         kernel=lambda a, n, beta: [_maxent_array(x, n) for x in a.tolist()],
+        point=lambda a, n: maxent_weights(a, n),
         endpoints=False,
-        per_point=True,
     ),
 )
 
@@ -176,31 +164,12 @@ def _method(name: str) -> Method:
 def evaluate_method(
     method: str, requested: float, n: int, beta: Optional[float] = None
 ) -> MethodReport:
-    """Run one method at one grid point, capturing failures as statuses.
-    ``beta`` (default ``DEFAULT_BETA``) is dropped for methods that do not take it."""
+    """Run one method at one grid point, capturing failures as statuses:
+    a sweep of one point.  ``beta`` (default ``DEFAULT_BETA``) is dropped
+    for methods that do not take it."""
     m = _method(method)
-    beta = _beta_for(m, beta)
-    try:
-        vec = m.weights(requested, n, beta)
-    except UnsupportedOrnessError:
-        return MethodReport(method, beta, n, requested, None, None, None, STATUS_UNSUPPORTED)
-    except (MaxentInstabilityError, CalibrationError):
-        return MethodReport(method, beta, n, requested, None, None, None, STATUS_UNSTABLE)
-    return MethodReport(
-        method=method,
-        beta=beta,
-        n=n,
-        requested_orness=requested,
-        achieved_orness=orness(vec),
-        dispersion=dispersion(vec),
-        w=tuple(vec.w.tolist()),
-        status=STATUS_OK,
-    )
-
-
-def _beta_for(m: Method, beta: Optional[float]) -> Optional[float]:
-    """``beta`` (default ``DEFAULT_BETA``) if ``m`` takes one, else None."""
-    return (DEFAULT_BETA if beta is None else beta) if m.takes_beta else None
+    _check_orness(requested)
+    return _rows(m, [requested], n, beta)[0]
 
 
 def sweep(
@@ -223,33 +192,52 @@ def sweep(
     rows = []
     for method in methods:
         m = _method(method)
-        if m.per_point:
-            rows.extend(evaluate_method(method, requested, n) for requested in grid)
-            continue
         for beta in betas if m.takes_beta else (None,):
-            beta = _beta_for(m, beta)
-            if beta is not None:
-                _check_beta(beta)
-            rows.extend(_grid_rows(m, grid, _check_n(n, m.min_n), beta))
+            rows.extend(_rows(m, grid, n, beta))
     rows.sort(
         key=lambda r: (r.method, r.requested_orness, r.beta if r.beta is not None else -1.0)
     )
     return rows
 
 
-def _grid_rows(m: Method, grid: list, n: int, beta: Optional[float]) -> list:
-    """One row per grid point from a single kernel call and a single
-    validation of the whole weight matrix."""
-    w = _simplex_rows(m.kernel(np.array(grid), n, beta))
+def _rows(m: Method, grid: list, n, beta: Optional[float]) -> list:
+    """One report per orness in ``grid``, all in [0, 1], after checking
+    ``beta`` (see :func:`evaluate_method`) and then ``n``.  A ``point``
+    method runs its validated call at each point, mapping its failures
+    to statuses; the others make one kernel call and one validation of
+    the whole weight matrix."""
+    if m.takes_beta:
+        beta = DEFAULT_BETA if beta is None else beta
+        _check_beta(beta)
+    else:
+        beta = None
+    n = _check_n(n, m.min_n)
+
+    def failed(requested, status):
+        return MethodReport(m.name, beta, n, requested, None, None, None, status)
+
+    rows = []
+    if m.point is not None:
+        for requested in grid:
+            try:
+                vec = m.point(requested, n)
+            except UnsupportedOrnessError:
+                rows.append(failed(requested, STATUS_UNSUPPORTED))
+            except MaxentInstabilityError:
+                rows.append(failed(requested, STATUS_UNSTABLE))
+            else:
+                got, disp, values = orness(vec), dispersion(vec), tuple(vec.w.tolist())
+                rows.append(MethodReport(m.name, beta, n, requested, got, disp, values, STATUS_OK))
+        return rows
+    w = _simplex_rows(m.kernel(np.array(grid, dtype=float), n, beta))
     if n == 1:
         # Every row is [1.0], whose orness is the warned 0.5 convention.
         achieved = [orness(WeightVector(w[0]))] * len(grid)
     else:
         achieved = _orness_rows(w)
-    rows = []
     for requested, got, row in zip(grid, achieved, w):
         if m.calibrated and abs(got - requested) > ORNESS_TOL:
-            rows.append(MethodReport(m.name, beta, n, requested, None, None, None, STATUS_UNSTABLE))
+            rows.append(failed(requested, STATUS_UNSTABLE))
             continue
         disp, values = _dispersion_array(row), tuple(row.tolist())
         rows.append(MethodReport(m.name, beta, n, requested, got, disp, values, STATUS_OK))
@@ -348,16 +336,11 @@ def read_sweep_csv(path: str) -> list:
 
 
 def report_to_dict(r: MethodReport) -> dict:
-    return {
-        "method": r.method,
-        "beta": r.beta,
-        "n": r.n,
-        "requested_orness": r.requested_orness,
-        "achieved_orness": r.achieved_orness,
-        "dispersion": r.dispersion,
-        "status": r.status,
-        "w": list(r.w) if r.w is not None else None,
-    }
+    """``r`` as a JSON-ready dict, its fields in order but ``w`` last, as a list."""
+    d = dataclasses.asdict(r)
+    w = d.pop("w")
+    d["w"] = None if w is None else list(w)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -382,32 +365,39 @@ def bench(n_list: Sequence[int], reps: int = 20, grid_points: int = 101) -> list
     """Time every method over ``reps`` traversals of a fixed orness grid.
 
     Returns one :class:`BenchReport` per (method, n); within each n the
-    relative time is normalized so the fastest method reads 1.0.
+    relative time is normalized so the fastest method reads 1.0.  After
+    one untimed warm-up pass of every (method, beta), each rep times one
+    pass of each in turn, so a burst of host load slows one rep of every
+    method rather than every rep of one.
     """
     reps = _check_n(reps, 1, "reps")
     n_list = [_check_n(n, 3) for n in n_list]
     grid = [np.array([a]) for a in _grid(grid_points, "grid_points")]
     interior = [a for a in grid if 0.0 < a[0] < 1.0]
+    jobs = [
+        (m, beta, grid if m.endpoints else interior)
+        for m in METHODS
+        for beta in (_BENCH_BETAS if m.takes_beta else (None,))
+    ]
     reports = []
     for n in n_list:
-        measured = []
-        for m in METHODS:
-            points = grid if m.endpoints else interior
-            for beta in _BENCH_BETAS if m.takes_beta else (None,):
-                _timed_pass(m.kernel, beta, n, points)  # warm-up, untimed
-                times = [_timed_pass(m.kernel, beta, n, points) for _ in range(reps)]
-                measured.append((m.name, beta, float(np.mean(times)), float(np.min(times))))
-        fastest = min(best for _, _, _, best in measured)
-        for method, beta, mean_time, best_time in measured:
+        for m, beta, points in jobs:
+            _timed_pass(m.kernel, beta, n, points)
+        times = [[] for _ in jobs]
+        for _ in range(reps):
+            for job_times, (m, beta, points) in zip(times, jobs):
+                job_times.append(_timed_pass(m.kernel, beta, n, points))
+        best = [min(t) for t in times]
+        for (m, beta, _), t, best_time in zip(jobs, times, best):
             reports.append(
                 BenchReport(
-                    method=method,
+                    method=m.name,
                     beta=beta,
                     n=n,
                     reps=reps,
-                    mean_time=mean_time,
+                    mean_time=float(np.mean(t)),
                     best_time=best_time,
-                    relative_time=best_time / fastest,
+                    relative_time=best_time / min(best),
                 )
             )
     return reports

@@ -1,11 +1,23 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
 
 import owakit
+from owakit import (
+    OrnessTarget,
+    dispersion,
+    exponential_weights,
+    exponential_weights_no_preset,
+    linear_weights,
+    maxent_weights,
+    orness,
+)
 from owakit import reports
+from owakit.baselines import CalibrationError, MaxentInstabilityError, UnsupportedOrnessError
+from owakit.core import DEFAULT_BETA
 from owakit.cli import main
 from owakit.reports import (
     ALL_METHODS,
@@ -17,9 +29,11 @@ from owakit.reports import (
     STATUS_OK,
     STATUS_UNSTABLE,
     STATUS_UNSUPPORTED,
+    MethodReport,
     bench,
     evaluate_method,
     read_sweep_csv,
+    report_to_dict,
     sweep,
     write_sweep_csv,
 )
@@ -36,6 +50,76 @@ class TestEvaluateMethod:
         r = evaluate_method(METHOD_MAXENT, 0.0, 5)
         assert r.status == STATUS_UNSUPPORTED
         assert r.w is None
+
+    @pytest.mark.filterwarnings("ignore:orness of a length-1")
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100])
+    def test_matches_the_public_calls(self, n):
+        # 0.99 and 0.999 are in the flagged maxent region at n = 100.
+        grid = [k / 20 for k in range(21)] + [0.37, 0.99, 0.999]
+        for m in METHODS:
+            if n < m.min_n:
+                continue
+            for beta in (None, 1.0, 1.25, 1.5) if m.takes_beta else (None,):
+                for a in grid:
+                    expected = _public_report(m.name, a, n, beta)
+                    assert evaluate_method(m.name, a, n, beta) == expected, (m.name, a, beta)
+
+    @pytest.mark.filterwarnings("ignore:orness of a length-1")
+    @pytest.mark.parametrize(
+        "requested, n, beta",
+        [(1.5, 5, None), (-0.1, 5, None), (float("nan"), 5, None)]
+        + [(0.3, n, None) for n in (0, 1, 5.0, 5.5)]
+        + [(0.3, 5, 2.0), (0.3, 0, 2.0)],
+    )
+    @pytest.mark.parametrize("m", METHODS, ids=lambda m: m.name)
+    def test_errors_match_the_public_calls(self, m, requested, n, beta):
+        try:
+            _public_call(m.name, requested, n, beta)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                evaluate_method(m.name, requested, n, beta)
+            assert str(info.value) == str(exc)
+        else:
+            assert evaluate_method(m.name, requested, n, beta).status == STATUS_OK
+
+    @pytest.mark.parametrize("m", METHODS, ids=lambda m: m.name)
+    def test_numpy_integer_n_is_a_plain_int(self, m):
+        r = evaluate_method(m.name, 0.3, np.int64(5))
+        assert type(r.n) is int
+        d = report_to_dict(r)
+        # ``gen --format json`` prints the keys in this order.
+        assert list(d) == [
+            "method", "beta", "n", "requested_orness", "achieved_orness", "dispersion",
+            "status", "w",
+        ]
+        assert json.loads(json.dumps(d)) == dict(d, w=list(r.w))
+
+
+def _public_call(method, requested, n, beta):
+    """The public validated call for ``method``, returning a WeightVector."""
+    if method == METHOD_LINEAR:
+        return linear_weights(OrnessTarget(requested, DEFAULT_BETA if beta is None else beta), n)
+    if method == METHOD_EXPONENTIAL:
+        return exponential_weights(requested, n)[0]
+    if method == METHOD_EXPONENTIAL_NO_PRESET:
+        return exponential_weights_no_preset(requested, n)
+    return maxent_weights(requested, n)
+
+
+def _public_report(method, requested, n, beta):
+    """The report for one request built from the public calls, their
+    exceptions mapped to statuses: a reference that shares no code with
+    the report rows."""
+    beta = (DEFAULT_BETA if beta is None else beta) if method == METHOD_LINEAR else None
+    try:
+        vec = _public_call(method, requested, n, beta)
+    except UnsupportedOrnessError:
+        return MethodReport(method, beta, n, requested, None, None, None, STATUS_UNSUPPORTED)
+    except (MaxentInstabilityError, CalibrationError):
+        return MethodReport(method, beta, n, requested, None, None, None, STATUS_UNSTABLE)
+    return MethodReport(
+        method, beta, n, requested, orness(vec), dispersion(vec), tuple(vec.w.tolist()), STATUS_OK
+    )
 
 
 class TestSweep:
@@ -237,6 +321,24 @@ class TestBench:
         rels = [r.relative_time for r in reports]
         assert min(rels) == 1.0
         assert all(r >= 1.0 for r in rels)
+
+    def test_warm_up_then_one_pass_of_each_per_rep(self, monkeypatch):
+        calls = []
+
+        def fake_pass(kernel, beta, n, grid):
+            calls.append((kernel, beta, n, len(grid)))
+            return 1.0
+
+        monkeypatch.setattr(reports, "_timed_pass", fake_pass)
+        bench([3, 5], reps=2, grid_points=5)
+        jobs = [
+            (m.kernel, beta, 5 if m.endpoints else 3)
+            for m in METHODS
+            for beta in ((1.0, 1.25, 1.5) if m.takes_beta else (None,))
+        ]
+        # One warm-up round, then two timed rounds, per n.
+        expected = [(k, b, n, p) for n in (3, 5) for _ in range(3) for k, b, p in jobs]
+        assert calls == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):
