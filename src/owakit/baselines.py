@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightVector, _check_n, _check_request, _orness_array, _orness_rows
+from .core import WeightVector, _check_n, _check_request, _orness_array
 
 # Successful results must reproduce the requested orness this closely.
 ORNESS_TOL = 1e-9
@@ -61,26 +61,31 @@ class MaxentInstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """How the exponential parameter was preset: its value, the orness of
+    the returned vector and the number of bisection halvings."""
+
     parameter: float
     achieved_orness: float
     iterations: int
-    converged: bool
 
 
 # ---------------------------------------------------------------------------
 # Exponential family
 # ---------------------------------------------------------------------------
 
-def _exponential_rows(a: np.ndarray, n: int) -> np.ndarray:
+def _exponential_rows(a: np.ndarray, n: int, and_like=None) -> np.ndarray:
     """Or-like geometric weights, one row per parameter in the 1-d array
     ``a``: w_i = a(1-a)^(i-1) for i < n and w_n = (1-a)^(n-1), which
-    telescope to 1.  The and-like vector is the same row reversed."""
+    telescope to 1.  The and-like vector is the same row reversed; the
+    rows where the boolean array ``and_like`` is True come back reversed."""
     w = np.empty((a.size, n))
     base = 1.0 - a
     np.power(base[:, np.newaxis], np.arange(n - 1), out=w[:, : n - 1])
     w *= a[:, np.newaxis]
     # Python's float ** per value: numpy's array power differs in the last bit.
     w[:, n - 1] = [b ** (n - 1) for b in base.tolist()]
+    if and_like is not None:
+        w[and_like] = w[and_like, ::-1]
     return w
 
 
@@ -95,15 +100,14 @@ def exponential_raw(a: float, n: int, kind: str = "or-like") -> WeightVector:
     n = _check_n(n, 2)
     if kind not in ("or-like", "and-like"):
         raise ValueError(f"kind must be 'or-like' or 'and-like'; got {kind!r}")
-    w = _exponential_rows(np.array([a], dtype=float), n)[0]
-    return WeightVector(w if kind == "or-like" else w[::-1])
+    and_like = np.array([kind == "and-like"])
+    return WeightVector(_exponential_rows(np.array([a], dtype=float), n, and_like)[0])
 
 
 def _calibrated_exponential_array(orness: np.ndarray, n: int):
     """Bisection on the parameter for every target in the 1-d array
-    ``orness`` at once.  Returns the weights (one row per target), the
-    parameters, the achieved orness values (floats) and the number of
-    halvings, which is the same for every target."""
+    ``orness`` at once.  Returns the weights (one row per target) and the
+    parameters; every target takes ``_HALVINGS`` halvings."""
     or_like = orness > 0.5
     # Or-like orness rises 0 -> 1 with a; and-like falls 1 -> 0.  An
     # and-like row is an or-like row reversed, so its orness weighs the
@@ -124,36 +128,32 @@ def _calibrated_exponential_array(orness: np.ndarray, n: int):
         lo = np.where((val < orness) == or_like, mid, lo)
         width *= 0.5
     a = lo + 0.5 * width
-    w = _exponential_rows(a, n)
-    achieved = _orness_rows([row if up else row[::-1] for row, up in zip(w, or_like)])
-    w[~or_like] = w[~or_like, ::-1]
-    return w, a, achieved, _HALVINGS
+    return _exponential_rows(a, n, ~or_like), a
 
 
 def exponential_weights(orness: float, n: int):
     """Exponential weights calibrated so the achieved orness matches.
 
-    Returns ``(WeightVector, CalibrationResult)``.  Raises
-    :class:`CalibrationError` if bisection cannot reach the requested
-    orness within tolerance (does not happen for valid inputs; the map is
-    continuous and monotone on [0, 1]).
+    Returns ``(WeightVector, CalibrationResult)``; the result's
+    ``achieved_orness`` is the orness of the returned vector, measured as
+    every report row measures it.  Raises :class:`CalibrationError` if
+    bisection cannot reach the requested orness within tolerance (does
+    not happen for valid inputs; the map is continuous and monotone on
+    [0, 1]).
     """
     n = _check_request(orness, n, 2)
-    w, a, achieved, iterations = _calibrated_exponential_array(np.array([orness], dtype=float), n)
-    a, achieved = float(a[0]), achieved[0]
+    w, a = _calibrated_exponential_array(np.array([orness], dtype=float), n)
+    vec, a = WeightVector(w[0]), float(a[0])
+    achieved = _orness_array(vec.w)
     residual = abs(achieved - orness)
-    converged = residual <= ORNESS_TOL
-    if not converged:
+    if not residual <= ORNESS_TOL:
         raise CalibrationError(
             f"exponential preset did not converge: best parameter {a:.17g} "
             f"leaves orness residual {residual:.3g}",
             parameter=a,
             residual=residual,
         )
-    result = CalibrationResult(
-        parameter=a, achieved_orness=achieved, iterations=iterations, converged=True
-    )
-    return WeightVector(w[0]), result
+    return vec, CalibrationResult(parameter=a, achieved_orness=achieved, iterations=_HALVINGS)
 
 
 def _no_preset_exponential_array(orness: np.ndarray, n: int) -> np.ndarray:
@@ -161,9 +161,7 @@ def _no_preset_exponential_array(orness: np.ndarray, n: int) -> np.ndarray:
     # achieved orness drifts from the request away from the endpoints.
     # Or-like with a = orness above 0.5, and-like with a = 1 - orness below.
     and_like = orness <= 0.5
-    w = _exponential_rows(np.where(and_like, 1.0 - orness, orness), n)
-    w[and_like] = w[and_like, ::-1]
-    return w
+    return _exponential_rows(np.where(and_like, 1.0 - orness, orness), n, and_like)
 
 
 def exponential_weights_no_preset(orness: float, n: int) -> WeightVector:

@@ -87,11 +87,7 @@ def _cmd_gen(args) -> int:
     reports = []
     for method in _FLAG_METHODS[args.method]:
         try:
-            with warnings.catch_warnings():
-                # The printed orness of an n = 1 vector is the documented
-                # 0.5 convention; the library's warning about it is noise here.
-                warnings.filterwarnings("ignore", "orness of a length-1", UserWarning)
-                report = evaluate_method(method, args.orness, args.n, args.beta)
+            report = evaluate_method(method, args.orness, args.n, args.beta)
         except ValueError as exc:
             raise ValueError(f"{method}: {exc}") from exc
         if report.status != STATUS_OK:
@@ -118,8 +114,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.n < 2:
-        raise ValueError(f"n must be >= 2 for a sweep; got {args.n}")
     betas = args.beta if args.beta else [DEFAULT_BETA]
     rows = sweep(args.n, _FLAG_METHODS[args.method], betas=betas, steps=args.steps)
     provenance = (
@@ -170,7 +164,11 @@ def main(argv=None) -> int:
         except SystemExit:
             sys.stdout.flush()  # --help and --version print, then exit here
             raise
-        code = _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            # The orness of an n = 1 vector is the documented 0.5
+            # convention; the library's warning about it is noise here.
+            warnings.filterwarnings("ignore", "orness of a length-1", UserWarning)
+            code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except ValueError as exc:

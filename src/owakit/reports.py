@@ -169,7 +169,7 @@ def evaluate_method(
     for methods that do not take it."""
     m = _method(method)
     _check_orness(requested)
-    return _rows(m, [requested], n, beta)[0]
+    return _rows(m, [float(requested)], n, beta)[0]
 
 
 def sweep(
@@ -209,6 +209,7 @@ def _rows(m: Method, grid: list, n, beta: Optional[float]) -> list:
     if m.takes_beta:
         beta = DEFAULT_BETA if beta is None else beta
         _check_beta(beta)
+        beta = float(beta)
     else:
         beta = None
     n = _check_n(n, m.min_n)

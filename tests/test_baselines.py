@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from owakit import (
     maxent_weights,
     orness,
 )
+from owakit.baselines import CalibrationResult
 from owakit.oracle import maxent_oracle
+from owakit.reports import METHOD_EXPONENTIAL, evaluate_method
 
 
 class TestExponentialRaw:
@@ -62,7 +66,6 @@ class TestExponentialCalibration:
     def test_extremes(self):
         w, res = exponential_weights(1.0, 5)
         np.testing.assert_allclose(w.w, [1, 0, 0, 0, 0], atol=1e-9)
-        assert res.converged
 
     def test_n2_midpoint(self):
         w, _ = exponential_weights(0.5, 2)
@@ -72,9 +75,22 @@ class TestExponentialCalibration:
         for n in (2, 5, 30):
             for a in np.linspace(0.0, 1.0, 41):
                 w, res = exponential_weights(a, n)
-                assert res.converged
                 assert abs(orness(w) - a) <= 1e-9
                 assert abs(res.achieved_orness - a) <= 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 37, 100, 1000])
+    def test_achieved_orness_is_the_returned_vectors(self, n):
+        # One orness per vector, bit for bit: the calibration result, the
+        # public orness and the report row all measure the same weights.
+        for k in range(201):
+            a = k / 200
+            w, res = exponential_weights(a, n)
+            row = evaluate_method(METHOD_EXPONENTIAL, a, n)
+            assert res.achieved_orness == orness(w) == row.achieved_orness, a
+
+    def test_result_fields(self):
+        names = [f.name for f in dataclasses.fields(CalibrationResult)]
+        assert names == ["parameter", "achieved_orness", "iterations"]
 
     def test_increasing_distribution_above_half(self):
         # The calibrated and-like shape at orness 0.6 for n = 5 is an

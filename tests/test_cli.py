@@ -8,7 +8,7 @@ import pytest
 
 import owakit
 from owakit.cli import EXIT_IO, EXIT_METHOD_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from owakit.reports import METHODS, read_sweep_csv
+from owakit.reports import METHODS, read_sweep_csv, sweep
 
 
 def run(args, capsys):
@@ -135,6 +135,28 @@ class TestSweep:
         )
         assert code == EXIT_USAGE
         assert err.count("\n") == 1 and "beta" in err
+        assert not out_path.exists()
+
+    def test_n1_linear_follows_the_library(self, tmp_path):
+        # The size rule is the method's own: linear takes n = 1, and the
+        # orness warning of a length-1 vector stays out of the output.
+        out_path = tmp_path / "s.csv"
+        proc = _fresh_python(
+            "-m", "owakit.cli", "sweep", "--n", "1", "--method", "linear", "--steps", "3",
+            "--out", str(out_path),
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        with pytest.warns(UserWarning, match="orness of a length-1"):
+            expected = sweep(1, ["linear"], steps=3)
+        assert read_sweep_csv(str(out_path)) == expected
+
+    def test_n1_all_methods_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "s.csv"
+        code, _, err = run(
+            ["sweep", "--n", "1", "--method", "all", "--steps", "3", "--out", str(out_path)],
+            capsys,
+        )
+        assert (code, err) == (EXIT_USAGE, "n must be >= 2; got 1\n")
         assert not out_path.exists()
 
 

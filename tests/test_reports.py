@@ -94,6 +94,20 @@ class TestEvaluateMethod:
         ]
         assert json.loads(json.dumps(d)) == dict(d, w=list(r.w))
 
+    @pytest.mark.parametrize(
+        "method, beta", [(METHOD_MAXENT, None), (METHOD_LINEAR, np.float32(1.25))]
+    )
+    def test_numpy_floats_are_plain_floats(self, method, beta):
+        r = evaluate_method(method, np.float32(0.3), 5, beta)
+        assert r.status == STATUS_OK
+        assert type(r.requested_orness) is float
+        assert r.beta is None or type(r.beta) is float
+        json.dumps(report_to_dict(r))
+
+    def test_integer_orness_is_a_float(self):
+        r = evaluate_method(METHOD_LINEAR, 1, 5)
+        assert type(r.requested_orness) is float and r.requested_orness == 1.0
+
 
 def _public_call(method, requested, n, beta):
     """The public validated call for ``method``, returning a WeightVector."""
