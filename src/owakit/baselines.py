@@ -141,7 +141,7 @@ def exponential_weights(orness: float, n: int):
     not happen for valid inputs; the map is continuous and monotone on
     [0, 1]).
     """
-    n = _check_request(orness, n, 2)
+    orness, n = _check_request(orness, n, 2)
     w, a = _calibrated_exponential_array(np.array([orness], dtype=float), n)
     vec, a = WeightVector(w[0]), float(a[0])
     achieved = _orness_array(vec.w)
@@ -168,7 +168,7 @@ def exponential_weights_no_preset(orness: float, n: int) -> WeightVector:
     """Exponential weights with the shape parameter set to the requested
     orness directly (no calibration).  Exact only at 0 and 1; included to
     mirror the no-preset rows of the timing comparison."""
-    n = _check_request(orness, n, 2)
+    orness, n = _check_request(orness, n, 2)
     return WeightVector(_no_preset_exponential_array(np.array([orness], dtype=float), n)[0])
 
 
@@ -351,6 +351,20 @@ def _maxent_array(orness: float, n: int) -> np.ndarray:
     return w
 
 
+def _maxent_rows(orness: np.ndarray, n: int) -> np.ndarray:
+    """Maximum-entropy weights of size ``n``, one row per value of the 1-d
+    array ``orness`` (no validation).  A row is NaN at orness 0 and 1,
+    which the entropy objective cannot reach, and wherever the solve
+    finds no root."""
+    w = np.full((orness.size, n), np.nan)
+    for row, a in zip(w, orness.tolist()):
+        if 0.0 < a < 1.0:
+            solved = _maxent_array(a, n)
+            if solved is not None:
+                row[:] = solved
+    return w
+
+
 def maxent_weights(orness: float, n: int) -> WeightVector:
     """Weights maximizing dispersion subject to the requested orness.
 
@@ -359,7 +373,7 @@ def maxent_weights(orness: float, n: int) -> WeightVector:
     result (achieved orness off by more than ``ORNESS_TOL`` or weights
     outside [0, 1]); an invalid vector is never returned silently.
     """
-    n = _check_request(orness, n, 2)
+    orness, n = _check_request(orness, n, 2)
     if orness in (0.0, 1.0):
         raise UnsupportedOrnessError(
             "maximum-entropy weights require 0 < orness < 1: the entropy "

@@ -27,26 +27,26 @@ def _checked_array(values, name: str) -> np.ndarray:
     return arr
 
 
-def _simplex_rows(rows: np.ndarray) -> np.ndarray:
-    """``rows``, a non-empty 2-d float array holding one weight vector per
-    row, clipped to [0, 1].  ValueError for the first row with a weight
-    outside [0, 1] or a sum off 1, both by more than ``WEIGHT_SUM_TOL``;
-    a NaN fails the range check."""
+def _simplex_rows(rows: np.ndarray) -> tuple:
+    """``(clipped, problems)`` for ``rows``, a non-empty 2-d float array
+    holding one weight vector per row: the rows clipped to [0, 1], and per
+    row None or the message naming its fault, a weight outside [0, 1] or
+    a sum off 1, both by more than ``WEIGHT_SUM_TOL``.  A NaN fails the
+    range check."""
     total = rows.sum(axis=1)
+    problems = [None] * len(rows)
     if not (
         rows.min() >= -WEIGHT_SUM_TOL
         and rows.max() <= 1.0 + WEIGHT_SUM_TOL
         and abs(total - 1.0).max() <= WEIGHT_SUM_TOL
     ):
         lows, highs = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
-        for low, high, row_sum in zip(lows, highs, total.tolist()):
+        for i, (low, high, row_sum) in enumerate(zip(lows, highs, total.tolist())):
             if not (low >= -WEIGHT_SUM_TOL and high <= 1.0 + WEIGHT_SUM_TOL):
-                raise ValueError(
-                    f"weights must lie in [0, 1]; got range [{low:.17g}, {high:.17g}]"
-                )
-            if not abs(row_sum - 1.0) <= WEIGHT_SUM_TOL:
-                raise ValueError(f"weights must sum to 1; got {row_sum:.17g}")
-    return np.clip(rows, 0.0, 1.0)
+                problems[i] = f"weights must lie in [0, 1]; got range [{low:.17g}, {high:.17g}]"
+            elif not abs(row_sum - 1.0) <= WEIGHT_SUM_TOL:
+                problems[i] = f"weights must sum to 1; got {row_sum:.17g}"
+    return np.clip(rows, 0.0, 1.0), problems
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +61,10 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
-        arr = _simplex_rows(_checked_array(self.w, "weights")[np.newaxis])[0]
+        rows, (problem,) = _simplex_rows(_checked_array(self.w, "weights")[np.newaxis])
+        if problem is not None:
+            raise ValueError(problem)
+        arr = rows[0]
         arr.flags.writeable = False
         object.__setattr__(self, "w", arr)
 
@@ -89,20 +92,24 @@ class OrnessTarget:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self):
-        _check_orness(self.orness)
-        _check_beta(self.beta)
+        object.__setattr__(self, "orness", _check_orness(self.orness))
+        object.__setattr__(self, "beta", _check_beta(self.beta))
 
 
-def _check_orness(orness: float) -> None:
-    """ValueError unless ``orness`` is in [0, 1] (NaN is not)."""
+def _check_orness(orness: float) -> float:
+    """``orness`` as a plain float; ValueError unless it is in [0, 1]
+    (NaN is not)."""
     if not 0.0 <= orness <= 1.0:
         raise ValueError(f"orness must be in [0, 1]; got {orness}")
+    return float(orness)
 
 
-def _check_beta(beta: float) -> None:
-    """ValueError unless ``beta`` is in [1, 1.5], where every linear weight is >= 0."""
+def _check_beta(beta: float) -> float:
+    """``beta`` as a plain float; ValueError unless it is in [1, 1.5],
+    where every linear weight is >= 0."""
     if not 1.0 <= beta <= 1.5:
         raise ValueError(f"beta must be in [1.0, 1.5]; got {beta}")
+    return float(beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,11 +161,10 @@ def _orness_rows(rows) -> list:
     return [float(coef @ w / (n - 1)) for w in rows]
 
 
-def _check_request(orness: float, n, min_n: int) -> int:
-    """``n`` as a plain int; ValueError unless orness passes
-    :func:`_check_orness` and ``n`` passes :func:`_check_n`."""
-    _check_orness(orness)
-    return _check_n(n, min_n)
+def _check_request(orness: float, n, min_n: int) -> tuple:
+    """``(orness, n)`` as a plain float and int; ValueError unless orness
+    passes :func:`_check_orness` and ``n`` passes :func:`_check_n`."""
+    return _check_orness(orness), _check_n(n, min_n)
 
 
 def _check_n(n, min_n: int, name: str = "n") -> int:

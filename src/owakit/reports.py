@@ -9,13 +9,13 @@ of an orness grid and records achieved orness, dispersion and the full
 weight vector per point; this is the data behind the comparison plots.
 :func:`evaluate_method` is a sweep of one point, so every report comes
 from one code path.
-The linear, exponential and no-preset methods build a whole grid in one
-array call per (method, beta) and validate it once; maximum entropy,
-whose solver branches per point, runs point by point.  Points where a
-method cannot deliver (maximum entropy at orness 0/1, or an unstable
-solve) are recorded with an explanatory status rather than dropped.  CSV
-files are written atomically and deterministically: no timestamps,
-numbers at 17 significant digits so parsing them back is lossless.
+Every method builds a whole grid in one kernel call per (method, beta),
+and the weight matrix is validated once; :func:`_rows` alone decides each
+row's status.  Points where a method cannot deliver (maximum entropy at
+orness 0/1, or an unstable solve) are recorded with an explanatory status
+rather than dropped.  CSV files are written atomically and
+deterministically: no timestamps, numbers at 17 significant digits so
+parsing them back is lossless.
 """
 
 import csv
@@ -31,12 +31,9 @@ import numpy as np
 from . import __version__
 from .baselines import (
     ORNESS_TOL,
-    MaxentInstabilityError,
-    UnsupportedOrnessError,
     _calibrated_exponential_array,
-    _maxent_array,
+    _maxent_rows,
     _no_preset_exponential_array,
-    maxent_weights,
 )
 from .core import (
     DEFAULT_BETA,
@@ -47,7 +44,6 @@ from .core import (
     _dispersion_array,
     _orness_rows,
     _simplex_rows,
-    dispersion,
     orness,
 )
 from .linear import _weight_array
@@ -64,12 +60,9 @@ class Method:
 
     - ``name`` and ``flag``: its name and its CLI ``--method`` flag.
     - ``kernel(orness, n, beta)``: the bare weights for a 1-d array of
-      orness values, one row per value (for maximum entropy a list, with
-      None where the solve fails).  The benchmark times it on one value
-      at a time.
-    - ``point(orness, n)``: for a method whose solver branches per point,
-      the validated call, returning a WeightVector, that reports run at
-      each point instead of ``kernel``; None for the others.
+      orness values, one row per value (NaN where the method has no
+      vector).  Reports make one call per grid; the benchmark times it on
+      one value at a time.
     - ``takes_beta``: whether it takes the linear-family ``beta`` (the
       others ignore it).
     - ``endpoints``: whether orness 0 and 1 are in its domain.
@@ -82,16 +75,12 @@ class Method:
     name: str
     flag: str
     kernel: Callable
-    point: Optional[Callable] = None
     takes_beta: bool = False
     endpoints: bool = True
     min_n: int = 2
     calibrated: bool = False
 
 
-# The maximum-entropy call is looked up in this module's namespace at call
-# time (hence the lambda), so rebinding ``reports.maxent_weights`` reaches
-# every report.
 METHODS = (
     Method(METHOD_LINEAR, "linear", kernel=_weight_array, takes_beta=True, min_n=1),
     Method(
@@ -108,9 +97,9 @@ METHODS = (
     Method(
         METHOD_MAXENT,
         "maxent",
-        kernel=lambda a, n, beta: [_maxent_array(x, n) for x in a.tolist()],
-        point=lambda a, n: maxent_weights(a, n),
+        kernel=lambda a, n, beta: _maxent_rows(a, n),
         endpoints=False,
+        calibrated=True,
     ),
 )
 
@@ -168,8 +157,7 @@ def evaluate_method(
     a sweep of one point.  ``beta`` (default ``DEFAULT_BETA``) is dropped
     for methods that do not take it."""
     m = _method(method)
-    _check_orness(requested)
-    return _rows(m, [float(requested)], n, beta)[0]
+    return _rows(m, [_check_orness(requested)], n, beta)[0]
 
 
 def sweep(
@@ -202,46 +190,32 @@ def sweep(
 
 def _rows(m: Method, grid: list, n, beta: Optional[float]) -> list:
     """One report per orness in ``grid``, all in [0, 1], after checking
-    ``beta`` (see :func:`evaluate_method`) and then ``n``.  A ``point``
-    method runs its validated call at each point, mapping its failures
-    to statuses; the others make one kernel call and one validation of
-    the whole weight matrix."""
-    if m.takes_beta:
-        beta = DEFAULT_BETA if beta is None else beta
-        _check_beta(beta)
-        beta = float(beta)
-    else:
-        beta = None
+    ``beta`` (see :func:`evaluate_method`) and then ``n``: one kernel call
+    and one validation of the whole weight matrix.  A row is unsupported
+    at orness 0 and 1 for a method without ``endpoints``, and unstable
+    when it fails the simplex check or, for a calibrated method, misses
+    its orness by more than ``ORNESS_TOL``."""
+    beta = _check_beta(DEFAULT_BETA if beta is None else beta) if m.takes_beta else None
     n = _check_n(n, m.min_n)
+    w, problems = _simplex_rows(m.kernel(np.array(grid, dtype=float), n, beta))
+    if n == 1:
+        # Every valid row is [1.0], whose orness is the warned 0.5 convention.
+        achieved = [orness(WeightVector(np.ones(1)))] * len(grid)
+    else:
+        achieved = _orness_rows(w)
 
     def failed(requested, status):
         return MethodReport(m.name, beta, n, requested, None, None, None, status)
 
     rows = []
-    if m.point is not None:
-        for requested in grid:
-            try:
-                vec = m.point(requested, n)
-            except UnsupportedOrnessError:
-                rows.append(failed(requested, STATUS_UNSUPPORTED))
-            except MaxentInstabilityError:
-                rows.append(failed(requested, STATUS_UNSTABLE))
-            else:
-                got, disp, values = orness(vec), dispersion(vec), tuple(vec.w.tolist())
-                rows.append(MethodReport(m.name, beta, n, requested, got, disp, values, STATUS_OK))
-        return rows
-    w = _simplex_rows(m.kernel(np.array(grid, dtype=float), n, beta))
-    if n == 1:
-        # Every row is [1.0], whose orness is the warned 0.5 convention.
-        achieved = [orness(WeightVector(w[0]))] * len(grid)
-    else:
-        achieved = _orness_rows(w)
-    for requested, got, row in zip(grid, achieved, w):
-        if m.calibrated and abs(got - requested) > ORNESS_TOL:
+    for requested, got, row, problem in zip(grid, achieved, w, problems):
+        if not m.endpoints and requested in (0.0, 1.0):
+            rows.append(failed(requested, STATUS_UNSUPPORTED))
+        elif problem is not None or (m.calibrated and abs(got - requested) > ORNESS_TOL):
             rows.append(failed(requested, STATUS_UNSTABLE))
-            continue
-        disp, values = _dispersion_array(row), tuple(row.tolist())
-        rows.append(MethodReport(m.name, beta, n, requested, got, disp, values, STATUS_OK))
+        else:
+            disp, values = _dispersion_array(row), tuple(row.tolist())
+            rows.append(MethodReport(m.name, beta, n, requested, got, disp, values, STATUS_OK))
     return rows
 
 
@@ -269,12 +243,15 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
 
     Numbers are written at 17 significant digits; a row without weights
     gets ``n`` empty weight cells.  Method and status names contain no
-    comma, quote or line break, so no cell needs CSV quoting.
+    comma, quote or line break, so no cell needs CSV quoting.  ValueError
+    for a row of another size than ``n``.
     """
     weights = ",".join(["%.17g"] * n) + end
     no_weights = "," * (n - 1) + end
     yield ",".join(sweep_header(n)) + end
     for r in rows:
+        if r.n != n:
+            raise ValueError(f"row has n={r.n} but the header has n={n}")
         yield (
             f"{r.method},{_fmt(r.beta)},{r.n},{_fmt(r.requested_orness)},"
             f"{_fmt(r.achieved_orness)},{_fmt(r.dispersion)},{r.status},"
@@ -315,6 +292,8 @@ def read_sweep_csv(path: str) -> list:
     if header is None:
         raise ValueError(f"{path}: no header line")
     n = len(header) - 7
+    if n < 1 or header != sweep_header(n):
+        raise ValueError(f"{path}: the header is not a sweep header")
     for rec in reader:
         if len(rec) != len(header) or int(rec[2]) != n:
             raise ValueError(

@@ -15,7 +15,7 @@ from owakit import (
     maxent_weights,
     orness,
 )
-from owakit.baselines import CalibrationResult
+from owakit.baselines import CalibrationResult, _maxent_rows
 from owakit.oracle import maxent_oracle
 from owakit.reports import METHOD_EXPONENTIAL, evaluate_method
 
@@ -167,6 +167,11 @@ class TestMaxent:
         with pytest.raises(MaxentInstabilityError):
             maxent_weights(0.99, 100)
 
+    def test_rows_are_nan_outside_the_domain(self):
+        w = _maxent_rows(np.array([0.0, 0.3, 1.0]), 5)
+        assert np.isnan(w[[0, 2]]).all()
+        np.testing.assert_array_equal(w[1], maxent_weights(0.3, 5).w)
+
     def test_oracle_crosscheck(self):
         for n in (2, 3, 4, 5):
             for a in (0.3, 0.6, 0.75):
@@ -223,3 +228,32 @@ def test_numpy_integer_n_gives_identical_bits(call):
     for n in (5, 40):
         for a in np.linspace(0.05, 0.95, 19):
             np.testing.assert_array_equal(weights(float(a), np.int64(n)), weights(float(a), n))
+
+
+def _outcome(call, *args):
+    """The weights' bytes, or the exception's type and message."""
+    try:
+        out = call(*args)
+    except (ValueError, MaxentInstabilityError) as exc:
+        return type(exc), str(exc)
+    return (out[0] if isinstance(out, tuple) else out).w.tobytes()
+
+
+def _linear_target(a, n):
+    return linear_weights(OrnessTarget(a, type(a)(1.25)), n)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "call",
+    [linear_weights, _linear_target, exponential_weights, exponential_weights_no_preset,
+     maxent_weights],
+    ids=["linear", "linear-target", "exponential", "exponential-no-preset", "maxent"],
+)
+def test_numpy_float_requests_give_the_bits_of_the_float(call, dtype):
+    # The request is used as a plain float: numpy float32 arithmetic would
+    # build the weights in single precision.
+    for n in (3, 5, 10, 100):
+        for k in range(101):
+            a = dtype(k / 100)
+            assert _outcome(call, a, n) == _outcome(call, float(a), n), (n, k)

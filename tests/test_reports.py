@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -252,6 +253,26 @@ class TestCsv:
         with pytest.raises(ValueError, match="n=3"):
             read_sweep_csv(str(path))
 
+    def test_rows_of_another_n_raise(self, tmp_path):
+        path = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match="n=10 but the header has n=5"):
+            write_sweep_csv(sweep(10, [METHOD_LINEAR], steps=3), 5, str(path), "")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "method,beta,n,requested_orness,achieved_orness,dispersion,status",
+            "a,b",
+            "method,beta,n,requested_orness,achieved_orness,dispersion,status,x1",
+        ],
+    )
+    def test_header_that_is_not_a_sweep_header_raises(self, tmp_path, header):
+        path = tmp_path / "s.csv"
+        path.write_text(header + "\r\n")
+        with pytest.raises(ValueError, match="not a sweep header"):
+            read_sweep_csv(str(path))
+
     def test_missing_header_raises(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("# owakit comment only\n")
@@ -399,14 +420,31 @@ class TestMethodTable:
             ("maxent", None),
         ]
 
-    def test_weights_looked_up_at_call_time(self, monkeypatch):
-        calls = []
-        original = reports.maxent_weights
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(reports.Method)] == [
+            "name", "flag", "kernel", "takes_beta", "endpoints", "min_n", "calibrated",
+        ]
 
-        def counting(orness, n):
-            calls.append(orness)
-            return original(orness, n)
+    @pytest.mark.parametrize("n", [3, 10, 100, 150, 300])
+    def test_maxent_rows_match_the_public_call(self, n):
+        # 0.0 and 1.0 are unsupported; at n >= 100 the grid reaches the
+        # flagged region near the ends.
+        expected = [_public_report(METHOD_MAXENT, k / 99, n, None) for k in range(100)]
+        assert sweep(n, [METHOD_MAXENT], steps=100) == expected
 
-        monkeypatch.setattr(reports, "maxent_weights", counting)
-        sweep(5, ["maxent"], steps=5)
-        assert calls == [0.0, 0.25, 0.5, 0.75, 1.0]
+    def test_kernel_row_off_the_simplex_is_unstable(self, monkeypatch):
+        linear = reports._method(METHOD_LINEAR)
+
+        def kernel(a, n, beta):
+            w = linear.kernel(a, n, beta)
+            w[1] *= 1.1
+            return w
+
+        expected = sweep(5, [METHOD_LINEAR], steps=3)
+        broken = dataclasses.replace(linear, kernel=kernel)
+        monkeypatch.setattr(reports, "METHODS", (broken,) + reports.METHODS[1:])
+        rows = sweep(5, [METHOD_LINEAR], steps=3)
+        assert rows[1] == MethodReport(
+            METHOD_LINEAR, DEFAULT_BETA, 5, 0.5, None, None, None, STATUS_UNSTABLE
+        )
+        assert rows[::2] == expected[::2]
