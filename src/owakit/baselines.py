@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightVector, _check_n, _check_request, _orness_array
+from .core import WeightVector, _check_n, _check_orness, _orness_array
 
 # Successful results must reproduce the requested orness this closely.
 ORNESS_TOL = 1e-9
@@ -137,11 +137,11 @@ def exponential_weights(orness: float, n: int):
     Returns ``(WeightVector, CalibrationResult)``; the result's
     ``achieved_orness`` is the orness of the returned vector, measured as
     every report row measures it.  Raises :class:`CalibrationError` if
-    bisection cannot reach the requested orness within tolerance (does
-    not happen for valid inputs; the map is continuous and monotone on
-    [0, 1]).
+    the 40 halvings leave the orness more than ``ORNESS_TOL`` off: valid
+    requests from about n = 2*10^4 on, where 2^-40 pins the small
+    parameter too coarsely (see ROADMAP.md).
     """
-    orness, n = _check_request(orness, n, 2)
+    orness, n = _check_orness(orness), _check_n(n, 2)
     w, a = _calibrated_exponential_array(np.array([orness], dtype=float), n)
     vec, a = WeightVector(w[0]), float(a[0])
     achieved = _orness_array(vec.w)
@@ -168,7 +168,7 @@ def exponential_weights_no_preset(orness: float, n: int) -> WeightVector:
     """Exponential weights with the shape parameter set to the requested
     orness directly (no calibration).  Exact only at 0 and 1; included to
     mirror the no-preset rows of the timing comparison."""
-    orness, n = _check_request(orness, n, 2)
+    orness, n = _check_orness(orness), _check_n(n, 2)
     return WeightVector(_no_preset_exponential_array(np.array([orness], dtype=float), n)[0])
 
 
@@ -373,7 +373,7 @@ def maxent_weights(orness: float, n: int) -> WeightVector:
     result (achieved orness off by more than ``ORNESS_TOL`` or weights
     outside [0, 1]); an invalid vector is never returned silently.
     """
-    orness, n = _check_request(orness, n, 2)
+    orness, n = _check_orness(orness), _check_n(n, 2)
     if orness in (0.0, 1.0):
         raise UnsupportedOrnessError(
             "maximum-entropy weights require 0 < orness < 1: the entropy "

@@ -27,26 +27,23 @@ def _checked_array(values, name: str) -> np.ndarray:
     return arr
 
 
-def _simplex_rows(rows: np.ndarray) -> tuple:
-    """``(clipped, problems)`` for ``rows``, a non-empty 2-d float array
-    holding one weight vector per row: the rows clipped to [0, 1], and per
-    row None or the message naming its fault, a weight outside [0, 1] or
-    a sum off 1, both by more than ``WEIGHT_SUM_TOL``.  A NaN fails the
-    range check."""
-    total = rows.sum(axis=1)
-    problems = [None] * len(rows)
-    if not (
-        rows.min() >= -WEIGHT_SUM_TOL
-        and rows.max() <= 1.0 + WEIGHT_SUM_TOL
-        and abs(total - 1.0).max() <= WEIGHT_SUM_TOL
+def _simplex_rows(rows: np.ndarray) -> list:
+    """Per row of ``rows``, a non-empty 2-d float array holding one weight
+    vector per row: None, or the message naming its fault, a weight
+    outside [0, 1] or a sum off 1, both by more than ``WEIGHT_SUM_TOL``.
+    One pass takes each row's min, max and sum once; a NaN fails the
+    range check.  ``rows`` is only read."""
+    problems = []
+    for low, high, total in zip(
+        rows.min(axis=1).tolist(), rows.max(axis=1).tolist(), rows.sum(axis=1).tolist()
     ):
-        lows, highs = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
-        for i, (low, high, row_sum) in enumerate(zip(lows, highs, total.tolist())):
-            if not (low >= -WEIGHT_SUM_TOL and high <= 1.0 + WEIGHT_SUM_TOL):
-                problems[i] = f"weights must lie in [0, 1]; got range [{low:.17g}, {high:.17g}]"
-            elif not abs(row_sum - 1.0) <= WEIGHT_SUM_TOL:
-                problems[i] = f"weights must sum to 1; got {row_sum:.17g}"
-    return np.clip(rows, 0.0, 1.0), problems
+        if not (low >= -WEIGHT_SUM_TOL and high <= 1.0 + WEIGHT_SUM_TOL):
+            problems.append(f"weights must lie in [0, 1]; got range [{low:.17g}, {high:.17g}]")
+        elif not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+            problems.append(f"weights must sum to 1; got {total:.17g}")
+        else:
+            problems.append(None)
+    return problems
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,16 +52,18 @@ class WeightVector:
 
     ``w[0]`` is paired with the largest ordered input.  Construction
     validates the simplex invariants: every weight in [0, 1] and the
-    weights summing to 1 within ``WEIGHT_SUM_TOL``.
+    weights summing to 1 within ``WEIGHT_SUM_TOL``.  It keeps a
+    read-only copy clipped to [0, 1]; -0.0 stays -0.0.
     """
 
     w: np.ndarray
 
     def __post_init__(self):
-        rows, (problem,) = _simplex_rows(_checked_array(self.w, "weights")[np.newaxis])
+        arr = _checked_array(self.w, "weights")
+        (problem,) = _simplex_rows(arr[np.newaxis])
         if problem is not None:
             raise ValueError(problem)
-        arr = rows[0]
+        arr = np.clip(arr, 0.0, 1.0)
         arr.flags.writeable = False
         object.__setattr__(self, "w", arr)
 
@@ -96,20 +95,30 @@ class OrnessTarget:
         object.__setattr__(self, "beta", _check_beta(self.beta))
 
 
+def _check_number(value, name: str, low: float, high: float, interval: str) -> float:
+    """``value`` as a plain float; ValueError naming ``name`` unless it is
+    a number (not a string, None or an array) in [``low``, ``high``],
+    which NaN is not."""
+    try:
+        in_range = low <= value <= high
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number; got {value!r}") from None
+    if not in_range:
+        raise ValueError(f"{name} must be in {interval}; got {value}")
+    return number
+
+
 def _check_orness(orness: float) -> float:
-    """``orness`` as a plain float; ValueError unless it is in [0, 1]
-    (NaN is not)."""
-    if not 0.0 <= orness <= 1.0:
-        raise ValueError(f"orness must be in [0, 1]; got {orness}")
-    return float(orness)
+    """``orness`` as a plain float; ValueError unless it is a number in
+    [0, 1]."""
+    return _check_number(orness, "orness", 0.0, 1.0, "[0, 1]")
 
 
 def _check_beta(beta: float) -> float:
-    """``beta`` as a plain float; ValueError unless it is in [1, 1.5],
-    where every linear weight is >= 0."""
-    if not 1.0 <= beta <= 1.5:
-        raise ValueError(f"beta must be in [1.0, 1.5]; got {beta}")
-    return float(beta)
+    """``beta`` as a plain float; ValueError unless it is a number in
+    [1, 1.5], where every linear weight is >= 0."""
+    return _check_number(beta, "beta", 1.0, 1.5, "[1.0, 1.5]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,19 +141,10 @@ class InputVector:
 def orness(w: WeightVector) -> float:
     """Degree to which ``w`` behaves like the maximum (OR) operator.
 
-    Returns (1/(n-1)) * sum((n-i) * w_i), in [0, 1].  For the degenerate
-    n = 1 operator (simultaneously min, max and mean) the convention is
-    0.5, reported with a warning rather than an error.
+    Returns (1/(n-1)) * sum((n-i) * w_i), in [0, 1], or 0.5 with a
+    warning for the degenerate n = 1 operator (see :func:`_orness_rows`).
     """
-    n = w.n
-    if n == 1:
-        warnings.warn(
-            "orness of a length-1 weight vector is degenerate; "
-            "returning 0.5 by convention",
-            stacklevel=2,
-        )
-        return 0.5
-    return _orness_array(w.w)
+    return _orness_rows((w.w,))[0]
 
 
 def _orness_array(w: np.ndarray) -> float:
@@ -153,18 +153,20 @@ def _orness_array(w: np.ndarray) -> float:
 
 
 def _orness_rows(rows) -> list:
-    """Orness of each weight array in ``rows``, all of one length n >= 2,
-    as floats.  One 1-d dot product per row: a matrix-vector product over
-    all rows rounds differently in the last bit."""
+    """Orness of each weight array in ``rows``, all of one length n, as
+    floats.  One 1-d dot product per row: a matrix-vector product over
+    all rows rounds differently in the last bit.  At n = 1 (min, max and
+    mean at once) it is 0.5 by convention, with one warning."""
     n = len(rows[0])
+    if n == 1:
+        warnings.warn(
+            "orness of a length-1 weight vector is degenerate; "
+            "returning 0.5 by convention",
+            stacklevel=3,
+        )
+        return [0.5] * len(rows)
     coef = np.arange(n - 1, -1, -1, dtype=float)
     return [float(coef @ w / (n - 1)) for w in rows]
-
-
-def _check_request(orness: float, n, min_n: int) -> tuple:
-    """``(orness, n)`` as a plain float and int; ValueError unless orness
-    passes :func:`_check_orness` and ``n`` passes :func:`_check_n`."""
-    return _check_orness(orness), _check_n(n, min_n)
 
 
 def _check_n(n, min_n: int, name: str = "n") -> int:

@@ -102,6 +102,6 @@ def linear_weights(target, n: int) -> WeightVector:
     reverses it, which keeps the family symmetric about 0.5.
     """
     if not isinstance(target, OrnessTarget):
-        target = OrnessTarget(float(target))
+        target = OrnessTarget(target)
     n = _check_n(n, 1)
     return WeightVector(_weight_array(np.array([target.orness], dtype=float), n, target.beta)[0])

@@ -37,14 +37,12 @@ from .baselines import (
 )
 from .core import (
     DEFAULT_BETA,
-    WeightVector,
     _check_beta,
     _check_n,
     _check_orness,
     _dispersion_array,
     _orness_rows,
     _simplex_rows,
-    orness,
 )
 from .linear import _weight_array
 
@@ -191,18 +189,14 @@ def sweep(
 def _rows(m: Method, grid: list, n, beta: Optional[float]) -> list:
     """One report per orness in ``grid``, all in [0, 1], after checking
     ``beta`` (see :func:`evaluate_method`) and then ``n``: one kernel call
-    and one validation of the whole weight matrix.  A row is unsupported
-    at orness 0 and 1 for a method without ``endpoints``, and unstable
-    when it fails the simplex check or, for a calibrated method, misses
-    its orness by more than ``ORNESS_TOL``."""
+    and one read-only check of the weight matrix, whose rows need no
+    clip.  A row is unsupported at orness 0 and 1 for a method without
+    ``endpoints``, and unstable when it fails the simplex check or, for
+    a calibrated method, misses its orness by more than ``ORNESS_TOL``."""
     beta = _check_beta(DEFAULT_BETA if beta is None else beta) if m.takes_beta else None
     n = _check_n(n, m.min_n)
-    w, problems = _simplex_rows(m.kernel(np.array(grid, dtype=float), n, beta))
-    if n == 1:
-        # Every valid row is [1.0], whose orness is the warned 0.5 convention.
-        achieved = [orness(WeightVector(np.ones(1)))] * len(grid)
-    else:
-        achieved = _orness_rows(w)
+    w = m.kernel(np.array(grid, dtype=float), n, beta)
+    problems, achieved = _simplex_rows(w), _orness_rows(w)
 
     def failed(requested, status):
         return MethodReport(m.name, beta, n, requested, None, None, None, status)

@@ -15,7 +15,8 @@ from owakit import (
     maxent_weights,
     orness,
 )
-from owakit.baselines import CalibrationResult, _maxent_rows
+from owakit import baselines
+from owakit.baselines import CalibrationError, CalibrationResult, _maxent_rows
 from owakit.oracle import maxent_oracle
 from owakit.reports import METHOD_EXPONENTIAL, evaluate_method
 
@@ -98,6 +99,22 @@ class TestExponentialCalibration:
         # shapes; record the comparison fact, assert orness only.
         w, _ = exponential_weights(0.6, 5)
         assert abs(orness(w) - 0.6) <= 1e-9
+
+    def test_a_miss_raises_calibration_error(self, monkeypatch):
+        # With no tolerance every inexact preset is a miss; the error
+        # carries the parameter and residual of the unpatched call.
+        _, res = exponential_weights(0.3, 5)
+        residual = abs(res.achieved_orness - 0.3)
+        assert residual > 0.0
+        monkeypatch.setattr(baselines, "ORNESS_TOL", 0.0)
+        with pytest.raises(CalibrationError) as info:
+            exponential_weights(0.3, 5)
+        assert str(info.value) == (
+            f"exponential preset did not converge: best parameter {res.parameter:.17g} "
+            f"leaves orness residual {residual:.3g}"
+        )
+        assert info.value.parameter == res.parameter
+        assert info.value.residual == residual
 
     def test_no_preset_drifts_except_endpoints(self):
         np.testing.assert_allclose(
@@ -257,3 +274,21 @@ def test_numpy_float_requests_give_the_bits_of_the_float(call, dtype):
         for k in range(101):
             a = dtype(k / 100)
             assert _outcome(call, a, n) == _outcome(call, float(a), n), (n, k)
+
+
+PUBLIC_CALLS = {
+    "linear": linear_weights,
+    "exponential": exponential_weights,
+    "exponential-no-preset": exponential_weights_no_preset,
+    "maxent": maxent_weights,
+    "evaluate_method": lambda orness, n: evaluate_method("linear", orness, n),
+}
+
+
+@pytest.mark.parametrize("orness_value", ["0.3", None])
+@pytest.mark.parametrize("call", PUBLIC_CALLS.values(), ids=PUBLIC_CALLS.keys())
+def test_orness_must_be_a_number(call, orness_value):
+    # One type rule: a ValueError naming the value, never a TypeError from
+    # the range comparison and never a string parsed by one call alone.
+    with pytest.raises(ValueError, match="^orness must be a number; got "):
+        call(orness_value, 5)

@@ -168,6 +168,27 @@ class TestBench:
         assert lines[0] == "method,beta,n,reps,mean_time,best_time,relative_time"
         assert len(lines) == 7
 
+    def test_json_format(self, capsys):
+        code, out, _ = run(["bench", "--n", "3", "--reps", "1", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        records = json.loads(out)
+        assert [(r["method"], r["beta"]) for r in records] == [
+            (m.name, beta)
+            for m in METHODS
+            for beta in ((1.0, 1.25, 1.5) if m.takes_beta else (None,))
+        ]
+        assert all(r["n"] == 3 and r["reps"] == 1 for r in records)
+        assert min(r["relative_time"] for r in records) == 1.0
+
+    def test_plain_format(self, capsys):
+        code, out, _ = run(["bench", "--n", "3", "--reps", "1"], capsys)
+        assert code == EXIT_OK
+        lines = out.strip().splitlines()
+        assert lines[0].split() == ["method", "n", "reps", "mean", "[s]", "best", "[s]", "relative"]
+        assert len(lines) == 7
+        assert lines[1].startswith("linear (beta=1)")
+        assert lines[-1].split()[:3] == ["maxent", "3", "1"]
+
     def test_bad_reps_exits_2(self, capsys):
         code, _, _ = run(["bench", "--n", "3", "--reps", "0"], capsys)
         assert code == EXIT_USAGE

@@ -18,7 +18,7 @@ from owakit import (
     orness,
     uniform_weights,
 )
-from owakit.core import _simplex_rows
+from owakit.core import _orness_rows, _simplex_rows
 
 
 def random_weight_vectors(count, rng):
@@ -53,25 +53,34 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             v.w[0] = 0.9
 
+    def test_clips_a_copy_and_keeps_negative_zero(self):
+        raw = np.array([1.0 + 5e-13, -5e-13, -0.0])
+        v = WeightVector(raw)
+        assert v.w.tobytes() == np.array([1.0, 0.0, -0.0]).tobytes()
+        assert raw.flags.writeable and raw[1] == -5e-13
+        raw[0] = 0.5
+        assert v.w[0] == 1.0
+
 
 class TestSimplexRows:
     def test_each_bad_row_is_reported(self):
         rows = np.array([[0.5, 0.5], [0.5, 0.6], [1.2, -0.2]])
-        assert _simplex_rows(rows)[1] == [
+        assert _simplex_rows(rows) == [
             None,
             "weights must sum to 1; got 1.1000000000000001",
             "weights must lie in [0, 1]; got range [-0.20000000000000001, 1.2]",
         ]
 
     def test_nan_fails_the_range_check(self):
-        _, problems = _simplex_rows(np.array([[0.5, 0.5], [np.nan, 1.0]]))
+        problems = _simplex_rows(np.array([[0.5, 0.5], [np.nan, 1.0]]))
         assert problems[0] is None
         assert problems[1] == "weights must lie in [0, 1]; got range [nan, nan]"
 
     def test_clips_within_tolerance(self):
-        rows, problems = _simplex_rows(np.array([[1.0 + 5e-13, -5e-13], [0.25, 0.75]]))
-        np.testing.assert_array_equal(rows, [[1.0, 0.0], [0.25, 0.75]])
-        assert problems == [None, None]
+        rows = np.array([[1.0 + 5e-13, -5e-13], [0.25, 0.75]])
+        assert _simplex_rows(rows) == [None, None]
+        np.testing.assert_array_equal(WeightVector(rows[0]).w, [1.0, 0.0])
+        np.testing.assert_array_equal(WeightVector(rows[1]).w, [0.25, 0.75])
 
 
 class TestUniformWeights:
@@ -99,6 +108,15 @@ class TestOrnessTarget:
         with pytest.raises(ValueError):
             OrnessTarget(0.5, beta)
 
+    @pytest.mark.parametrize(
+        "value", ["0.3", None, np.array([0.3]), np.array([0.3, 0.4])], ids=repr
+    )
+    def test_non_numbers_are_value_errors(self, value):
+        with pytest.raises(ValueError, match="^orness must be a number; got "):
+            OrnessTarget(value)
+        with pytest.raises(ValueError, match="^beta must be a number; got "):
+            OrnessTarget(0.3, value)
+
 
 class TestOrness:
     def test_maximum_operator(self):
@@ -116,6 +134,11 @@ class TestOrness:
     def test_degenerate_n1(self):
         with pytest.warns(UserWarning, match="degenerate"):
             assert orness(WeightVector([1.0])) == 0.5
+
+    def test_degenerate_n1_rows_warn_once(self):
+        with pytest.warns(UserWarning, match="degenerate") as record:
+            assert _orness_rows(np.ones((3, 1))) == [0.5, 0.5, 0.5]
+        assert len(record) == 1
 
     def test_reverse_identity(self):
         rng = np.random.default_rng(7)

@@ -432,6 +432,26 @@ class TestMethodTable:
         expected = [_public_report(METHOD_MAXENT, k / 99, n, None) for k in range(100)]
         assert sweep(n, [METHOD_MAXENT], steps=100) == expected
 
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="^unknown method 'nope'$"):
+            evaluate_method("nope", 0.3, 5)
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [(m, n) for m in METHODS for n in (1, 2, 3, 5, 10, 100) if n >= m.min_n],
+        ids=lambda v: getattr(v, "name", str(v)),
+    )
+    def test_kernel_rows_need_no_clipping(self, m, n):
+        # Report rows skip WeightVector's clip, so every row that passes
+        # the check must equal its own clip bit for bit: public calls and
+        # report rows then give the same weights.
+        grid = np.array([k / 100 for k in range(101)])
+        for beta in (1.0, 1.25, 1.5) if m.takes_beta else (None,):
+            w = m.kernel(grid, n, beta)
+            for row, problem in zip(w, reports._simplex_rows(w)):
+                if problem is None:
+                    assert row.tobytes() == np.clip(row, 0.0, 1.0).tobytes()
+
     def test_kernel_row_off_the_simplex_is_unstable(self, monkeypatch):
         linear = reports._method(METHOD_LINEAR)
 
