@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightVector, _check_n, _check_orness, _orness_array
+from .core import WeightVector, _check_n, _check_number, _check_orness, _orness_rows
+from .core import orness as _orness  # the public calls' parameter shadows the name
 
 # Successful results must reproduce the requested orness this closely.
 ORNESS_TOL = 1e-9
@@ -95,9 +96,7 @@ def exponential_raw(a: float, n: int, kind: str = "or-like") -> WeightVector:
     ``kind`` is "or-like" (mass leans toward the largest input for high
     ``a``) or "and-like" (the reverse of the same construction).
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"parameter a must be in [0, 1]; got {a}")
-    n = _check_n(n, 2)
+    a, n = _check_number(a, "parameter a", 0.0, 1.0, "[0, 1]"), _check_n(n, 2)
     if kind not in ("or-like", "and-like"):
         raise ValueError(f"kind must be 'or-like' or 'and-like'; got {kind!r}")
     and_like = np.array([kind == "and-like"])
@@ -144,7 +143,7 @@ def exponential_weights(orness: float, n: int):
     orness, n = _check_orness(orness), _check_n(n, 2)
     w, a = _calibrated_exponential_array(np.array([orness], dtype=float), n)
     vec, a = WeightVector(w[0]), float(a[0])
-    achieved = _orness_array(vec.w)
+    achieved = _orness(vec)
     residual = abs(achieved - orness)
     if not residual <= ORNESS_TOL:
         raise CalibrationError(
@@ -289,7 +288,7 @@ def _constraint_residual(w1: float, a: float, n: int):
     w = _rebuild_from_first_weight(w1, a, n)
     if w is None:
         return None
-    return _orness_array(w) - a
+    return _orness_rows((w,))[0] - a
 
 
 def _polish_first_weight(w1: float, a: float, n: int) -> float:
@@ -343,7 +342,7 @@ def _maxent_array(orness: float, n: int) -> np.ndarray:
         w1 = _newton_bisection(F, dF, bracket[0], bracket[1])
     w = _rebuild_from_first_weight(w1, a, n)
     if w is not None and _rebuild_is_trustworthy(w1, a, n):
-        if abs(_orness_array(w) - a) > 1e-10:
+        if abs(_orness_rows((w,))[0] - a) > 1e-10:
             w1 = _polish_first_weight(w1, a, n)
             w = _rebuild_from_first_weight(w1, a, n)
     if w is not None and mirrored:
@@ -391,7 +390,7 @@ def maxent_weights(orness: float, n: int) -> WeightVector:
             orness=orness,
             n=n,
         ) from exc
-    residual = abs(_orness_array(vec.w) - orness)
+    residual = abs(_orness(vec) - orness)
     if residual > ORNESS_TOL:
         raise MaxentInstabilityError(
             f"maximum-entropy solve unstable at orness={orness} n={n}: "

@@ -1,8 +1,9 @@
 """Core OWA machinery: weight vectors, aggregation, orness and dispersion."""
 
+import numbers
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +18,15 @@ class DimensionMismatchError(ValueError):
 
 
 def _checked_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array; ValueError naming ``name`` unless it
-    is 1-d, non-empty and finite.  May share the caller's buffer."""
-    arr = np.asarray(values, dtype=float)
+    """``values`` as a float array; ValueError naming ``name`` unless it is 1-d, non-empty,
+    finite and real (no strings or complex values).  May share the caller's buffer."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf" and not all(isinstance(v, numbers.Real) for v in arr.flat):
+        raise ValueError(f"{name} must be real numbers; got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -110,8 +114,7 @@ def _check_number(value, name: str, low: float, high: float, interval: str) -> f
 
 
 def _check_orness(orness: float) -> float:
-    """``orness`` as a plain float; ValueError unless it is a number in
-    [0, 1]."""
+    """``orness`` as a plain float; ValueError unless it is a number in [0, 1]."""
     return _check_number(orness, "orness", 0.0, 1.0, "[0, 1]")
 
 
@@ -121,15 +124,19 @@ def _check_beta(beta: float) -> float:
     return _check_number(beta, "beta", 1.0, 1.5, "[1.0, 1.5]")
 
 
+def _check_alpha(alpha: float) -> float:
+    """``alpha`` as a plain float; ValueError unless it is a number in [0, 0.5]."""
+    return _check_number(alpha, "alpha", 0.0, 0.5, "[0, 0.5]")
+
+
 @dataclass(frozen=True, eq=False)
 class InputVector:
-    """Values to aggregate.  Carries no ordering assumption."""
+    """Values to aggregate, kept as a read-only copy, in any order."""
 
     x: np.ndarray
 
     def __post_init__(self):
-        # Freeze a view, not the caller's own array, which stays writeable.
-        arr = _checked_array(self.x, "inputs").view()
+        arr = _checked_array(self.x, "inputs").copy()
         arr.flags.writeable = False
         object.__setattr__(self, "x", arr)
 
@@ -145,11 +152,6 @@ def orness(w: WeightVector) -> float:
     warning for the degenerate n = 1 operator (see :func:`_orness_rows`).
     """
     return _orness_rows((w.w,))[0]
-
-
-def _orness_array(w: np.ndarray) -> float:
-    """Orness of a plain weight array of length n >= 2 (no validation)."""
-    return _orness_rows((w,))[0]
 
 
 def _orness_rows(rows) -> list:

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_BETA, WEIGHT_SUM_TOL, OrnessTarget, WeightVector, _check_beta, _check_n
+from .core import DEFAULT_BETA, WEIGHT_SUM_TOL, OrnessTarget, WeightVector
+from .core import _check_alpha, _check_beta, _check_n
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,7 @@ def f_alpha(alpha: float, beta: float = DEFAULT_BETA) -> float:
     keeps 2*alpha <= f(alpha) <= 3*alpha, which is exactly the condition
     for all weights to come out non-negative.  At beta = 1 it is 2*alpha.
     """
-    if not 0.0 <= alpha <= 0.5:
-        raise ValueError(f"alpha must be in [0, 0.5]; got {alpha}")
-    _check_beta(beta)
-    return _f(alpha, beta)
+    return _f(_check_alpha(alpha), _check_beta(beta))
 
 
 def linear_coefficients(alpha: float, n: int, beta: float = DEFAULT_BETA) -> LinearCoefficients:
@@ -59,7 +57,8 @@ def linear_coefficients(alpha: float, n: int, beta: float = DEFAULT_BETA) -> Lin
             f"n must be >= 3 for the closed form (got {n}); "
             "linear_weights handles n = 1 and n = 2 directly"
         )
-    return LinearCoefficients(*_coefficients(alpha, n, f_alpha(alpha, beta)))
+    alpha = _check_alpha(alpha)
+    return LinearCoefficients(*_coefficients(alpha, n, _f(alpha, _check_beta(beta))))
 
 
 def _weight_array(orness: np.ndarray, n: int, beta: float) -> np.ndarray:

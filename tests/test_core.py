@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ def random_weight_vectors(count, rng):
 class TestWeightVector:
     def test_valid_construction(self):
         v = WeightVector([0.2, 0.3, 0.5])
-        assert v.n == 3
+        assert v.n == len(v) == 3
+        assert list(v) == [0.2, 0.3, 0.5]
         assert math.isclose(v.w.sum(), 1.0, abs_tol=1e-15)
 
     def test_rejects_bad_sum(self):
@@ -215,6 +217,7 @@ class TestAggregate:
 
     def test_accepts_input_vector(self):
         xv = InputVector([2.0, 1.0])
+        assert xv.n == 2
         assert aggregate(WeightVector([1, 0]), xv) == 2.0
 
     def test_leaves_caller_array_writeable(self):
@@ -222,9 +225,17 @@ class TestAggregate:
         aggregate(uniform_weights(3), x)
         xv = InputVector(x)
         x[0] = 5.0
+        assert xv.x[0] == 1.0
         assert not xv.x.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             xv.x[0] = 0.0
+
+    def test_real_numbers_of_any_type(self):
+        # Integers beyond 64 bits and fractions come as an object array,
+        # whose items are all real numbers.
+        w = WeightVector([Fraction(1, 2), Fraction(1, 2)])
+        assert aggregate(w, [2**70, 0]) == 2.0**69
+        assert aggregate(w, np.array([True, False])) == 0.5
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 100])
     def test_bit_identical_to_stable_argsort(self, n):

@@ -19,7 +19,7 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 STDOUT_SHA256 = {
     "01_weight_families.py": "4cc497de27620e0adc85c3eee307b2e30c8d18b59ee6ad5d5d2046a15706a956",
-    "02_entropy_curves.py": "4bcaff61b5966022773812e426677b842eed2f0afd38aa003f5032381a090502",
+    "02_entropy_curves.py": "1a7b5ba536d36ba10e8c76d6ba46a3a6c5b5a7354fcf282d91952b4e8cb83a51",
     "03_instability_region.py": "0d7cf6e484be06829805f605c2490f29840742d45b85ff653641e7b55f70dfc1",
 }
 

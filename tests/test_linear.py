@@ -189,3 +189,12 @@ class TestOneClosedForm:
                 if a > 0.5:
                     rebuilt = rebuilt[::-1]
                 assert w.tobytes() == rebuilt.tobytes(), (a, n)
+
+    def test_numpy_float_alpha_is_used_as_a_plain_float(self):
+        # float32 arithmetic would put the line off the weights in the 8th digit.
+        c = linear_coefficients(np.float32(0.3), 5, np.float32(1.25))
+        assert [type(v) for v in (c.K, c.b, c.delta)] == [float] * 3
+        rebuilt = np.append(c.K * np.arange(1, 5) + c.b, 1.0 - c.delta)
+        w = linear_weights(OrnessTarget(np.float32(0.3), np.float32(1.25)), 5).w
+        assert w.tobytes() == rebuilt.tobytes()
+        assert type(f_alpha(np.float32(0.3), np.float32(1.25))) is float
