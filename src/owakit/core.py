@@ -17,29 +17,36 @@ class DimensionMismatchError(ValueError):
     """Raised when a weight vector and an input vector disagree in length."""
 
 
-def _checked_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array; ValueError naming ``name`` unless it is 1-d, non-empty,
-    finite and real (no strings or complex values).  May share the caller's buffer."""
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; ValueError naming ``name`` unless it is 1-d, non-empty
+    and real (no strings or complex values).  May share the caller's buffer."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "biuf" and not all(isinstance(v, numbers.Real) for v in arr.flat):
         raise ValueError(f"{name} must be real numbers; got dtype {arr.dtype}")
     arr = arr.astype(float, copy=False)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a non-empty 1-d sequence")
+    return arr
+
+
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    """ValueError naming ``name`` unless every value of ``arr`` is finite."""
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
-    return arr
 
 
 def _simplex_rows(rows: np.ndarray) -> list:
     """Per row of ``rows``, a non-empty 2-d float array holding one weight
     vector per row: None, or the message naming its fault, a weight
     outside [0, 1] or a sum off 1, both by more than ``WEIGHT_SUM_TOL``.
-    One pass takes each row's min, max and sum once; a NaN fails the
-    range check.  ``rows`` is only read."""
+    One pass takes each row's min, max and sum once.  NaN and +-inf fail
+    the range check before the sum is read, so a sum that overflows or is
+    NaN warns nothing.  ``rows`` is only read."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = rows.sum(axis=1)
     problems = []
     for low, high, total in zip(
-        rows.min(axis=1).tolist(), rows.max(axis=1).tolist(), rows.sum(axis=1).tolist()
+        rows.min(axis=1).tolist(), rows.max(axis=1).tolist(), totals.tolist()
     ):
         if not (low >= -WEIGHT_SUM_TOL and high <= 1.0 + WEIGHT_SUM_TOL):
             problems.append(f"weights must lie in [0, 1]; got range [{low:.17g}, {high:.17g}]")
@@ -63,9 +70,11 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
-        arr = _checked_array(self.w, "weights")
+        arr = _real_array(self.w, "weights")
         (problem,) = _simplex_rows(arr[np.newaxis])
         if problem is not None:
+            # Non-finite weights fail the range test; name them first.
+            _check_finite(arr, "weights")
             raise ValueError(problem)
         arr = np.clip(arr, 0.0, 1.0)
         arr.flags.writeable = False
@@ -136,7 +145,12 @@ class InputVector:
     x: np.ndarray
 
     def __post_init__(self):
-        arr = _checked_array(self.x, "inputs").copy()
+        arr = _real_array(self.x, "inputs")
+        _check_finite(arr, "inputs")
+        # A list or tuple was copied by the conversion; anything else
+        # (an ndarray, a buffer such as array.array) may still be shared.
+        if not isinstance(self.x, (list, tuple)) and np.may_share_memory(arr, self.x):
+            arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "x", arr)
 
@@ -151,7 +165,7 @@ def orness(w: WeightVector) -> float:
     Returns (1/(n-1)) * sum((n-i) * w_i), in [0, 1], or 0.5 with a
     warning for the degenerate n = 1 operator (see :func:`_orness_rows`).
     """
-    return _orness_rows((w.w,))[0]
+    return _orness_rows((_checked_weights(w),))[0]
 
 
 def _orness_rows(rows) -> list:
@@ -188,7 +202,7 @@ def dispersion(w: WeightVector) -> float:
 
     Ranges from 0 (single atom) to ln n (uniform weights).
     """
-    return _dispersion_array(w.w)
+    return _dispersion_array(_checked_weights(w))
 
 
 def _dispersion_array(w: np.ndarray) -> float:
@@ -198,22 +212,37 @@ def _dispersion_array(w: np.ndarray) -> float:
     return 0.0 - float((pos * np.log(pos)).sum())
 
 
+def _checked_weights(w) -> np.ndarray:
+    """The weight array of ``w``; ValueError unless ``w`` is a :class:`WeightVector`."""
+    if not isinstance(w, WeightVector):
+        raise ValueError(f"w must be a WeightVector; got {type(w).__name__}")
+    return w.w
+
+
 def aggregate(w: WeightVector, x) -> float:
     """Aggregate ``x`` with the OWA operator ``w``.
 
     ``x`` may be an :class:`InputVector` or any 1-d sequence; it is
     sorted descending internally, so the caller need not pre-order
-    anything.
+    anything.  The one ascending sort also gives the finite check: NaN
+    sorts last and -inf first, so ``x`` is finite exactly when both ends
+    of the sort are.
     """
-    xs = x.x if isinstance(x, InputVector) else _checked_array(x, "inputs")
-    if xs.size != w.n:
+    ww = _checked_weights(w)
+    xs = x.x if isinstance(x, InputVector) else _real_array(x, "inputs")
+    ascending = np.sort(xs)
+    if not (-np.inf < ascending[0] and ascending[-1] < np.inf):
+        _check_finite(ascending, "inputs")
+    if xs.size != ww.size:
         raise DimensionMismatchError(
-            f"weight vector has length {w.n} but input vector has length {xs.size}"
+            f"weight vector has length {ww.size} but input vector has length {xs.size}"
         )
-    # Contiguous, unlike np.sort(x)[::-1], whose reversed view changes the
-    # dot product's summation order and with it the last bit.
-    ordered = -np.sort(-xs)
-    return float(w.w @ ordered)
+    # A contiguous copy: the reversed view ascending[::-1] would change the
+    # dot product's summation order and with it the last bit.  ``@`` starts
+    # its sum at +0.0, so the order of tied -0.0 and 0.0 inputs cannot show
+    # in the result; ``ndarray.dot`` returns -0.0 for w = [1.0], x = [-0.0].
+    ordered = ascending[::-1].copy()
+    return float(ww @ ordered)
 
 
 def uniform_weights(n: int) -> WeightVector:

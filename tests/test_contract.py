@@ -6,10 +6,11 @@ import pytest
 
 import owakit
 
-NUMBER, ARRAY, OTHER = "number", "array", "other"
+NUMBER, ARRAY, WEIGHTS, OTHER = "number", "array", "weights", "other"
 BAD = {
     NUMBER: ["0.3", None, np.array([0.3, 0.4])],
     ARRAY: [["0.5", "0.5"], [0.5 + 1j, 0.5], [0.5, None]],
+    WEIGHTS: [[0.5, 0.5], None, np.array([0.5, 0.5])],
 }
 W2 = owakit.WeightVector([0.5, 0.5])
 
@@ -20,9 +21,9 @@ ARGUMENTS = {
     "InputVector": {"x": (ARRAY, [1.0, 2.0], "inputs")},
     "OrnessTarget": {"orness": (NUMBER, 0.3, "orness"), "beta": (NUMBER, 1.25, "beta")},
     "WeightVector": {"w": (ARRAY, [0.5, 0.5], "weights")},
-    "aggregate": {"w": (OTHER, W2, None), "x": (ARRAY, [1.0, 2.0], "inputs")},
-    "dispersion": {"w": (OTHER, W2, None)},
-    "orness": {"w": (OTHER, W2, None)},
+    "aggregate": {"w": (WEIGHTS, W2, "w"), "x": (ARRAY, [1.0, 2.0], "inputs")},
+    "dispersion": {"w": (WEIGHTS, W2, "w")},
+    "orness": {"w": (WEIGHTS, W2, "w")},
     "uniform_weights": {"n": (NUMBER, 2, "n")},
     "f_alpha": {"alpha": (NUMBER, 0.3, "alpha"), "beta": (NUMBER, 1.25, "beta")},
     "linear_coefficients": {

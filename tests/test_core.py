@@ -1,3 +1,4 @@
+import array
 import ast
 import itertools
 import math
@@ -47,8 +48,16 @@ class TestWeightVector:
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
             WeightVector([])
-        with pytest.raises(ValueError):
-            WeightVector([np.nan, 1.0])
+
+    @pytest.mark.parametrize(
+        "w", [[np.nan, 1.0], [np.inf, 0.0], [0.0, -np.inf], [np.inf, -np.inf], [np.nan]]
+    )
+    def test_nonfinite_weights_are_named_before_range_and_sum(self, w):
+        # The range test catches them; the message still names finiteness.
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            WeightVector(w)
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            WeightVector(np.array(w))
 
     def test_immutable(self):
         v = WeightVector([0.5, 0.5])
@@ -229,6 +238,11 @@ class TestAggregate:
         assert not xv.x.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             xv.x[0] = 0.0
+        # np.asarray shares an array.array('d') buffer; the vector must not.
+        buf = array.array("d", [1.0, 2.0, 3.0])
+        bv = InputVector(buf)
+        buf[0] = 5.0
+        assert bv.x.tolist() == [1.0, 2.0, 3.0]
 
     def test_real_numbers_of_any_type(self):
         # Integers beyond 64 bits and fractions come as an object array,
@@ -237,11 +251,15 @@ class TestAggregate:
         assert aggregate(w, [2**70, 0]) == 2.0**69
         assert aggregate(w, np.array([True, False])) == 0.5
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 100])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 100, 1000])
     def test_bit_identical_to_stable_argsort(self, n):
         # The reference is the stable argsort gather.  A sort that merely
         # orders the same values is not enough: the dot product must see a
         # contiguous array so its summation order, and every last bit, stay.
+        # Both sides use ``@``, which starts its sum at +0.0, so tied -0.0
+        # and 0.0 inputs may land in either order.  ``ndarray.dot`` does not:
+        # at n = 1 it returns -0.0 for w = [1.0], x = [-0.0], and this test
+        # fails if aggregate switches to it.
         rng = np.random.default_rng(n)
         signs = np.array([-1.0, -0.0, 0.0, 1.0])
         if 4**n <= 1024:
@@ -262,6 +280,27 @@ class TestAggregate:
             got = np.array([aggregate(w, x) for x in rows])
             ref = np.array([float(w.w @ x[np.argsort(-x, kind="stable")]) for x in rows])
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (n, a)
+
+
+# Each non-finite value first, in the middle, last and alone.
+NONFINITE_ROWS = [
+    row
+    for bad in (np.nan, np.inf, -np.inf)
+    for row in ([bad, 1.0, 2.0], [1.0, bad, 2.0], [1.0, 2.0, bad], [bad])
+]
+
+
+class TestFiniteInputs:
+    # aggregate reads finiteness off its sort, InputVector checks it
+    # outright; both give one message, before any length check.
+    @pytest.mark.parametrize("row", NONFINITE_ROWS, ids=repr)
+    @pytest.mark.parametrize("form", [list, np.array], ids=["list", "ndarray"])
+    def test_one_message_everywhere(self, row, form):
+        for w in (uniform_weights(len(row)), uniform_weights(len(row) + 1)):
+            with pytest.raises(ValueError, match="^inputs must be finite$"):
+                aggregate(w, form(row))
+        with pytest.raises(ValueError, match="^inputs must be finite$"):
+            InputVector(form(row))
 
 
 def test_library_has_no_assert_statements():
