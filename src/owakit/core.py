@@ -1,5 +1,6 @@
 """Core OWA machinery: weight vectors, aggregation, orness and dispersion."""
 
+import math
 import numbers
 import operator
 import warnings
@@ -76,7 +77,7 @@ class WeightVector:
             # Non-finite weights fail the range test; name them first.
             _check_finite(arr, "weights")
             raise ValueError(problem)
-        arr = np.clip(arr, 0.0, 1.0)
+        arr = arr.clip(0.0, 1.0)
         arr.flags.writeable = False
         object.__setattr__(self, "w", arr)
 
@@ -222,27 +223,31 @@ def _checked_weights(w) -> np.ndarray:
 def aggregate(w: WeightVector, x) -> float:
     """Aggregate ``x`` with the OWA operator ``w``.
 
-    ``x`` may be an :class:`InputVector` or any 1-d sequence; it is
-    sorted descending internally, so the caller need not pre-order
-    anything.  The one ascending sort also gives the finite check: NaN
-    sorts last and -inf first, so ``x`` is finite exactly when both ends
-    of the sort are.
+    ``x`` may be an :class:`InputVector` or any 1-d sequence; the caller
+    need not pre-order anything and ``x`` is never written.  ``-x`` is
+    copied once and sorted ascending in place, which puts ``x`` in
+    descending order.  The ends of that sort give the finite check: +inf
+    in ``x`` becomes -inf and sorts first, -inf becomes +inf and sorts
+    last, and NaN sorts last, so ``x`` is finite exactly when both ends
+    are.
     """
     ww = _checked_weights(w)
     xs = x.x if isinstance(x, InputVector) else _real_array(x, "inputs")
-    ascending = np.sort(xs)
-    if not (-np.inf < ascending[0] and ascending[-1] < np.inf):
-        _check_finite(ascending, "inputs")
+    negated = np.negative(xs)
+    negated.sort()
+    # Before the dot product: numpy warns on an inf times a zero weight.
+    if not (math.isfinite(negated[0]) and math.isfinite(negated[-1])):
+        _check_finite(xs, "inputs")
     if xs.size != ww.size:
         raise DimensionMismatchError(
             f"weight vector has length {ww.size} but input vector has length {xs.size}"
         )
-    # A contiguous copy: the reversed view ascending[::-1] would change the
-    # dot product's summation order and with it the last bit.  ``@`` starts
-    # its sum at +0.0, so the order of tied -0.0 and 0.0 inputs cannot show
-    # in the result; ``ndarray.dot`` returns -0.0 for w = [1.0], x = [-0.0].
-    ordered = ascending[::-1].copy()
-    return float(ww @ ordered)
+    # Each product w_i * -x_i is the exact negation of w_i * x_i, and
+    # round-to-nearest is sign-symmetric, so the sum in the same order is
+    # the exact negation of the sum over the descending x.  ``0.0 -`` gives
+    # that sum back and maps a zero of either sign to +0.0, as ``w @ x``
+    # does (``dot`` alone returns -0.0 for w = [1.0], x = [-0.0]).
+    return 0.0 - float(ww.dot(negated))
 
 
 def uniform_weights(n: int) -> WeightVector:

@@ -3,6 +3,7 @@ import ast
 import itertools
 import math
 import pathlib
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -253,13 +254,13 @@ class TestAggregate:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 100, 1000])
     def test_bit_identical_to_stable_argsort(self, n):
-        # The reference is the stable argsort gather.  A sort that merely
-        # orders the same values is not enough: the dot product must see a
-        # contiguous array so its summation order, and every last bit, stay.
-        # Both sides use ``@``, which starts its sum at +0.0, so tied -0.0
-        # and 0.0 inputs may land in either order.  ``ndarray.dot`` does not:
-        # at n = 1 it returns -0.0 for w = [1.0], x = [-0.0], and this test
-        # fails if aggregate switches to it.
+        # The reference is ``@`` over the stable argsort gather.  aggregate
+        # takes 0.0 - dot(w, sort(-x)): each product is the exact negation
+        # of the reference's and rounding to nearest is sign-symmetric, so
+        # the sum in the same order is the exact negation too.  ``0.0 -``
+        # turns it back and maps a zero sum of either sign to +0.0, which
+        # ``@`` gives; ``dot`` alone gives -0.0 for w = [1.0], x = [-0.0].
+        # A tie of -0.0 and 0.0 may sort either way without showing.
         rng = np.random.default_rng(n)
         signs = np.array([-1.0, -0.0, 0.0, 1.0])
         if 4**n <= 1024:
@@ -273,13 +274,43 @@ class TestAggregate:
                 rng.integers(0, 10, (200, n)).astype(float),
                 rng.standard_normal((200, n)),
                 patterns,
+                rng.choice(EXTREMES, (200, n)),
             ]
         )
         for a in (0.0, 0.3, 0.8, 1.0):
-            w = linear_weights(OrnessTarget(a), n)
-            got = np.array([aggregate(w, x) for x in rows])
-            ref = np.array([float(w.w @ x[np.argsort(-x, kind="stable")]) for x in rows])
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (n, a)
+            assert_matches_reference(linear_weights(OrnessTarget(a), n), rows)
+
+    @pytest.mark.parametrize(
+        "w", [[-0.0, 1.0], [1.0, -0.0, -0.0], [0.25, -0.0, 0.75]], ids=repr
+    )
+    def test_bit_identical_with_negative_zero_weights(self, w):
+        # Every row over the extremes at this n, against the same reference.
+        w = WeightVector(w)
+        assert np.signbit(w.w).any()
+        rows = np.array(list(itertools.product(EXTREMES, repeat=w.n)))
+        assert_matches_reference(w, rows)
+
+    def test_never_writes_its_input(self):
+        # _real_array shares a float64 ndarray's buffer and an
+        # array.array('d')'s; the sort must happen in a copy.
+        values = [3.0, -0.0, 1.0, 0.0, -2.0]
+        w = linear_weights(OrnessTarget(0.7), len(values))
+        for x in (np.array(values), list(values), array.array("d", values)):
+            before = np.array(x, dtype=float).tobytes()
+            aggregate(w, x)
+            assert np.array(x, dtype=float).tobytes() == before, type(x).__name__
+
+
+# Signed zeros, ones, the largest and smallest magnitudes.
+EXTREMES = np.array([-1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 2.0, 1e308])
+
+
+def assert_matches_reference(w, rows):
+    """aggregate(w, x) equals ``@`` over the stable descending gather, bit
+    for bit, for every row x of ``rows``."""
+    got = np.array([aggregate(w, x) for x in rows])
+    ref = np.array([float(w.w @ x[np.argsort(-x, kind="stable")]) for x in rows])
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), w.w
 
 
 # Each non-finite value first, in the middle, last and alone.
@@ -301,6 +332,24 @@ class TestFiniteInputs:
                 aggregate(w, form(row))
         with pytest.raises(ValueError, match="^inputs must be finite$"):
             InputVector(form(row))
+
+    # An inf paired with a zero weight makes the dot product warn "invalid
+    # value", so the finite check must come before it, not from its result.
+    @pytest.mark.parametrize(
+        "w, row",
+        [
+            ([0.0, 1.0], [np.inf, 1.0]),
+            ([1.0, 0.0], [1.0, -np.inf]),
+            ([0.0, 0.5, 0.5], [1.0, np.inf, 2.0]),
+            ([0.5, 0.5, 0.0], [-np.inf, 1.0, 2.0]),
+        ],
+        ids=repr,
+    )
+    def test_inf_at_a_zero_weight(self, w, row):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^inputs must be finite$"):
+                aggregate(WeightVector(w), row)
 
 
 def test_library_has_no_assert_statements():
