@@ -354,13 +354,28 @@ def _maxent_rows(orness: np.ndarray, n: int) -> np.ndarray:
     """Maximum-entropy weights of size ``n``, one row per value of the 1-d
     array ``orness`` (no validation).  A row is NaN at orness 0 and 1,
     which the entropy objective cannot reach, and wherever the solve
-    finds no root."""
+    finds no root.
+
+    :func:`_maxent_array` solves orness a < 0.5 on the folded value 1 - a
+    and reverses the result, so each folded value is solved once and its
+    mirror rows reuse it reversed: the rows are those of one
+    :func:`_maxent_array` call per value, bit for bit.  n = 2 and orness
+    0.5 are not folded there, so they are not folded here either.
+    """
     w = np.full((orness.size, n), np.nan)
+    solved = {}
     for row, a in zip(w, orness.tolist()):
         if 0.0 < a < 1.0:
-            solved = _maxent_array(a, n)
-            if solved is not None:
-                row[:] = solved
+            mirrored = n > 2 and a < 0.5
+            key = (1.0 - a if mirrored else a, a == 0.5)
+            if key not in solved:
+                solution = _maxent_array(a, n)
+                if mirrored and solution is not None:
+                    solution = solution[::-1]
+                solved[key] = solution
+            solution = solved[key]
+            if solution is not None:
+                row[:] = solution[::-1] if mirrored else solution
     return w
 
 

@@ -15,12 +15,16 @@ row's status.  Points where a method cannot deliver (maximum entropy at
 orness 0/1, or an unstable solve) are recorded with an explanatory status
 rather than dropped.  CSV files are written atomically and
 deterministically: no timestamps, numbers at 17 significant digits so
-parsing them back is lossless.
+parsing them back is lossless.  The families are mirror-symmetric (the
+vector at orness 1 - a is the one at a reversed), so the writer reuses
+the weight cells of a repeated or mirrored row: the bytes are those of
+formatting every cell.
 """
 
 import csv
 import dataclasses
 import os
+import struct
 import tempfile
 import time
 from dataclasses import dataclass
@@ -171,6 +175,10 @@ def sweep(
     (method, requested_orness, beta).
     """
     grid = _grid(steps, "steps")
+    if isinstance(methods, str):
+        raise ValueError(
+            f"methods is a sequence of method names, not a string: {methods!r}"
+        )
     if not methods:
         raise ValueError("at least one method is required")
     if not betas:
@@ -239,17 +247,46 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
     gets ``n`` empty weight cells.  Method and status names contain no
     comma, quote or line break, so no cell needs CSV quoting.  ValueError
     for a row of another size than ``n``.
+
+    The weight cells of a row at orness <= 0.5 are kept until the method
+    changes.  A later row of that method whose float64 bytes equal a kept
+    row, or equal it reversed (the mirror at orness 1 - a), reuses its
+    cells instead of formatting them again.  A cell is a function of its
+    value's bytes alone, so the output is the same as formatting every row.
     """
     weights = ",".join(["%.17g"] * n) + end
     no_weights = "," * (n - 1) + end
+    pack = struct.Struct(f"{n}d").pack
+    method, kept = None, {}
     yield ",".join(sweep_header(n)) + end
     for r in rows:
         if r.n != n:
             raise ValueError(f"row has n={r.n} but the header has n={n}")
-        yield (
+        head = (
             f"{r.method},{_fmt(r.beta)},{r.n},{_fmt(r.requested_orness)},"
             f"{_fmt(r.achieved_orness)},{_fmt(r.dispersion)},{r.status},"
-        ) + (no_weights if r.w is None else weights % tuple(r.w))
+        )
+        if r.w is None:
+            yield head + no_weights
+            continue
+        if r.method != method:
+            method, kept = r.method, {}
+        w = tuple(r.w)
+        try:
+            # Bytes, not floats: 0.0 == -0.0, but they print differently.
+            key, flipped = pack(*w), pack(*w[::-1])
+        except struct.error:  # not n numbers: the template raises its TypeError
+            key = flipped = None
+        if key in kept:
+            cells = kept[key]
+        elif flipped in kept:
+            mirror = kept[flipped]
+            cells = ",".join(reversed(mirror[: len(mirror) - len(end)].split(","))) + end
+        else:
+            cells = weights % w
+        if r.requested_orness <= 0.5:
+            kept[key] = cells
+        yield head + cells
 
 
 def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
@@ -293,7 +330,11 @@ def read_sweep_csv(path: str) -> list:
             raise ValueError(
                 f"{path} line {reader.line_num}: row does not match the header's n={n}"
             )
-        weights = [opt_float(v) for v in rec[7:]]
+        cells = rec[7:]
+        if "" in cells and any(cells):
+            raise ValueError(
+                f"{path} line {reader.line_num}: weight cells must be all empty or all numbers"
+            )
         rows.append(
             MethodReport(
                 method=rec[0],
@@ -302,7 +343,7 @@ def read_sweep_csv(path: str) -> list:
                 requested_orness=float(rec[3]),
                 achieved_orness=opt_float(rec[4]),
                 dispersion=opt_float(rec[5]),
-                w=None if weights[0] is None else tuple(weights),
+                w=None if cells[0] == "" else tuple(float(v) for v in cells),
                 status=rec[6],
             )
         )

@@ -6,6 +6,10 @@ writer still agrees with its reference writer on the changed rows.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +51,53 @@ SWEEP_CSV_SHA256 = {
     1000: "796af0e0203912e3b0b2143cdb6972f6b535b338088305beb9f9d863818c20b8",
 }
 
+# The same sweeps where numpy runs its float64 exp and log loops on
+# X86_V3 and power on its baseline (no AVX-512), recorded from the same
+# code under NO_AVX512_ENV.  The exponential and maximum-entropy kernels
+# call these loops, so their last bits follow the SIMD family.
+SWEEP_CSV_SHA256_X86_V3 = {
+    2: "2d9b5d22c8bb04bc2bd710c219497bd612baab64d3714b344a54fbdda18756d1",
+    3: "75748bb469c273749027c6d67f14e23a0d949c80a6e1807b790b8096d9aac3f8",
+    5: "b51d222869112d3f94ec95bf70340c0c4a7d737384e7dbbb653b60d1a1a6d61f",
+    10: "1c373f33dd78d244b7e6a2917decba68274fec87604bc8bb1a7031a8eb6260da",
+    100: "e8ae6b814c026fc9a5b78573c760c2fe7dd8d202ebbac4077961520692e2204c",
+    1000: "565792a1095642983070501dd060abeb06290f0d23d9cfc7e59866f8b450acfd",
+}
+
+# The expected digests by the SIMD target of numpy's exp, log and power.
+DISPATCH_AVX512 = {"exp": "X86_V4", "log": "X86_V4", "power": "X86_V4"}
+DISPATCH_X86_V3 = {"exp": "X86_V3", "log": "X86_V3", "power": "baseline(X86_V2)"}
+NO_AVX512_ENV = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def _dispatch():
+    """The SIMD target numpy runs its float64 exp, log and power loops on."""
+    from numpy.lib.introspect import opt_func_info
+
+    info = opt_func_info(func_name="^(exp|log|power)$", signature="float64")
+    return {f: t["current"] for f, sigs in info.items() for t in sigs.values()}
+
+
+def _expected_sweep_digests():
+    dispatch = _dispatch()
+    if dispatch == DISPATCH_AVX512:
+        return SWEEP_CSV_SHA256
+    if dispatch == DISPATCH_X86_V3:
+        return SWEEP_CSV_SHA256_X86_V3
+    pytest.fail(f"no sweep digests are recorded for the numpy dispatch {dispatch}")
+
+
+def _sweep_csv_digest(n, directory):
+    """SHA-256 of the pinned sweep at size ``n`` below its ``#`` line."""
+    methods = LINEAR_ONLY_AT_1000 if n == 1000 else ALL_METHODS
+    rows = sweep(n, methods, betas=(1.0, 1.25, 1.5), steps=101)
+    path = os.path.join(directory, f"s{n}.csv")
+    write_sweep_csv(rows, n, path, f"sweep --n {n}")
+    with open(path, "rb") as fh:
+        body = fh.read().split(b"\n", 1)[1]
+    return hashlib.sha256(body).hexdigest()
+
+
 # float.hex of the calibrated exponential parameter, by (orness, n).
 EXPONENTIAL_PARAMETER_HEX = {
     (0.0, 2): "0x1.ffffffffff000p-1",
@@ -67,12 +118,31 @@ EXPONENTIAL_PARAMETER_HEX = {
 class TestPinned:
     @pytest.mark.parametrize("n", sorted(SWEEP_CSV_SHA256))
     def test_sweep_csv_digest(self, tmp_path, n):
-        methods = LINEAR_ONLY_AT_1000 if n == 1000 else ALL_METHODS
-        rows = sweep(n, methods, betas=(1.0, 1.25, 1.5), steps=101)
-        path = tmp_path / "s.csv"
-        write_sweep_csv(rows, n, str(path), f"sweep --n {n}")
-        body = path.read_bytes().split(b"\n", 1)[1]
-        assert hashlib.sha256(body).hexdigest() == SWEEP_CSV_SHA256[n]
+        assert _sweep_csv_digest(n, str(tmp_path)) == _expected_sweep_digests()[n]
+
+    def test_sweep_csv_digest_without_avx512(self, tmp_path):
+        # An AVX-512 host checks the other family's pins too.
+        if _dispatch() != DISPATCH_AVX512:
+            pytest.skip("numpy has no AVX-512 dispatch here")
+        src = os.path.dirname(os.path.dirname(reports.__file__))
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import json, sys, test_arrays as t; "
+            "print(json.dumps([t._dispatch(), "
+            "{n: t._sweep_csv_digest(n, sys.argv[1]) for n in t.SWEEP_CSV_SHA256_X86_V3}]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path, **NO_AVX512_ENV),
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        dispatch, digests = json.loads(proc.stdout)
+        assert dispatch == DISPATCH_X86_V3
+        assert {int(n): d for n, d in digests.items()} == SWEEP_CSV_SHA256_X86_V3
 
     @pytest.mark.parametrize("orness, n", sorted(EXPONENTIAL_PARAMETER_HEX))
     def test_exponential_parameter(self, orness, n):

@@ -189,6 +189,22 @@ class TestMaxent:
         assert np.isnan(w[[0, 2]]).all()
         np.testing.assert_array_equal(w[1], maxent_weights(0.3, 5).w)
 
+    @pytest.mark.parametrize("steps", [7, 101])
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 100])
+    def test_rows_equal_one_solve_per_value(self, n, steps):
+        # Mirror rows reuse one solve reversed.  1 - k/6 is often not
+        # (6 - k)/6; 1 - 0.49999999999999994 rounds to 0.5, which is not
+        # the uniform row that orness 0.5 itself gets.
+        a = np.concatenate(
+            [np.linspace(0.0, 1.0, steps), [0.5, 0.49999999999999994, 1 - 1 / 6, 1 / 6]]
+        )
+        expected = np.full((a.size, n), np.nan)
+        for row, value in zip(expected, a.tolist()):
+            solved = baselines._maxent_array(value, n) if 0.0 < value < 1.0 else None
+            if solved is not None:
+                row[:] = solved
+        assert _maxent_rows(a, n).tobytes() == expected.tobytes()
+
     def test_oracle_crosscheck(self):
         for n in (2, 3, 4, 5):
             for a in (0.3, 0.6, 0.75):

@@ -206,6 +206,10 @@ class TestSweep:
         with pytest.raises(ValueError, match="^n must be >="):
             sweep(n, [method], steps=11)
 
+    def test_methods_must_not_be_a_string(self):
+        with pytest.raises(ValueError, match="^methods is a sequence of method names, not a string"):
+            sweep(5, METHOD_LINEAR, steps=11)
+
     def test_steps_must_be_an_integer(self):
         with pytest.raises(ValueError, match="steps must be an integer"):
             sweep(5, [METHOD_LINEAR], steps=2.5)
@@ -271,6 +275,16 @@ class TestCsv:
         path = tmp_path / "s.csv"
         path.write_text(header + "\r\n")
         with pytest.raises(ValueError, match="not a sweep header"):
+            read_sweep_csv(str(path))
+
+    @pytest.mark.parametrize("cells", [",0.5,0.5", "0.5,,0.5", "0.5,0.5,"])
+    def test_partly_empty_weight_cells_raise(self, tmp_path, cells):
+        path = tmp_path / "s.csv"
+        write_sweep_csv(sweep(3, [METHOD_LINEAR], steps=3), 3, str(path), "")
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].split(",ok,")[0] + f",ok,{cells}\r\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="line 3: weight cells must be all empty or all numbers"):
             read_sweep_csv(str(path))
 
     def test_missing_header_raises(self, tmp_path):
@@ -346,6 +360,82 @@ class TestCsvMatchesReference:
         rows = [evaluate_method(m.name, 0.3, 7) for m in METHODS]
         expected = _reference_csv(rows, 7, "", newline="\n").split("\n", 1)[1]
         assert capsys.readouterr().out == expected
+
+
+def _row(method, requested, w, beta=None, n=3):
+    status = STATUS_UNSTABLE if w is None else STATUS_OK
+    return MethodReport(method, beta, n, requested, None, None, w, status)
+
+
+_ONE_ULP = float(np.nextafter(0.3, 1.0))
+# Each group: rows that may reuse the weight cells of an earlier row.
+_REUSE_ROWS = {
+    "exact mirror": [
+        _row(METHOD_MAXENT, 0.2, (0.5, 0.3, 0.2)),
+        _row(METHOD_MAXENT, 0.8, (0.2, 0.3, 0.5)),
+    ],
+    "repeat across betas": [
+        _row(METHOD_LINEAR, 0.0, (0.0, 0.0, 1.0), beta=b) for b in (1.0, 1.25, 1.5)
+    ] + [_row(METHOD_LINEAR, 1.0, (1.0, 0.0, 0.0), beta=b) for b in (1.0, 1.25, 1.5)],
+    "near mirror": [
+        _row(METHOD_MAXENT, 0.2, (0.5, 0.3, 0.2)),
+        _row(METHOD_MAXENT, 0.8, (0.2, _ONE_ULP, 0.5)),
+    ],
+    "signed zeros": [
+        _row(METHOD_EXPONENTIAL, 0.0, (0.0, 0.0, 1.0)),
+        _row(METHOD_EXPONENTIAL, 0.0, (-0.0, 0.0, 1.0)),
+        _row(METHOD_EXPONENTIAL, 1.0, (1.0, 0.0, -0.0)),
+    ],
+    "nan": [
+        _row(METHOD_MAXENT, 0.3, (float("nan"), 0.5, 0.5)),
+        _row(METHOD_MAXENT, 0.7, (0.5, 0.5, float("nan"))),
+    ],
+    "no weights": [
+        _row(METHOD_MAXENT, 0.0, None),
+        _row(METHOD_MAXENT, 0.3, (0.5, 0.3, 0.2)),
+        _row(METHOD_MAXENT, 0.5, None),
+        _row(METHOD_MAXENT, 0.7, (0.2, 0.3, 0.5)),
+    ],
+    "two methods": [
+        _row(METHOD_EXPONENTIAL, 0.3, (0.5, 0.3, 0.2)),
+        _row(METHOD_LINEAR, 0.3, (0.5, 0.3, 0.2), beta=1.0),
+        _row(METHOD_LINEAR, 0.7, (0.2, 0.3, 0.5), beta=1.0),
+        _row(METHOD_EXPONENTIAL, 0.7, (0.2, 0.3, 0.5)),
+    ],
+    "unsorted": [
+        _row(METHOD_MAXENT, 0.8, (0.2, 0.3, 0.5)),
+        _row(METHOD_MAXENT, 0.2, (0.5, 0.3, 0.2)),
+        _row(METHOD_MAXENT, 0.9, (0.1, 0.1, 0.8)),
+        _row(METHOD_MAXENT, 0.8, (0.2, 0.3, 0.5)),
+        _row(METHOD_MAXENT, 0.1, (0.8, 0.1, 0.1)),
+        _row(METHOD_MAXENT, 0.5, (0.1, 0.8, 0.1)),
+        _row(METHOD_MAXENT, 0.45, (0.1, 0.8, 0.1)),
+    ],
+}
+
+
+class TestWeightCellReuse:
+    """The writer reuses the cells of repeated and mirrored rows; every
+    line must still be the plain per-cell ``%.17g`` line."""
+
+    @pytest.mark.parametrize("end", ["\r\n", "\n", ""])
+    @pytest.mark.parametrize("case", sorted(_REUSE_ROWS))
+    def test_lines_equal_the_reference(self, case, end):
+        rows = _REUSE_ROWS[case]
+        expected = _reference_csv(rows, 3, "", newline=end).split("\n", 1)[1]
+        assert "".join(reports.sweep_lines(rows, 3, end)) == expected
+
+    def test_signed_zero_mirror_keeps_its_sign(self):
+        lines = list(reports.sweep_lines(_REUSE_ROWS["signed zeros"], 3))
+        assert [line.split(",", 7)[7] for line in lines[1:]] == [
+            "0,0,1\r\n", "-0,0,1\r\n", "1,0,-0\r\n"
+        ]
+
+    @pytest.mark.parametrize("w", [(0.5, 0.5), (0.5, 0.5, 0.5, 0.5), (0.5, None, 0.5)])
+    def test_rows_that_are_not_n_numbers_raise(self, w):
+        rows = [_row(METHOD_MAXENT, 0.3, (0.5, 0.5, 0.5)), _row(METHOD_MAXENT, 0.4, w)]
+        with pytest.raises(TypeError):
+            list(reports.sweep_lines(rows, 3))
 
 
 class TestBench:
