@@ -181,6 +181,8 @@ def sweep(
         )
     if not methods:
         raise ValueError("at least one method is required")
+    if np.ndim(betas) != 1:
+        raise ValueError(f"betas is a sequence of numbers, not {betas!r}")
     if not betas:
         raise ValueError("at least one beta is required")
     rows = []
@@ -310,15 +312,19 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
 
 
 def read_sweep_csv(path: str) -> list:
-    """Parse a sweep CSV back into :class:`MethodReport` rows."""
+    """Parse a sweep CSV back into :class:`MethodReport` rows.
+
+    ValueError naming the path and the file line (``#`` lines counted) for
+    a row that does not match the header or has a cell that is not a number.
+    """
 
     def opt_float(s):
         return None if s == "" else float(s)
 
     rows = []
     with open(path, newline="") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(lines)
+        numbered = [(i, line) for i, line in enumerate(fh, 1) if not line.startswith("#")]
+    reader = csv.reader(line for _, line in numbered)
     header = next(reader, None)
     if header is None:
         raise ValueError(f"{path}: no header line")
@@ -326,17 +332,14 @@ def read_sweep_csv(path: str) -> list:
     if n < 1 or header != sweep_header(n):
         raise ValueError(f"{path}: the header is not a sweep header")
     for rec in reader:
-        if len(rec) != len(header) or int(rec[2]) != n:
-            raise ValueError(
-                f"{path} line {reader.line_num}: row does not match the header's n={n}"
-            )
+        where = f"{path} line {numbered[reader.line_num - 1][0]}"
+        if len(rec) != len(header):
+            raise ValueError(f"{where}: row does not match the header's n={n}")
         cells = rec[7:]
         if "" in cells and any(cells):
-            raise ValueError(
-                f"{path} line {reader.line_num}: weight cells must be all empty or all numbers"
-            )
-        rows.append(
-            MethodReport(
+            raise ValueError(f"{where}: weight cells must be all empty or all numbers")
+        try:
+            row = MethodReport(
                 method=rec[0],
                 beta=opt_float(rec[1]),
                 n=int(rec[2]),
@@ -346,7 +349,11 @@ def read_sweep_csv(path: str) -> list:
                 w=None if cells[0] == "" else tuple(float(v) for v in cells),
                 status=rec[6],
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{where}: a cell is not a number ({exc})") from None
+        if row.n != n:
+            raise ValueError(f"{where}: row does not match the header's n={n}")
+        rows.append(row)
     return rows
 
 

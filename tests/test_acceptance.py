@@ -20,7 +20,7 @@ from owakit import (
 )
 from owakit.baselines import MaxentInstabilityError
 from owakit.linear import _weight_array
-from owakit.oracle import maxent_oracle, solve_system_oracle
+from oracle import maxent_oracle, solve_system_oracle
 from owakit.reports import (
     ALL_METHODS,
     METHOD_MAXENT,

@@ -17,7 +17,7 @@ from owakit import (
 )
 from owakit import baselines
 from owakit.baselines import CalibrationError, CalibrationResult, _maxent_rows
-from owakit.oracle import maxent_oracle
+from oracle import maxent_oracle
 from owakit.reports import METHOD_EXPONENTIAL, evaluate_method
 
 

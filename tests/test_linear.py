@@ -3,7 +3,7 @@ import pytest
 
 from owakit import OrnessTarget, f_alpha, linear_coefficients, linear_weights, orness
 from owakit.linear import _weight_array
-from owakit.oracle import solve_system_oracle
+from oracle import solve_system_oracle
 
 BETAS = (1.0, 1.25, 1.5)
 

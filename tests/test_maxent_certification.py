@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from owakit import MaxentInstabilityError, baselines, maxent_weights
 from owakit.baselines import ORNESS_TOL
-from owakit.oracle import maxent_geometric_oracle, maxent_oracle
+from oracle import maxent_geometric_oracle, maxent_oracle
 
 GEOMETRIC_TOL = 1e-9
 DISPERSION_TOL = 1e-9

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from owakit import OrnessTarget, WeightVector, dispersion, linear_weights
-from owakit.oracle import maxent_geometric_oracle
+from oracle import maxent_geometric_oracle
 
 NS = (3, 5, 10, 100, 1000, 10**4)
 ORNESS = [k / 100 for k in range(10, 91)]

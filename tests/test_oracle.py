@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from owakit.oracle import System2x2, maxent_oracle, solve_system_oracle
+from oracle import System2x2, maxent_oracle, solve_system_oracle
 
 
 class TestSystem2x2:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="^methods is a sequence of method names, not a string"):
             sweep(5, METHOD_LINEAR, steps=11)
 
+    @pytest.mark.parametrize("betas", [1.0, 1, np.float64(1.25)])
+    def test_betas_must_not_be_a_single_number(self, betas):
+        with pytest.raises(ValueError, match="^betas is a sequence of numbers"):
+            sweep(5, [METHOD_LINEAR], betas=betas, steps=11)
+
     def test_steps_must_be_an_integer(self):
         with pytest.raises(ValueError, match="steps must be an integer"):
             sweep(5, [METHOD_LINEAR], steps=2.5)
@@ -284,7 +290,20 @@ class TestCsv:
         lines = path.read_text().splitlines(keepends=True)
         lines[3] = lines[3].split(",ok,")[0] + f",ok,{cells}\r\n"
         path.write_text("".join(lines))
-        with pytest.raises(ValueError, match="line 3: weight cells must be all empty or all numbers"):
+        with pytest.raises(ValueError, match="line 4: weight cells must be all empty or all numbers"):
+            read_sweep_csv(str(path))
+
+    # Columns: 1 beta, 2 n, 3 requested, 4 achieved, 5 dispersion, 7 and 8 weights.
+    @pytest.mark.parametrize("column", [1, 2, 3, 4, 5, 7, 8])
+    def test_cell_that_is_not_a_number_raises(self, tmp_path, column):
+        path = tmp_path / "s.csv"
+        write_sweep_csv(sweep(3, [METHOD_LINEAR], steps=3), 3, str(path), "")
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[3].split(",")
+        cells[column] = "abc"
+        lines[3] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 4: a cell is not a number"):
             read_sweep_csv(str(path))
 
     def test_missing_header_raises(self, tmp_path):
