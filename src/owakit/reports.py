@@ -179,11 +179,11 @@ def sweep(
         raise ValueError(
             f"methods is a sequence of method names, not a string: {methods!r}"
         )
-    if not methods:
+    if len(methods) == 0:
         raise ValueError("at least one method is required")
     if np.ndim(betas) != 1:
         raise ValueError(f"betas is a sequence of numbers, not {betas!r}")
-    if not betas:
+    if len(betas) == 0:
         raise ValueError("at least one beta is required")
     rows = []
     for method in methods:

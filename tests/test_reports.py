@@ -216,6 +216,20 @@ class TestSweep:
         with pytest.raises(ValueError, match="^betas is a sequence of numbers"):
             sweep(5, [METHOD_LINEAR], betas=betas, steps=11)
 
+    def test_betas_may_be_an_array(self):
+        rows = sweep(5, [METHOD_LINEAR], betas=np.array([1.0, 1.25]), steps=3)
+        assert rows == sweep(5, [METHOD_LINEAR], betas=[1.0, 1.25], steps=3)
+
+    def test_methods_may_be_an_array(self):
+        rows = sweep(5, np.array([METHOD_LINEAR, METHOD_EXPONENTIAL]), steps=3)
+        assert rows == sweep(5, [METHOD_LINEAR, METHOD_EXPONENTIAL], steps=3)
+
+    def test_empty_arrays_raise(self):
+        with pytest.raises(ValueError, match="^at least one beta is required$"):
+            sweep(5, [METHOD_LINEAR], betas=np.array([]), steps=3)
+        with pytest.raises(ValueError, match="^at least one method is required$"):
+            sweep(5, np.array([], dtype=str), steps=3)
+
     def test_steps_must_be_an_integer(self):
         with pytest.raises(ValueError, match="steps must be an integer"):
             sweep(5, [METHOD_LINEAR], steps=2.5)
