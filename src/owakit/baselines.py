@@ -348,14 +348,9 @@ def _polish_first_weight(w1: float, a: float, n: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _maxent_array(orness: float, n: int) -> np.ndarray:
-    if n == 2:
-        return np.array([orness, 1.0 - orness])
-    if orness == 0.5:
-        return np.full(n, 1.0 / n)
-    mirrored = orness < 0.5
-    a = 1.0 - orness if mirrored else orness
-
+def _maxent_solve(a: float, n: int):
+    """Maximum-entropy weights of size ``n`` >= 3 at a folded orness ``a``
+    in [0.5, 1), or None where the solve finds no valid root."""
     F, dF, A = _maxent_polynomial(a, n)
     bracket = _maxent_bracket(F, n, A)
     if bracket is None:
@@ -369,37 +364,39 @@ def _maxent_array(orness: float, n: int) -> np.ndarray:
         if abs(_orness_rows((w,))[0] - a) > 1e-10:
             w1 = _polish_first_weight(w1, a, n)
             w = _rebuild_from_first_weight(w1, a, n)
-    if w is not None and mirrored:
-        w = w[::-1]
     return w
+
+
+def _maxent_row(orness: float, n: int, solved: dict):
+    """Maximum-entropy weights of size ``n`` at ``orness`` in (0, 1), or
+    None where the solve finds no valid root.  n = 2 and orness 0.5 have
+    closed forms; below 0.5 the folded value 1 - orness is solved and the
+    solution reversed.  Solves are kept in ``solved`` by folded value."""
+    if n == 2:
+        return np.array([orness, 1.0 - orness])
+    if orness == 0.5:
+        return np.full(n, 1.0 / n)
+    # 1 - 0.49999999999999994 rounds to 0.5: that is solved, not uniform.
+    a = 1.0 - orness if orness < 0.5 else orness
+    if a not in solved:
+        solved[a] = _maxent_solve(a, n)
+    w = solved[a]
+    return w[::-1] if w is not None and orness < 0.5 else w
 
 
 def _maxent_rows(orness: np.ndarray, n: int) -> np.ndarray:
     """Maximum-entropy weights of size ``n``, one row per value of the 1-d
-    array ``orness`` (no validation).  A row is NaN at orness 0 and 1,
-    which the entropy objective cannot reach, and wherever the solve
-    finds no root.
-
-    :func:`_maxent_array` solves orness a < 0.5 on the folded value 1 - a
-    and reverses the result, so each folded value is solved once and its
-    mirror rows reuse it reversed: the rows are those of one
-    :func:`_maxent_array` call per value, bit for bit.  n = 2 and orness
-    0.5 are not folded there, so they are not folded here either.
+    array ``orness`` (no validation): the rows of :func:`_maxent_row`
+    with one dict of solves, so a value and its mirror are solved once.
+    A row is NaN at orness 0 and 1, which the entropy objective cannot
+    reach, and wherever the solve finds no root.
     """
     w = np.full((orness.size, n), np.nan)
     solved = {}
     for row, a in zip(w, orness.tolist()):
-        if 0.0 < a < 1.0:
-            mirrored = n > 2 and a < 0.5
-            key = (1.0 - a if mirrored else a, a == 0.5)
-            if key not in solved:
-                solution = _maxent_array(a, n)
-                if mirrored and solution is not None:
-                    solution = solution[::-1]
-                solved[key] = solution
-            solution = solved[key]
-            if solution is not None:
-                row[:] = solution[::-1] if mirrored else solution
+        solution = _maxent_row(a, n, solved) if 0.0 < a < 1.0 else None
+        if solution is not None:
+            row[:] = solution
     return w
 
 
@@ -418,7 +415,7 @@ def maxent_weights(orness: float, n: int) -> WeightVector:
             "objective needs every weight strictly positive, so the min and "
             "max operators are out of reach"
         )
-    w = _maxent_array(orness, n)
+    w = _maxent_row(orness, n, {})
     try:
         if w is None:
             raise ValueError("no valid root of the first-weight equation")

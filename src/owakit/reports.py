@@ -174,11 +174,11 @@ def sweep(
     betas, but at least one is required.  Rows come back sorted by
     (method, requested_orness, beta).
     """
-    grid = _grid(steps, "steps")
+    grid = _grid(steps)
     if isinstance(methods, str):
-        raise ValueError(
-            f"methods is a sequence of method names, not a string: {methods!r}"
-        )
+        raise ValueError(f"methods is a sequence of method names, not a string: {methods!r}")
+    if np.ndim(methods) != 1:
+        raise ValueError(f"methods is a sequence of method names, not {methods!r}")
     if len(methods) == 0:
         raise ValueError("at least one method is required")
     if np.ndim(betas) != 1:
@@ -223,10 +223,10 @@ def _rows(m: Method, grid: list, n, beta: Optional[float]) -> list:
     return rows
 
 
-def _grid(points, name: str) -> list:
-    """Orness grid k/(points-1), k = 0..points-1, for an integer ``points`` >= 2."""
-    points = _check_n(points, 2, name)
-    return [k / (points - 1) for k in range(points)]
+def _grid(steps) -> list:
+    """Orness grid k/(steps-1), k = 0..steps-1, for an integer ``steps`` >= 2."""
+    steps = _check_n(steps, 2, "steps")
+    return [k / (steps - 1) for k in range(steps)]
 
 
 def _fmt(value) -> str:
@@ -371,6 +371,7 @@ def report_to_dict(r: MethodReport) -> dict:
 
 # The linear family is timed at its three reference shapes.
 _BENCH_BETAS = (1.0, 1.25, 1.5)
+_BENCH_GRID_POINTS = 101
 
 
 def _timed_pass(kernel: Callable, beta: Optional[float], n: int, grid) -> float:
@@ -383,8 +384,8 @@ def _timed_pass(kernel: Callable, beta: Optional[float], n: int, grid) -> float:
     return time.perf_counter() - start
 
 
-def bench(n_list: Sequence[int], reps: int = 20, grid_points: int = 101) -> list:
-    """Time every method over ``reps`` traversals of a fixed orness grid.
+def bench(n_list: Sequence[int], reps: int = 20) -> list:
+    """Time every method over ``reps`` traversals of the orness grid k/100.
 
     Returns one :class:`BenchReport` per (method, n); within each n the
     relative time is normalized so the fastest method reads 1.0.  After
@@ -394,7 +395,7 @@ def bench(n_list: Sequence[int], reps: int = 20, grid_points: int = 101) -> list
     """
     reps = _check_n(reps, 1, "reps")
     n_list = [_check_n(n, 3) for n in n_list]
-    grid = [np.array([a]) for a in _grid(grid_points, "grid_points")]
+    grid = [np.array([a]) for a in _grid(_BENCH_GRID_POINTS)]
     interior = [a for a in grid if 0.0 < a[0] < 1.0]
     jobs = [
         (m, beta, grid if m.endpoints else interior)

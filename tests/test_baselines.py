@@ -200,7 +200,7 @@ class TestMaxent:
         )
         expected = np.full((a.size, n), np.nan)
         for row, value in zip(expected, a.tolist()):
-            solved = baselines._maxent_array(value, n) if 0.0 < value < 1.0 else None
+            solved = baselines._maxent_row(value, n, {}) if 0.0 < value < 1.0 else None
             if solved is not None:
                 row[:] = solved
         assert _maxent_rows(a, n).tobytes() == expected.tobytes()
@@ -215,6 +215,31 @@ class TestMaxent:
                 # The analytic solver claims optimality; the brute search
                 # must never beat it by more than its own resolution.
                 assert d_oracle <= d + 1e-6
+
+
+class TestNewtonBisection:
+    @pytest.mark.parametrize("root", [0.0, 1.0])
+    def test_exact_root_at_an_end_is_returned(self, root):
+        got = baselines._newton_bisection(lambda x: x - root, lambda x: 1.0, 0.0, 1.0)
+        assert got == root
+
+    def test_same_sign_ends_raise(self):
+        with pytest.raises(ValueError, match="^root not bracketed$"):
+            baselines._newton_bisection(lambda x: x, lambda x: 1.0, 1.0, 2.0)
+
+    def test_returns_after_the_iteration_cap(self):
+        # A zero derivative forces bisection, and 120 halvings of a
+        # 1.3e300 bracket stay far from the root at 0: the loop runs out.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x
+
+        got = baselines._newton_bisection(f, lambda x: 0.0, -1e300, 3e299)
+        # The two ends, the first midpoint, then one per iteration.
+        assert len(calls) == 3 + baselines._NEWTON_MAX_ITER
+        assert got == calls[-1]
 
 
 WEIGHT_CALLS = {

@@ -211,6 +211,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="^methods is a sequence of method names, not a string"):
             sweep(5, METHOD_LINEAR, steps=11)
 
+    @pytest.mark.parametrize(
+        "methods",
+        [np.array(METHOD_LINEAR), (m for m in [METHOD_LINEAR]), 5, None, [[METHOD_LINEAR]]],
+        ids=["0-d array", "generator", "int", "None", "2-d list"],
+    )
+    def test_methods_must_be_one_dimensional(self, methods):
+        with pytest.raises(ValueError, match="^methods is a sequence of method names, not "):
+            sweep(5, methods, steps=11)
+
     @pytest.mark.parametrize("betas", [1.0, 1, np.float64(1.25)])
     def test_betas_must_not_be_a_single_number(self, betas):
         with pytest.raises(ValueError, match="^betas is a sequence of numbers"):
@@ -275,6 +284,16 @@ class TestCsv:
         lines[3] = lines[3].replace(",3,", ",4,", 1)
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match="n=3"):
+            read_sweep_csv(str(path))
+
+    def test_row_with_a_cell_missing_raises(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_sweep_csv(sweep(3, [METHOD_LINEAR], steps=5), 3, str(path), "")
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].rsplit(",", 1)[0] + "\r\n"
+        path.write_text("".join(lines))
+        message = f"{path} line 4: row does not match the header's n=3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_sweep_csv(str(path))
 
     def test_rows_of_another_n_raise(self, tmp_path):
@@ -473,7 +492,7 @@ class TestWeightCellReuse:
 
 class TestBench:
     def test_smoke_single_rep(self):
-        reports = bench([3], reps=1, grid_points=11)
+        reports = bench([3], reps=1)
         assert len(reports) == 6
         assert all(r.reps == 1 for r in reports)
         rels = [r.relative_time for r in reports]
@@ -488,9 +507,9 @@ class TestBench:
             return 1.0
 
         monkeypatch.setattr(reports, "_timed_pass", fake_pass)
-        bench([3, 5], reps=2, grid_points=5)
+        bench([3, 5], reps=2)
         jobs = [
-            (m.kernel, beta, 5 if m.endpoints else 3)
+            (m.kernel, beta, 101 if m.endpoints else 99)
             for m in METHODS
             for beta in ((1.0, 1.25, 1.5) if m.takes_beta else (None,))
         ]
@@ -508,9 +527,6 @@ class TestBench:
         "kwargs, name",
         [
             (dict(n_list=[3.5]), "n"),
-            (dict(n_list=[10], grid_points=1), "grid_points"),
-            (dict(n_list=[10], grid_points=0), "grid_points"),
-            (dict(n_list=[10], grid_points=50.5), "grid_points"),
             (dict(n_list=[10], reps=2.5), "reps"),
         ],
     )
@@ -533,7 +549,7 @@ class TestMethodTable:
         assert len(rows) == 3 * (2 if m.takes_beta else 1)
 
     def test_bench_order(self):
-        got = [(r.method, r.beta) for r in bench([5], reps=1, grid_points=3)]
+        got = [(r.method, r.beta) for r in bench([5], reps=1)]
         assert got == [
             ("linear", 1.0),
             ("linear", 1.25),
