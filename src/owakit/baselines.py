@@ -201,7 +201,8 @@ def exponential_weights_no_preset(orness: float, n: int) -> WeightVector:
 
 def _newton_bisection(func, dfunc, lo, hi):
     """Root of ``func`` bracketed in [lo, hi]; Newton steps when they stay
-    in the bracket and halve it fast enough, bisection otherwise."""
+    in the bracket and halve it fast enough, bisection otherwise.  The
+    caller sets numpy's warning policy for ``func`` and ``dfunc``."""
     flo = func(lo)
     fhi = func(hi)
     if flo == 0.0:
@@ -216,14 +217,13 @@ def _newton_bisection(func, dfunc, lo, hi):
     f = func(x)
     for _ in range(_NEWTON_MAX_ITER):
         df = dfunc(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            newton_ok = (
-                df != 0.0
-                and np.isfinite(df)
-                and np.isfinite(f)
-                and ((x - hi) * df - f) * ((x - lo) * df - f) < 0.0
-                and abs(2.0 * f) <= abs(dx_old * df)
-            )
+        newton_ok = (
+            df != 0.0
+            and np.isfinite(df)
+            and np.isfinite(f)
+            and ((x - hi) * df - f) * ((x - lo) * df - f) < 0.0
+            and abs(2.0 * f) <= abs(dx_old * df)
+        )
         if newton_ok:
             dx_old = dx
             dx = f / df
@@ -245,35 +245,29 @@ def _newton_bisection(func, dfunc, lo, hi):
     return x
 
 
-def _maxent_polynomial(a: float, n: int):
+def _maxent_polynomial(A: float, n: int):
     # First-weight equation of the analytic maximum-entropy solution:
-    #   w1 * (A + 1 - n*w1)^n = A^(n-1) * ((A - n)*w1 + 1),   A = (n-1)*a.
+    #   w1 * (A + 1 - n*w1)^n = A^(n-1) * ((A - n)*w1 + 1).
     # w1 = 1/n (the uniform solution) is always a root; the interior root
     # above 1/n is the one wanted for a > 0.5.
-    A = (n - 1) * a
     B = A + 1.0
     logA = (n - 1) * np.log(A)
 
     def F(w):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return w * (B - n * w) ** n - np.exp(logA) * ((A - n) * w + 1.0)
+        return w * (B - n * w) ** n - np.exp(logA) * ((A - n) * w + 1.0)
 
     def dF(w):
-        with np.errstate(over="ignore", invalid="ignore"):
-            base = B - n * w
-            return base**n - n * n * w * base ** (n - 1) - np.exp(logA) * (A - n)
+        base = B - n * w
+        return base**n - n * n * w * base ** (n - 1) - np.exp(logA) * (A - n)
 
-    return F, dF, A
+    return F, dF
 
 
-def _maxent_bracket(F, n, A):
-    # The admissible interval is (1/n, 1/(n-A)); scan from the high end for
-    # the sign change nearest the interior root.
-    lo = 1.0 / n
-    hi = 1.0 / (n - A)
+def _maxent_bracket(F, lo: float, hi: float):
+    # Scan [lo, hi] from the high end for the sign change nearest the
+    # interior root.
     ws = np.linspace(lo, hi, _BRACKET_SCAN_POINTS)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = F(ws)
+    vals = F(ws)
     sgn = np.sign(vals)
     ok = np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
     flips = np.where(ok & (sgn[:-1] * sgn[1:] < 0))[0]
@@ -283,11 +277,10 @@ def _maxent_bracket(F, n, A):
     return float(ws[i]), float(ws[i + 1])
 
 
-def _rebuild_from_first_weight(w1: float, a: float, n: int):
+def _rebuild_from_first_weight(w1: float, A: float, n: int):
     """Weights implied by a candidate first weight: the last weight from
     the two constraints, geometric interpolation in between (done in logs
     so large n does not underflow intermediate powers)."""
-    A = (n - 1) * a
     num = (A - n) * w1 + 1.0
     den = A + 1.0 - n * w1
     if w1 <= 0.0 or num <= 0.0 or den <= 0.0:
@@ -299,35 +292,21 @@ def _rebuild_from_first_weight(w1: float, a: float, n: int):
     return w / w.sum()
 
 
-def _rebuild_is_trustworthy(w1: float, a: float, n: int) -> bool:
-    # The last-weight formula subtracts nearly equal terms at extreme
-    # orness; once the difference sits at rounding scale the rebuilt
-    # family is fiction and no amount of polishing should "succeed".
-    A = (n - 1) * a
-    num = (A - n) * w1 + 1.0
-    return num > 1e-12 * max(1.0, abs((A - n) * w1))
-
-
-def _constraint_residual(w1: float, a: float, n: int):
-    w = _rebuild_from_first_weight(w1, a, n)
+def _constraint_residual(w1: float, a: float, A: float, n: int):
+    w = _rebuild_from_first_weight(w1, A, n)
     if w is None:
         return None
     return _orness_rows((w,))[0] - a
 
 
-def _polish_first_weight(w1: float, a: float, n: int) -> float:
-    """Bisection directly on the achieved-orness residual of the rebuilt
-    vector.  Cleans up the ill-conditioned near-0.5 region where the
-    first-weight polynomial has a near-double root, and solves outright
-    when the polynomial gave no bracket; only called when the rebuild map
+def _polish_first_weight(a: float, A: float, n: int, lo: float, hi: float) -> float:
+    """Bisection on the achieved-orness residual of the rebuilt vector over
+    (``lo``, ``hi``) pulled in by a few ulps.  Cleans up the near-0.5
+    region where the polynomial has a near-double root, and solves
+    outright where it gave no bracket; only called when the rebuild map
     is trustworthy."""
-    A = (n - 1) * a
-    lo = (1.0 / n) * (1.0 + 1e-15)
-    hi = (1.0 / (n - A)) * (1.0 - 1e-15)
-    r_lo = _constraint_residual(lo, a, n)
-    if r_lo is None:
-        return w1
-    if r_lo >= 0.0:
+    lo, hi = lo * (1.0 + 1e-15), hi * (1.0 - 1e-15)
+    if _constraint_residual(lo, a, A, n) >= 0.0:
         # Even the smallest step above 1/n overshoots: the target is
         # within rounding of 0.5 and the solution is the uniform vector.
         return 1.0 / n
@@ -336,34 +315,42 @@ def _polish_first_weight(w1: float, a: float, n: int) -> float:
         if mid in (lo, hi):
             # lo and hi are adjacent floats: no step can narrow them.
             break
-        r = _constraint_residual(mid, a, n)
+        r = _constraint_residual(mid, a, A, n)
         if r is None or r > 0.0:
             hi = mid
         elif r < 0.0:
             lo = mid
         else:
             return mid
-        if hi - lo <= 1e-17 * max(1.0, hi):
+        if hi - lo <= 1e-17:
             break
     return 0.5 * (lo + hi)
 
 
 def _maxent_solve(a: float, n: int):
     """Maximum-entropy weights of size ``n`` >= 3 at a folded orness ``a``
-    in [0.5, 1), or None where the solve finds no valid root."""
-    F, dF, A = _maxent_polynomial(a, n)
-    bracket = _maxent_bracket(F, n, A)
-    if bracket is None:
-        # No sign change (the polynomial overflows at large n): start from
-        # the uniform 1/n and let the orness bisection below find the root.
-        w1 = 1.0 / n
-    else:
-        w1 = _newton_bisection(F, dF, bracket[0], bracket[1])
-    w = _rebuild_from_first_weight(w1, a, n)
-    if w is not None and _rebuild_is_trustworthy(w1, a, n):
+    in [0.5, 1), or None where the solve finds no valid root.
+
+    With A = (n - 1)*a, the first weight lies in the admissible interval
+    (1/n, 1/(n - A)): uniform weights at 1/n, a zero last weight at
+    1/(n - A).  The bracket scan and the polish search that interval."""
+    A = (n - 1) * a
+    lo, hi = 1.0 / n, 1.0 / (n - A)
+    F, dF = _maxent_polynomial(A, n)
+    # At large n the polynomial overflows to inf or NaN, which the scan and
+    # the search pass over.  With no sign change, start from the uniform
+    # 1/n and let the polish below find the root.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = _maxent_bracket(F, lo, hi)
+        w1 = lo if bracket is None else _newton_bisection(F, dF, *bracket)
+    w = _rebuild_from_first_weight(w1, A, n)
+    # The last weight's numerator subtracts nearly equal terms at extreme
+    # orness; once it sits at rounding scale the rebuilt family is fiction
+    # and no amount of polishing should "succeed".
+    if w is not None and (A - n) * w1 + 1.0 > 1e-12:
         if abs(_orness_rows((w,))[0] - a) > 1e-10:
-            w1 = _polish_first_weight(w1, a, n)
-            w = _rebuild_from_first_weight(w1, a, n)
+            w1 = _polish_first_weight(a, A, n, lo, hi)
+            w = _rebuild_from_first_weight(w1, A, n)
     return w
 
 

@@ -159,7 +159,8 @@ def evaluate_method(
     a sweep of one point.  ``beta`` (default ``DEFAULT_BETA``) is dropped
     for methods that do not take it."""
     m = _method(method)
-    return _rows(m, [_check_orness(requested)], n, beta)[0]
+    grid, beta = [_check_orness(requested)], _method_beta(m, beta)
+    return _rows(m, grid, _check_n(n, m.min_n), beta)[0]
 
 
 def sweep(
@@ -171,40 +172,50 @@ def sweep(
     """Evaluate ``methods`` on the grid orness = k/(steps-1), k = 0..steps-1.
 
     Methods that take beta produce rows once per beta; the others ignore
-    betas, but at least one is required.  Rows come back sorted by
+    betas, but at least one is required.  Every argument is checked
+    before the first kernel runs.  Rows come back sorted by
     (method, requested_orness, beta).
     """
     grid = _grid(steps)
     if isinstance(methods, str):
         raise ValueError(f"methods is a sequence of method names, not a string: {methods!r}")
-    if np.ndim(methods) != 1:
+    if not _is_one_dimensional(methods):
         raise ValueError(f"methods is a sequence of method names, not {methods!r}")
     if len(methods) == 0:
         raise ValueError("at least one method is required")
-    if np.ndim(betas) != 1:
+    if not _is_one_dimensional(betas):
         raise ValueError(f"betas is a sequence of numbers, not {betas!r}")
     if len(betas) == 0:
         raise ValueError("at least one beta is required")
-    rows = []
-    for method in methods:
-        m = _method(method)
-        for beta in betas if m.takes_beta else (None,):
-            rows.extend(_rows(m, grid, n, beta))
+    ms = [_method(name) for name in methods]
+    runs = [(m, _method_beta(m, b)) for m in ms for b in (betas if m.takes_beta else (None,))]
+    n = _check_n(n, max(m.min_n for m in ms))
+    rows = [row for m, beta in runs for row in _rows(m, grid, n, beta)]
     rows.sort(
         key=lambda r: (r.method, r.requested_orness, r.beta if r.beta is not None else -1.0)
     )
     return rows
 
 
-def _rows(m: Method, grid: list, n, beta: Optional[float]) -> list:
-    """One report per orness in ``grid``, all in [0, 1], after checking
-    ``beta`` (see :func:`evaluate_method`) and then ``n``: one kernel call
-    and one read-only check of the weight matrix, whose rows need no
-    clip.  A row is unsupported at orness 0 and 1 for a method without
-    ``endpoints``, and unstable when it fails the simplex check or, for
-    a calibrated method, misses its orness by more than ``ORNESS_TOL``."""
-    beta = _check_beta(DEFAULT_BETA if beta is None else beta) if m.takes_beta else None
-    n = _check_n(n, m.min_n)
+def _is_one_dimensional(seq) -> bool:
+    try:
+        return np.ndim(seq) == 1
+    except ValueError:  # numpy refuses to make an array of a ragged nesting
+        return False
+
+
+def _method_beta(m: Method, beta: Optional[float]) -> Optional[float]:
+    """``beta`` checked (None for ``DEFAULT_BETA``) if ``m`` takes it, else None."""
+    return _check_beta(DEFAULT_BETA if beta is None else beta) if m.takes_beta else None
+
+
+def _rows(m: Method, grid: list, n: int, beta: Optional[float]) -> list:
+    """One report per orness in ``grid``, all in [0, 1], for ``n`` and
+    ``beta`` already checked: one kernel call and one read-only check of
+    the weight matrix, whose rows need no clip.  A row is unsupported at
+    orness 0 and 1 for a method without ``endpoints``, and unstable when
+    it fails the simplex check or, for a calibrated method, misses its
+    orness by more than ``ORNESS_TOL``."""
     w = m.kernel(np.array(grid, dtype=float), n, beta)
     problems, achieved = _simplex_rows(w), _orness_rows(w)
 

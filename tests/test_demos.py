@@ -1,9 +1,11 @@
 """The demos run end to end and print what they printed when recorded.
 
 Each demo runs in a fresh interpreter with an empty working directory,
-as a user would run it.  Demos 01-03 print only computed results, so
-their stdout is pinned by SHA-256; demo 04 prints timings, so only its
-exit code and line count are checked.
+as a user would run it, and must print nothing on stderr: demo 03 runs
+maximum entropy through the n = 100 breakdown region, where a numpy
+warning the solver failed to contain would show.  Demos 01-03 print only
+computed results, so their stdout is pinned by SHA-256; demo 04 prints
+timings, so only its exit code and line count are checked.
 """
 
 import hashlib
@@ -40,11 +42,13 @@ def _run_demo(name, cwd):
 def test_demo_output_is_unchanged(tmp_path, name):
     proc = _run_demo(name, tmp_path)
     assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b"", proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[name], proc.stdout.decode()
 
 
 def test_timing_demo_runs(tmp_path):
     proc = _run_demo("04_timing.py", tmp_path)
     assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b"", proc.stderr.decode()
     # Six rows (three linear betas and three other methods) for each of two sizes.
     assert len(proc.stdout.decode().splitlines()) == 12

@@ -110,6 +110,28 @@ def test_polish_stops_once_the_bracket_cannot_shrink(monkeypatch):
     assert 0 < len(calls) <= 64
 
 
+# The polynomial is exactly 0.0 at the low end of the bracket here, so
+# the Newton search returns that end without a step.
+EXACT_ROOT_POINTS = [(4, 0.5000000006648788), (14, 0.5002763577014736), (86, 0.5000000000058329)]
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["orness", "mirror"])
+@pytest.mark.parametrize("n, orness", EXACT_ROOT_POINTS)
+def test_exact_root_at_the_bracket_end_is_certified(monkeypatch, n, orness, mirrored):
+    ends = []
+    search = baselines._newton_bisection
+
+    def spied(func, dfunc, lo, hi):
+        root = search(func, dfunc, lo, hi)
+        ends.append((func(lo), root == lo))
+        return root
+
+    monkeypatch.setattr(baselines, "_newton_bisection", spied)
+    orness = 1.0 - orness if mirrored else orness
+    assert weights_problem(maxent_weights(orness, n).w, orness) is None
+    assert ends == [(0.0, True)]
+
+
 class TestGeometricOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_grid_search_oracle(self, n):

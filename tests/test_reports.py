@@ -213,8 +213,15 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "methods",
-        [np.array(METHOD_LINEAR), (m for m in [METHOD_LINEAR]), 5, None, [[METHOD_LINEAR]]],
-        ids=["0-d array", "generator", "int", "None", "2-d list"],
+        [
+            np.array(METHOD_LINEAR),
+            (m for m in [METHOD_LINEAR]),
+            5,
+            None,
+            [[METHOD_LINEAR]],
+            [[METHOD_LINEAR], METHOD_MAXENT],
+        ],
+        ids=["0-d array", "generator", "int", "None", "2-d list", "ragged list"],
     )
     def test_methods_must_be_one_dimensional(self, methods):
         with pytest.raises(ValueError, match="^methods is a sequence of method names, not "):
@@ -238,6 +245,29 @@ class TestSweep:
             sweep(5, [METHOD_LINEAR], betas=np.array([]), steps=3)
         with pytest.raises(ValueError, match="^at least one method is required$"):
             sweep(5, np.array([], dtype=str), steps=3)
+
+    def test_ragged_betas_raise(self):
+        with pytest.raises(ValueError, match="^betas is a sequence of numbers, not "):
+            sweep(5, [METHOD_LINEAR], betas=[[1.0], 1.25], steps=3)
+
+    @pytest.mark.parametrize(
+        "n, methods, betas, message",
+        [
+            (1000, [METHOD_LINEAR, METHOD_EXPONENTIAL, "bogus"], (DEFAULT_BETA,), "^unknown method 'bogus'$"),
+            (1000, [METHOD_EXPONENTIAL, METHOD_LINEAR], [2.0], "^beta must be in"),
+            (1, [METHOD_LINEAR, METHOD_EXPONENTIAL], (DEFAULT_BETA,), "^n must be >= 2"),
+        ],
+        ids=["unknown method", "beta", "n"],
+    )
+    def test_arguments_are_checked_before_any_kernel_runs(self, monkeypatch, n, methods, betas, message):
+        runs = []
+        monkeypatch.setattr(reports, "_rows", lambda *args: runs.append(args) or [])
+        with pytest.raises(ValueError, match=message):
+            sweep(n, methods, betas=betas)
+        assert runs == []
+
+    def test_betas_are_unchecked_without_a_method_that_takes_them(self):
+        assert sweep(5, [METHOD_MAXENT], betas=[2.0], steps=3) == sweep(5, [METHOD_MAXENT], steps=3)
 
     def test_steps_must_be_an_integer(self):
         with pytest.raises(ValueError, match="steps must be an integer"):
