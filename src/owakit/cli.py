@@ -118,7 +118,7 @@ def _cmd_sweep(args) -> int:
     rows = sweep(args.n, _FLAG_METHODS[args.method], betas=betas, steps=args.steps)
     provenance = (
         f"sweep --n {args.n} --method {args.method} "
-        f"--steps {args.steps} betas={','.join(format(b, 'g') for b in betas)}"
+        f"--steps {args.steps} betas={','.join(format(b, '.17g') for b in betas)}"
     )
     try:
         write_sweep_csv(rows, args.n, args.out, provenance)

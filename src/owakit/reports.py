@@ -21,7 +21,6 @@ the weight cells of a repeated or mirrored row: the bytes are those of
 formatting every cell.
 """
 
-import csv
 import dataclasses
 import os
 import struct
@@ -308,8 +307,11 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
     The first line is a ``#`` comment carrying the tool version and the
     flags that produced the file, ending in ``\\n``; the header and rows
     below it end in ``\\r\\n`` and never vary between identical runs.
+    ValueError, before any file is made, for a provenance with a line break.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    if "\r" in provenance or "\n" in provenance:
+        raise ValueError(f"provenance must be one line; got {provenance!r}")
+    directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -323,48 +325,48 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
 
 
 def read_sweep_csv(path: str) -> list:
-    """Parse a sweep CSV back into :class:`MethodReport` rows.
+    """Parse a sweep CSV back into :class:`MethodReport` rows in one pass, split at commas.
 
-    ValueError naming the path and the file line (``#`` lines counted) for
-    a row that does not match the header or has a cell that is not a number.
+    ValueError naming the path and the file line (``#`` lines counted) for a row with a
+    ``"`` (no cell is quoted), a row that does not match the header or a non-number cell.
     """
 
     def opt_float(s):
         return None if s == "" else float(s)
 
-    rows = []
+    rows, header, fixed = [], None, len(sweep_header(0))
     with open(path, newline="") as fh:
-        numbered = [(i, line) for i, line in enumerate(fh, 1) if not line.startswith("#")]
-    reader = csv.reader(line for _, line in numbered)
-    header = next(reader, None)
+        for k, line in enumerate(fh, 1):
+            if line.startswith("#"):
+                continue
+            rec = line.rstrip("\r\n").split(",")
+            if header is None:
+                header, n = rec, len(rec) - fixed
+                if n < 1 or header != sweep_header(n):
+                    raise ValueError(f"{path}: the header is not a sweep header")
+                continue
+            where = f"{path} line {k}"
+            if '"' in line:
+                raise ValueError(f"{where}: a cell is quoted, but sweep files quote no cell")
+            if len(rec) != len(header):
+                raise ValueError(f"{where}: row does not match the header's n={n}")
+            cells = rec[fixed:]
+            if "" in cells and any(cells):
+                raise ValueError(f"{where}: weight cells must be all empty or all numbers")
+            try:
+                row = MethodReport(
+                    method=rec[0], beta=opt_float(rec[1]), n=int(rec[2]),
+                    requested_orness=float(rec[3]), achieved_orness=opt_float(rec[4]),
+                    dispersion=opt_float(rec[5]), status=rec[6],
+                    w=None if cells[0] == "" else tuple(float(v) for v in cells),
+                )
+            except ValueError as exc:
+                raise ValueError(f"{where}: a cell is not a number ({exc})") from None
+            if row.n != n:
+                raise ValueError(f"{where}: row does not match the header's n={n}")
+            rows.append(row)
     if header is None:
         raise ValueError(f"{path}: no header line")
-    n = len(header) - 7
-    if n < 1 or header != sweep_header(n):
-        raise ValueError(f"{path}: the header is not a sweep header")
-    for rec in reader:
-        where = f"{path} line {numbered[reader.line_num - 1][0]}"
-        if len(rec) != len(header):
-            raise ValueError(f"{where}: row does not match the header's n={n}")
-        cells = rec[7:]
-        if "" in cells and any(cells):
-            raise ValueError(f"{where}: weight cells must be all empty or all numbers")
-        try:
-            row = MethodReport(
-                method=rec[0],
-                beta=opt_float(rec[1]),
-                n=int(rec[2]),
-                requested_orness=float(rec[3]),
-                achieved_orness=opt_float(rec[4]),
-                dispersion=opt_float(rec[5]),
-                w=None if cells[0] == "" else tuple(float(v) for v in cells),
-                status=rec[6],
-            )
-        except ValueError as exc:
-            raise ValueError(f"{where}: a cell is not a number ({exc})") from None
-        if row.n != n:
-            raise ValueError(f"{where}: row does not match the header's n={n}")
-        rows.append(row)
     return rows
 
 

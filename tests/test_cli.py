@@ -8,7 +8,7 @@ import pytest
 
 import owakit
 from owakit.cli import EXIT_IO, EXIT_METHOD_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from owakit.reports import METHODS, read_sweep_csv, sweep
+from owakit.reports import METHODS, evaluate_method, read_sweep_csv, sweep
 
 
 def run(args, capsys):
@@ -71,6 +71,19 @@ class TestGen:
             f"method: {m.name}" + (" (beta=1.5)" if m.takes_beta else "")
         ]
 
+    @pytest.mark.parametrize("m", METHODS, ids=lambda m: m.flag)
+    def test_csv_format_reads_back(self, m, tmp_path, capsys):
+        # `\n` line endings and no `#` line: the reader takes both.
+        code, out, _ = run(
+            ["gen", "--n", "5", "--orness", "0.3", "--method", m.flag, "--format", "csv"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        path = tmp_path / "gen.csv"
+        path.write_text(out, newline="")
+        assert b"\r" not in path.read_bytes()
+        assert read_sweep_csv(str(path)) == [evaluate_method(m.name, 0.3, 5, 1.5)]
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--n", "5", "--orness", "0.5", "--bogus"])
@@ -105,6 +118,19 @@ class TestSweep:
         assert code == EXIT_OK
         rows = read_sweep_csv(str(out_path))
         assert {r.beta for r in rows} == {1.0, 1.5}
+
+    def test_provenance_keeps_every_digit_of_beta(self, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            [
+                "sweep", "--n", "5", "--method", "linear", "--steps", "3",
+                "--beta", "1.2345678", "--beta", "1.5", "--out", str(out_path),
+            ],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert out_path.read_text().splitlines()[0].endswith(" betas=1.2345678,1.5")
+        assert {r.beta for r in read_sweep_csv(str(out_path))} == {1.2345678, 1.5}
 
     def test_unwritable_out_exits_4(self, tmp_path, capsys):
         code, _, err = run(

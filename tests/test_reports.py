@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,6 +369,53 @@ class TestCsv:
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 4: a cell is not a number"):
             read_sweep_csv(str(path))
+
+    def test_quoted_cell_raises(self, tmp_path):
+        # The writer quotes no cell, so a quote would otherwise be read back
+        # as part of the method name.
+        path = tmp_path / "s.csv"
+        write_sweep_csv(sweep(3, [METHOD_LINEAR], steps=3), 3, str(path), "")
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace("linear", '"linear"', 1)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 4: a cell is quoted"):
+            read_sweep_csv(str(path))
+
+    def test_comment_between_rows_is_skipped_and_counted(self, tmp_path):
+        rows = sweep(3, [METHOD_LINEAR], steps=3)
+        path = tmp_path / "s.csv"
+        write_sweep_csv(rows, 3, str(path), "")
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(3, "# a note\n")
+        path.write_text("".join(lines))
+        assert read_sweep_csv(str(path)) == rows
+        lines[4] = lines[4].rsplit(",", 1)[0] + "\r\n"
+        path.write_text("".join(lines))
+        message = f"{path} line 5: row does not match the header's n=3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_sweep_csv(str(path))
+
+    def test_read_keeps_no_copy_of_the_file(self, tmp_path):
+        # Beyond the rows it returns, a read holds about one line at a time.
+        rows = sweep(100, list(ALL_METHODS), betas=(1.0, 1.25, 1.5), steps=101)
+        path = tmp_path / "s.csv"
+        write_sweep_csv(rows, 100, str(path), "")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            back = read_sweep_csv(str(path))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back == rows
+        assert peak - kept < path.stat().st_size / 4
+
+    @pytest.mark.parametrize("provenance", ["first\nsecond", "first\rsecond", "one\r\n"])
+    def test_provenance_with_a_line_break_raises(self, tmp_path, provenance):
+        rows = sweep(3, [METHOD_LINEAR], steps=3)
+        with pytest.raises(ValueError, match="provenance must be one line"):
+            write_sweep_csv(rows, 3, str(tmp_path / "s.csv"), provenance)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_header_raises(self, tmp_path):
         path = tmp_path / "s.csv"
