@@ -5,7 +5,8 @@ its internal parameter calibrated ("preset") to hit a requested orness;
 calibration here is one dyadic bisection per requested value on the
 monotone parameter-to-orness map.  Each halving is decided by the
 closed-form orness of the geometric series; only where that lies within
-a margin of the target does the exact row sum decide instead.
+a margin of the target does the midpoint row's orness, by the formula
+:func:`owakit.core.orness` uses, decide instead.
 
 The maximum-entropy method maximizes dispersion subject to the orness
 constraint.  The optimum has geometric structure, which reduces the whole
@@ -34,12 +35,12 @@ ORNESS_TOL = 1e-9
 # so every calibrated parameter is pinned to within 1e-12.
 _HALVINGS = 40
 # A halving is decided by the closed-form orness unless that lies within
-# this margin of the target; then the exact row sum decides.  log1p and
-# expm1 avoid the cancellation, so the closed form is good to a few ulps;
-# the row sum is good to about (3 + log2 n)*eps.  The worst |closed - sum|
-# measured over every midpoint the bisection visits (n from 2 to 10^4,
-# orness k/1000) is 5.6e-16, so the margin leaves >= 180x headroom and
-# every decision is the one the row sum makes.
+# this margin of the target; then the midpoint row's orness by
+# core._orness_rows decides.  log1p and expm1 avoid the cancellation, so
+# the closed form is good to a few ulps.  The worst |closed - _orness_rows|
+# measured over every midpoint the bisection visits (n from 2 to 1000 on
+# orness k/1000, n = 10^4 on k/100) is 6.7e-16, so the margin leaves
+# >= 150x headroom and every decision is the one _orness_rows makes.
 _SCREEN_MARGIN = 1e-13
 _NEWTON_XTOL = 1e-15
 _NEWTON_MAX_ITER = 120
@@ -85,19 +86,18 @@ class CalibrationResult:
 # Exponential family
 # ---------------------------------------------------------------------------
 
-def _exponential_rows(a: np.ndarray, n: int, and_like=None) -> np.ndarray:
-    """Or-like geometric weights, one row per parameter in the 1-d array
-    ``a``: w_i = a(1-a)^(i-1) for i < n and w_n = (1-a)^(n-1), which
-    telescope to 1.  The and-like vector is the same row reversed; the
-    rows where the boolean array ``and_like`` is True come back reversed."""
+def _exponential_rows(a: np.ndarray, n: int, and_like: np.ndarray) -> np.ndarray:
+    """Geometric weights, one row per parameter in the 1-d array ``a``.
+    The or-like row is w_i = a(1-a)^(i-1) for i < n and w_n = (1-a)^(n-1),
+    which telescope to 1; the and-like row is the same row reversed, and
+    it is returned where the boolean array ``and_like`` is True."""
     w = np.empty((a.size, n))
     base = 1.0 - a
     np.power(base[:, np.newaxis], np.arange(n - 1), out=w[:, : n - 1])
     w *= a[:, np.newaxis]
     # Python's float ** per value: numpy's array power differs in the last bit.
     w[:, n - 1] = [b ** (n - 1) for b in base.tolist()]
-    if and_like is not None:
-        w[and_like] = w[and_like, ::-1]
+    w[and_like] = w[and_like, ::-1]
     return w
 
 
@@ -126,11 +126,10 @@ def _calibrated_exponential_array(orness: np.ndarray, n: int):
     parameters; every target takes ``_HALVINGS`` halvings.
 
     Or-like orness rises 0 -> 1 with a; and-like falls 1 -> 0, and its
-    row is the or-like row reversed, so its orness is the or-like row
-    weighed with the coefficients reversed.  Each halving is decided by
+    row is the or-like row reversed.  Each halving is decided by
     :func:`_or_like_orness`; within ``_SCREEN_MARGIN`` of the target the
-    midpoint's row is built and summed, and that sum decides."""
-    coef = np.arange(n - 1, -1, -1, dtype=float)
+    midpoint's row is built in the target's orientation, and its orness
+    by :func:`owakit.core._orness_rows` decides."""
     a = np.empty(orness.size)
     for i, target in enumerate(orness.tolist()):
         or_like = target > 0.5
@@ -142,11 +141,10 @@ def _calibrated_exponential_array(orness: np.ndarray, n: int):
             val = _or_like_orness(mid, n)
             if not or_like:
                 val = 1.0 - val
-            # Written as "not >" so that a NaN target is summed too.
+            # Written as "not >" so that a NaN target is measured too.
             if not abs(val - target) > _SCREEN_MARGIN:
-                products = _exponential_rows(np.array([mid]), n)
-                products *= coef if or_like else coef[::-1]
-                val = np.add.reduce(products, axis=1)[0] / (n - 1)
+                row = _exponential_rows(np.array([mid]), n, np.array([not or_like]))
+                (val,) = _orness_rows(row)
             if (val < target) == or_like:
                 lo = mid
             width *= 0.5

@@ -24,7 +24,6 @@ formatting every cell.
 import dataclasses
 import os
 import struct
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -307,12 +306,18 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
     The first line is a ``#`` comment carrying the tool version and the
     flags that produced the file, ending in ``\\n``; the header and rows
     below it end in ``\\r\\n`` and never vary between identical runs.
+    The file gets the mode ``open(path, "w")`` gives a new file, 0o666
+    less the umask, also where it replaces one.
     ValueError, before any file is made, for a provenance with a line break.
     """
     if "\r" in provenance or "\n" in provenance:
         raise ValueError(f"provenance must be one line; got {provenance!r}")
+    # A new random name opened with O_EXCL, as tempfile.mkstemp does, but
+    # with mode 0o666 for the umask to cut: mkstemp's files are always 0600.
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(f"# owakit {__version__} {provenance}".rstrip() + "\n")

@@ -307,3 +307,28 @@ def test_help_into_closed_pipe_exits_4_without_traceback(args):
     assert proc.returncode == EXIT_IO, stderr
     assert "Traceback" not in stderr
     assert "Exception ignored" not in stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_sweep_csv_gets_the_mode_open_gives_a_new_file(tmp_path):
+    # 0o666 less the umask, for a new file and for one the sweep replaces.
+    # The umask is process-wide, so a child process sets it.
+    script = (
+        "import os, sys\n"
+        "from owakit.cli import main\n"
+        "def mode(name):\n"
+        "    return oct(os.stat(os.path.join(sys.argv[1], name)).st_mode & 0o777)\n"
+        "for umask in (0o022, 0o077):\n"
+        "    os.umask(umask)\n"
+        "    open(os.path.join(sys.argv[1], f'touched{umask:o}'), 'w').close()\n"
+        "    for out in (f'new{umask:o}.csv', 'same.csv'):\n"
+        "        args = ['sweep', '--n', '3', '--method', 'linear', '--steps', '3']\n"
+        "        assert main(args + ['--out', os.path.join(sys.argv[1], out)]) == 0\n"
+        "    print(mode(f'touched{umask:o}'), mode(f'new{umask:o}.csv'), mode('same.csv'))\n"
+    )
+    proc = _fresh_python("-c", script, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0o644 0o644 0o644", "0o600 0o600 0o600"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "new22.csv", "new77.csv", "same.csv", "touched22", "touched77",
+    ]

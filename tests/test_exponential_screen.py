@@ -1,10 +1,11 @@
 """The exponential calibration's closed-form screen keeps every bit.
 
 ``_calibrated_exponential_array`` decides each halving by the geometric
-series' closed-form orness and sums the midpoint's row only within
-``_SCREEN_MARGIN`` of the target.  The reference below is the loop it
-replaced, written with numpy only: 40 halvings, each summing the whole
-row matrix.  Every parameter and weight must match it bit for bit.
+series' closed-form orness, and measures the midpoint's row with
+``core._orness_rows`` only within ``_SCREEN_MARGIN`` of the target.  The
+reference below is the loop it replaced, written with numpy only: 40
+halvings, each summing the whole row matrix.  Every parameter and weight
+must match it bit for bit.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from owakit import baselines
 from owakit.baselines import _SCREEN_MARGIN, _calibrated_exponential_array, _or_like_orness
+from owakit.core import _orness_rows
 
 
 def _reference_rows(a, n, and_like=None):
@@ -79,12 +81,16 @@ def test_one_element_matches_the_reference(n, orness):
 @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000])
 def test_closed_form_is_far_inside_the_margin(n):
     # Over every midpoint the bisection visits, the closed form agrees
-    # with the row sum 100 times more closely than the margin needs.
+    # 100 times more closely than the margin needs with the row sum and
+    # with _orness_rows of the oriented row, the value that now decides.
     orness = np.arange(101) / 100
+    or_like = orness > 0.5
     for mid, val in _reference(orness, n)[2]:
         closed = np.array([_or_like_orness(a, n) for a in mid.tolist()])
-        closed = np.where(orness > 0.5, closed, 1.0 - closed)
+        closed = np.where(or_like, closed, 1.0 - closed)
         assert np.max(np.abs(closed - val)) <= _SCREEN_MARGIN / 100
+        measured = _orness_rows(_reference_rows(mid, n, ~or_like))
+        assert np.max(np.abs(closed - measured)) <= _SCREEN_MARGIN / 100
 
 
 @pytest.mark.parametrize("or_like, n", [(True, 3), (True, 100), (False, 2), (False, 100)])
