@@ -5,8 +5,7 @@ its internal parameter calibrated ("preset") to hit a requested orness;
 calibration here is one dyadic bisection per requested value on the
 monotone parameter-to-orness map.  Each halving is decided by the
 closed-form orness of the geometric series; only where that lies within
-a margin of the target does the midpoint row's orness, by the formula
-:func:`owakit.core.orness` uses, decide instead.
+a margin of the target does the midpoint row's ``orness`` decide instead.
 
 The maximum-entropy method maximizes dispersion subject to the orness
 constraint.  The optimum has geometric structure, which reduces the whole
@@ -38,9 +37,9 @@ _HALVINGS = 40
 # this margin of the target; then the midpoint row's orness by
 # core._orness_rows decides.  log1p and expm1 avoid the cancellation, so
 # the closed form is good to a few ulps.  The worst |closed - _orness_rows|
-# measured over every midpoint the bisection visits (n from 2 to 1000 on
-# orness k/1000, n = 10^4 on k/100) is 6.7e-16, so the margin leaves
-# >= 150x headroom and every decision is the one _orness_rows makes.
+# measured over every midpoint the bisection visits (n in {2, 3, 5, 10,
+# 37, 100, 1000} on orness k/1000, n = 10^4 on k/100) is 6.7e-16, so the
+# margin leaves >= 150x headroom and every decision is _orness_rows'.
 _SCREEN_MARGIN = 1e-13
 _NEWTON_XTOL = 1e-15
 _NEWTON_MAX_ITER = 120
@@ -127,9 +126,8 @@ def _calibrated_exponential_array(orness: np.ndarray, n: int):
 
     Or-like orness rises 0 -> 1 with a; and-like falls 1 -> 0, and its
     row is the or-like row reversed.  Each halving is decided by
-    :func:`_or_like_orness`; within ``_SCREEN_MARGIN`` of the target the
-    midpoint's row is built in the target's orientation, and its orness
-    by :func:`owakit.core._orness_rows` decides."""
+    :func:`_or_like_orness`; within ``_SCREEN_MARGIN`` of the target, by
+    the orness (``core._orness_rows``) of the midpoint's oriented row."""
     a = np.empty(orness.size)
     for i, target in enumerate(orness.tolist()):
         or_like = target > 0.5

@@ -301,19 +301,17 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
 
 
 def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
-    """Write a sweep to ``path`` atomically (temp file, then rename).
+    """Write a sweep to ``path`` atomically (temp file, then rename), with
+    the mode ``open(path, "w")`` gives a new file: 0o666 less the umask.
 
     The first line is a ``#`` comment carrying the tool version and the
     flags that produced the file, ending in ``\\n``; the header and rows
     below it end in ``\\r\\n`` and never vary between identical runs.
-    The file gets the mode ``open(path, "w")`` gives a new file, 0o666
-    less the umask, also where it replaces one.
     ValueError, before any file is made, for a provenance with a line break.
     """
     if "\r" in provenance or "\n" in provenance:
         raise ValueError(f"provenance must be one line; got {provenance!r}")
-    # A new random name opened with O_EXCL, as tempfile.mkstemp does, but
-    # with mode 0o666 for the umask to cut: mkstemp's files are always 0600.
+    # O_EXCL on a random name, as in tempfile.mkstemp, whose files are always 0600.
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
