@@ -1,10 +1,10 @@
 """Core OWA machinery: weight vectors, aggregation, orness and dispersion."""
 
-import math
 import numbers
 import operator
 import warnings
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -12,6 +12,8 @@ import numpy as np
 WEIGHT_SUM_TOL = 1e-12
 # Linear-family shape exponent when none is given: the steepest slope.
 DEFAULT_BETA = 1.5
+# The native float64 dtype; a byte-swapped '>f8' is another object.
+_FLOAT64 = np.dtype(float)
 
 
 class DimensionMismatchError(ValueError):
@@ -20,7 +22,10 @@ class DimensionMismatchError(ValueError):
 
 def _real_array(values, name: str) -> np.ndarray:
     """``values`` as a float array; ValueError naming ``name`` unless it is 1-d, non-empty
-    and real (no strings or complex values).  May share the caller's buffer."""
+    and real (no strings or complex values).  May share the caller's buffer:
+    an exact native-float64 1-d ndarray is returned as is."""
+    if type(values) is np.ndarray and values.dtype is _FLOAT64 and values.ndim == 1 and values.size:
+        return values
     arr = np.asarray(values)
     if arr.dtype.kind not in "biuf" and not all(isinstance(v, numbers.Real) for v in arr.flat):
         raise ValueError(f"{name} must be real numbers; got dtype {arr.dtype}")
@@ -231,14 +236,16 @@ def aggregate(w: WeightVector, x) -> float:
     last, and NaN sorts last, so ``x`` is finite exactly when both ends
     are.
     """
-    ww = _checked_weights(w)
+    if not isinstance(w, WeightVector):
+        _checked_weights(w)  # raises the one message for a wrong ``w``
+    ww = w.w
     xs = x.x if isinstance(x, InputVector) else _real_array(x, "inputs")
-    negated = np.negative(xs)
+    negated = -xs
     negated.sort()
     # Before the dot product: numpy warns on an inf times a zero weight.
-    if not (math.isfinite(negated[0]) and math.isfinite(negated[-1])):
+    if not (isfinite(negated.item(0)) and isfinite(negated.item(-1))):
         _check_finite(xs, "inputs")
-    if xs.size != ww.size:
+    if len(xs) != len(ww):
         raise DimensionMismatchError(
             f"weight vector has length {ww.size} but input vector has length {xs.size}"
         )

@@ -3,6 +3,7 @@ import ast
 import itertools
 import math
 import pathlib
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from owakit import (
     orness,
     uniform_weights,
 )
-from owakit.core import _orness_rows, _simplex_rows
+from owakit.core import _orness_rows, _real_array, _simplex_rows
 
 
 def random_weight_vectors(count, rng):
@@ -295,10 +296,71 @@ class TestAggregate:
         # array.array('d')'s; the sort must happen in a copy.
         values = [3.0, -0.0, 1.0, 0.0, -2.0]
         w = linear_weights(OrnessTarget(0.7), len(values))
-        for x in (np.array(values), list(values), array.array("d", values)):
+        for x in (
+            np.array(values),
+            list(values),
+            array.array("d", values),
+            np.array(values[::-1])[::-1],
+            np.repeat(values, 2)[::2],
+            np.array(values, dtype=">f8"),
+        ):
             before = np.array(x, dtype=float).tobytes()
             aggregate(w, x)
             assert np.array(x, dtype=float).tobytes() == before, type(x).__name__
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+# Exact in float32, with a tie of -0.0 and 0.0.
+FORM_VALUES = [3.0, -0.0, 1.5, 0.0, -2.0, 7.25]
+# (values, how to build the form from them)
+INPUT_FORMS = {
+    "float64": (FORM_VALUES, np.array),
+    "reversed view": (FORM_VALUES, lambda v: np.array(v[::-1])[::-1]),
+    "step-2 view": (FORM_VALUES, lambda v: np.repeat(v, 2)[::2]),
+    "big-endian": (FORM_VALUES, lambda v: np.array(v, dtype=">f8")),
+    "float32": (FORM_VALUES, lambda v: np.array(v, dtype=np.float32)),
+    "int64": ([3, 0, 1, 0, -2, 7], lambda v: np.array(v, dtype=np.int64)),
+    "bool": ([True, False, True, True, False, False], lambda v: np.array(v, dtype=bool)),
+    "list": (FORM_VALUES, list),
+    "tuple": (FORM_VALUES, tuple),
+    "array.array": (FORM_VALUES, lambda v: array.array("d", v)),
+    "pickled": (FORM_VALUES, lambda v: pickle.loads(pickle.dumps(np.array(v)))),
+    "subclass": (FORM_VALUES, lambda v: np.array(v).view(_Subclass)),
+    "0-d": (3.0, np.array),
+    "empty": ([], lambda v: np.array(v, dtype=float)),
+    "1 x n": ([FORM_VALUES], np.array),
+}
+
+
+def _outcome(call, x):
+    """call(x) as comparable data: the result's bits, or the error's type and message."""
+    try:
+        result = call(x)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, InputVector):
+        return result.x.dtype, result.x.view(np.uint64).tolist()
+    return np.float64(result).view(np.uint64)
+
+
+class TestInputForms:
+    # Every form of the same values takes either the fast path of
+    # _real_array or the general one; both must give what the list gives.
+    @pytest.mark.parametrize("form", INPUT_FORMS, ids=str)
+    def test_same_outcome_as_the_list(self, form):
+        values, make = INPUT_FORMS[form]
+        w = linear_weights(OrnessTarget(0.7), len(FORM_VALUES))
+        for call in (lambda x: aggregate(w, x), InputVector):
+            assert _outcome(call, make(values)) == _outcome(call, values)
+
+    @pytest.mark.parametrize("form", ["float64", "reversed view", "step-2 view"])
+    def test_exact_float64_array_is_returned_as_is(self, form):
+        values, make = INPUT_FORMS[form]
+        x = make(values)
+        assert _real_array(x, "inputs") is x
 
 
 # Signed zeros, ones, the largest and smallest magnitudes.
@@ -325,7 +387,11 @@ class TestFiniteInputs:
     # aggregate reads finiteness off its sort, InputVector checks it
     # outright; both give one message, before any length check.
     @pytest.mark.parametrize("row", NONFINITE_ROWS, ids=repr)
-    @pytest.mark.parametrize("form", [list, np.array], ids=["list", "ndarray"])
+    @pytest.mark.parametrize(
+        "form",
+        [list, np.array, lambda row: np.array(row[::-1])[::-1]],
+        ids=["list", "ndarray", "reversed view"],
+    )
     def test_one_message_everywhere(self, row, form):
         for w in (uniform_weights(len(row)), uniform_weights(len(row) + 1)):
             with pytest.raises(ValueError, match="^inputs must be finite$"):
