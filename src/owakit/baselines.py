@@ -350,46 +350,41 @@ def _maxent_solve(a: float, n: int):
     return w
 
 
-def _maxent_row(orness: float, n: int, solved: dict):
-    """Maximum-entropy weights of size ``n`` at ``orness`` in (0, 1), or
-    None where the solve finds no valid root.  n = 2 and orness 0.5 have
-    closed forms; below 0.5 the folded value 1 - orness is solved and the
-    solution reversed.  Solves are kept in ``solved`` by folded value."""
-    if n == 2:
-        return np.array([orness, 1.0 - orness])
-    if orness == 0.5:
-        return np.full(n, 1.0 / n)
-    # 1 - 0.49999999999999994 rounds to 0.5: that is solved, not uniform.
-    a = 1.0 - orness if orness < 0.5 else orness
-    if a not in solved:
-        solved[a] = _maxent_solve(a, n)
-    w = solved[a]
-    return w[::-1] if w is not None and orness < 0.5 else w
-
-
 def _maxent_rows(orness: np.ndarray, n: int) -> np.ndarray:
     """Maximum-entropy weights of size ``n``, one row per value of the 1-d
-    array ``orness`` (no validation): the rows of :func:`_maxent_row`
-    with one dict of solves, so a value and its mirror are solved once.
-    A row is NaN at orness 0 and 1, which the entropy objective cannot
-    reach, and wherever the solve finds no root.
+    array ``orness`` (no validation).  A row is NaN at orness 0 and 1,
+    which the entropy objective cannot reach, and wherever the solve finds
+    no root.  n = 2 and orness 0.5 have closed forms; below 0.5 the folded
+    value 1 - orness is solved and the solution reversed.  Solves are kept
+    by folded value, so a value and its mirror are solved once.
     """
     w = np.full((orness.size, n), np.nan)
     solved = {}
-    for row, a in zip(w, orness.tolist()):
-        solution = _maxent_row(a, n, solved) if 0.0 < a < 1.0 else None
-        if solution is not None:
-            row[:] = solution
+    for row, value in zip(w, orness.tolist()):
+        if not 0.0 < value < 1.0:
+            continue
+        if n == 2:
+            row[:] = value, 1.0 - value
+        elif value == 0.5:
+            row[:] = 1.0 / n
+        else:
+            # 1 - 0.49999999999999994 rounds to 0.5: that is solved, not uniform.
+            a = 1.0 - value if value < 0.5 else value
+            if a not in solved:
+                solved[a] = _maxent_solve(a, n)
+            if solved[a] is not None:
+                row[:] = solved[a][::-1] if value < 0.5 else solved[a]
     return w
 
 
 def maxent_weights(orness: float, n: int) -> WeightVector:
-    """Weights maximizing dispersion subject to the requested orness.
+    """Weights maximizing dispersion subject to the requested orness: the
+    one row of :func:`_maxent_rows` at ``orness``.
 
     Raises :class:`UnsupportedOrnessError` for orness 0 or 1 and
     :class:`MaxentInstabilityError` whenever the solve cannot certify the
-    result (achieved orness off by more than ``ORNESS_TOL`` or weights
-    outside [0, 1]); an invalid vector is never returned silently.
+    result (no root found, achieved orness off by more than ``ORNESS_TOL``
+    or weights outside [0, 1]); an invalid vector is never returned silently.
     """
     orness, n = _check_orness(orness), _check_n(n, 2)
     if orness in (0.0, 1.0):
@@ -398,9 +393,9 @@ def maxent_weights(orness: float, n: int) -> WeightVector:
             "objective needs every weight strictly positive, so the min and "
             "max operators are out of reach"
         )
-    w = _maxent_row(orness, n, {})
+    (w,) = _maxent_rows(np.array([orness]), n)
     try:
-        if w is None:
+        if np.isnan(w).all():
             raise ValueError("no valid root of the first-weight equation")
         vec = WeightVector(w)
     except ValueError as exc:

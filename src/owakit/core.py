@@ -193,8 +193,10 @@ def _orness_rows(rows) -> list:
 
 def _check_n(n, min_n: int, name: str = "n") -> int:
     """``n`` as a plain int; ValueError naming ``name`` unless it is an
-    integer (numpy integers included) of at least ``min_n``."""
+    integer (numpy integers included, bools not) of at least ``min_n``."""
     try:
+        if isinstance(n, bool):
+            raise TypeError
         index = operator.index(n)
     except TypeError:
         raise ValueError(f"{name} must be an integer; got {n!r}") from None

@@ -157,7 +157,8 @@ def evaluate_method(
     a sweep of one point.  ``beta`` (default ``DEFAULT_BETA``) is dropped
     for methods that do not take it."""
     m = _method(method)
-    grid, beta = [_check_orness(requested)], _method_beta(m, beta)
+    grid = [_check_orness(requested)]
+    beta = _check_beta(DEFAULT_BETA if beta is None else beta) if m.takes_beta else None
     return _rows(m, grid, _check_n(n, m.min_n), beta)[0]
 
 
@@ -186,7 +187,7 @@ def sweep(
     if len(betas) == 0:
         raise ValueError("at least one beta is required")
     ms = [_method(name) for name in methods]
-    runs = [(m, _method_beta(m, b)) for m in ms for b in (betas if m.takes_beta else (None,))]
+    runs = [(m, b) for m in ms for b in (map(_check_beta, betas) if m.takes_beta else (None,))]
     n = _check_n(n, max(m.min_n for m in ms))
     rows = [row for m, beta in runs for row in _rows(m, grid, n, beta)]
     rows.sort(
@@ -200,11 +201,6 @@ def _is_one_dimensional(seq) -> bool:
         return np.ndim(seq) == 1
     except ValueError:  # numpy refuses to make an array of a ragged nesting
         return False
-
-
-def _method_beta(m: Method, beta: Optional[float]) -> Optional[float]:
-    """``beta`` checked (None for ``DEFAULT_BETA``) if ``m`` takes it, else None."""
-    return _check_beta(DEFAULT_BETA if beta is None else beta) if m.takes_beta else None
 
 
 def _rows(m: Method, grid: list, n: int, beta: Optional[float]) -> list:
@@ -410,6 +406,8 @@ def bench(n_list: Sequence[int], reps: int = 20) -> list:
     method rather than every rep of one.
     """
     reps = _check_n(reps, 1, "reps")
+    if not _is_one_dimensional(n_list):
+        raise ValueError(f"n_list is a sequence of sizes, not {n_list!r}")
     n_list = [_check_n(n, 3) for n in n_list]
     grid = [np.array([a]) for a in _grid(_BENCH_GRID_POINTS)]
     interior = [a for a in grid if 0.0 < a[0] < 1.0]

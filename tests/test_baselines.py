@@ -198,11 +198,7 @@ class TestMaxent:
         a = np.concatenate(
             [np.linspace(0.0, 1.0, steps), [0.5, 0.49999999999999994, 1 - 1 / 6, 1 / 6]]
         )
-        expected = np.full((a.size, n), np.nan)
-        for row, value in zip(expected, a.tolist()):
-            solved = baselines._maxent_row(value, n, {}) if 0.0 < value < 1.0 else None
-            if solved is not None:
-                row[:] = solved
+        expected = np.array([_maxent_rows(np.array([value]), n)[0] for value in a.tolist()])
         assert _maxent_rows(a, n).tobytes() == expected.tobytes()
 
     def test_oracle_crosscheck(self):
@@ -251,7 +247,7 @@ WEIGHT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("n", [5.0, 5.5, float("nan")])
+@pytest.mark.parametrize("n", [5.0, 5.5, float("nan"), True])
 @pytest.mark.parametrize("call", WEIGHT_CALLS.values(), ids=WEIGHT_CALLS.keys())
 def test_n_must_be_an_integer(call, n):
     # One contract for every weight call: a ValueError naming n, never a

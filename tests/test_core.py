@@ -102,6 +102,11 @@ class TestUniformWeights:
         with pytest.raises(ValueError, match="^n must be"):
             uniform_weights(n)
 
+    @pytest.mark.parametrize("n", [True, False, np.True_])
+    def test_bool_n_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer; got "):
+            uniform_weights(n)
+
     def test_numpy_integer_n(self):
         np.testing.assert_array_equal(uniform_weights(np.int64(4)).w, [0.25] * 4)
 

@@ -256,9 +256,10 @@ class TestSweep:
         [
             (1000, [METHOD_LINEAR, METHOD_EXPONENTIAL, "bogus"], (DEFAULT_BETA,), "^unknown method 'bogus'$"),
             (1000, [METHOD_EXPONENTIAL, METHOD_LINEAR], [2.0], "^beta must be in"),
+            (1000, [METHOD_EXPONENTIAL, METHOD_LINEAR], [None], "^beta must be a number; got None$"),
             (1, [METHOD_LINEAR, METHOD_EXPONENTIAL], (DEFAULT_BETA,), "^n must be >= 2"),
         ],
-        ids=["unknown method", "beta", "n"],
+        ids=["unknown method", "beta", "None beta", "n"],
     )
     def test_arguments_are_checked_before_any_kernel_runs(self, monkeypatch, n, methods, betas, message):
         runs = []
@@ -273,6 +274,12 @@ class TestSweep:
     def test_steps_must_be_an_integer(self):
         with pytest.raises(ValueError, match="steps must be an integer"):
             sweep(5, [METHOD_LINEAR], steps=2.5)
+
+    def test_bool_counts_are_not_integers(self):
+        with pytest.raises(ValueError, match="^steps must be an integer; got True$"):
+            sweep(5, [METHOD_LINEAR], steps=True)
+        with pytest.raises(ValueError, match="^reps must be an integer; got True$"):
+            bench([5], reps=True)
 
 
 class TestCsv:
@@ -611,6 +618,13 @@ class TestBench:
     def test_counts_must_be_integers_in_range(self, kwargs, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             bench(**kwargs)
+
+    @pytest.mark.parametrize(
+        "n_list", [5, "55", (n for n in [5])], ids=["int", "string", "generator"]
+    )
+    def test_n_list_must_be_a_sequence(self, n_list):
+        with pytest.raises(ValueError, match="^n_list is a sequence of sizes, not "):
+            bench(n_list, reps=1)
 
 
 class TestMethodTable:
