@@ -102,7 +102,7 @@ class TestUniformWeights:
         with pytest.raises(ValueError, match="^n must be"):
             uniform_weights(n)
 
-    @pytest.mark.parametrize("n", [True, False, np.True_])
+    @pytest.mark.parametrize("n", [True, False])
     def test_bool_n_is_not_an_integer(self, n):
         with pytest.raises(ValueError, match="^n must be an integer; got "):
             uniform_weights(n)
