@@ -197,16 +197,16 @@ def exponential_weights_no_preset(orness: float, n: int) -> WeightVector:
 
 def _newton_bisection(func, dfunc, lo, hi):
     """Root of ``func`` bracketed in [lo, hi]; Newton steps when they stay
-    in the bracket and halve it fast enough, bisection otherwise.  The
-    caller sets numpy's warning policy for ``func`` and ``dfunc``."""
+    in the bracket and halve it fast enough, bisection otherwise.  ``lo``
+    when the ends show no sign change, as they can after the bracket scan
+    when it rounds ``func`` differently.  The caller sets numpy's warning
+    policy for ``func`` and ``dfunc``."""
     flo = func(lo)
     fhi = func(hi)
-    if flo == 0.0:
+    if flo == 0.0 or np.sign(flo) == np.sign(fhi):
         return lo
     if fhi == 0.0:
         return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise ValueError("root not bracketed")
     x = 0.5 * (lo + hi)
     dx_old = abs(hi - lo)
     dx = dx_old

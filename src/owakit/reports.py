@@ -170,25 +170,18 @@ def sweep(
 ) -> list:
     """Evaluate ``methods`` on the grid orness = k/(steps-1), k = 0..steps-1.
 
+    ``methods`` and ``betas`` each hold at least one item and no repeat.
     Methods that take beta produce rows once per beta; the others ignore
-    betas, but at least one is required.  Every argument is checked
-    before the first kernel runs.  Rows come back sorted by
-    (method, requested_orness, beta).
+    betas, whose items go unchecked when no listed method takes them.
+    Every argument is checked before the first kernel runs.  Rows come
+    back sorted by (method, requested_orness, beta).
     """
     grid = _grid(steps)
-    if isinstance(methods, str):
-        raise ValueError(f"methods is a sequence of method names, not a string: {methods!r}")
-    if not _is_one_dimensional(methods):
-        raise ValueError(f"methods is a sequence of method names, not {methods!r}")
-    if len(methods) == 0:
-        raise ValueError("at least one method is required")
-    if not _is_one_dimensional(betas):
-        raise ValueError(f"betas is a sequence of numbers, not {betas!r}")
-    if len(betas) == 0:
-        raise ValueError("at least one beta is required")
-    ms = [_method(name) for name in methods]
-    runs = [(m, b) for m in ms for b in (map(_check_beta, betas) if m.takes_beta else (None,))]
+    ms = _checked_list(methods, "methods", "method names", "method", _method)
+    takes_beta = any(m.takes_beta for m in ms)
+    betas = _checked_list(betas, "betas", "numbers", "beta", _check_beta if takes_beta else None)
     n = _check_n(n, max(m.min_n for m in ms))
+    runs = [(m, b) for m in ms for b in (betas if m.takes_beta else (None,))]
     rows = [row for m, beta in runs for row in _rows(m, grid, n, beta)]
     rows.sort(
         key=lambda r: (r.method, r.requested_orness, r.beta if r.beta is not None else -1.0)
@@ -196,11 +189,30 @@ def sweep(
     return rows
 
 
-def _is_one_dimensional(seq) -> bool:
+def _checked_list(seq, name: str, what: str, item: str, check: Optional[Callable]) -> list:
+    """``check`` of each item of ``seq`` (the items themselves if ``check``
+    is None); ValueError naming ``name`` unless ``seq`` is a 1-d sequence
+    of ``what``, not a string, with at least one ``item`` and, once
+    checked, no item twice."""
     try:
-        return np.ndim(seq) == 1
+        flat = np.ndim(seq) == 1
     except ValueError:  # numpy refuses to make an array of a ragged nesting
-        return False
+        flat = False
+    if not flat:
+        kind = "a string: " if isinstance(seq, str) else ""
+        raise ValueError(f"{name} is a sequence of {what}, not {kind}{seq!r}")
+    if len(seq) == 0:
+        raise ValueError(f"at least one {item} is required")
+    items = seq.tolist() if isinstance(seq, np.ndarray) else list(seq)
+    if check is None:
+        return items
+    checked = []
+    for x in items:
+        value = check(x)
+        if value in checked:
+            raise ValueError(f"{name} repeats {x!r}")
+        checked.append(value)
+    return checked
 
 
 def _rows(m: Method, grid: list, n: int, beta: Optional[float]) -> list:
@@ -399,16 +411,16 @@ def _timed_pass(kernel: Callable, beta: Optional[float], n: int, grid) -> float:
 def bench(n_list: Sequence[int], reps: int = 20) -> list:
     """Time every method over ``reps`` traversals of the orness grid k/100.
 
-    Returns one :class:`BenchReport` per (method, n); within each n the
-    relative time is normalized so the fastest method reads 1.0.  After
-    one untimed warm-up pass of every (method, beta), each rep times one
-    pass of each in turn, so a burst of host load slows one rep of every
-    method rather than every rep of one.
+    ``n_list`` holds at least one size and no repeat, and is checked
+    before any pass is timed.  Returns one :class:`BenchReport` per
+    (method, n); within each n the relative time is normalized so the
+    fastest method reads 1.0.  After one untimed warm-up pass of every
+    (method, beta), each rep times one pass of each in turn, so a burst
+    of host load slows one rep of every method rather than every rep of
+    one.
     """
     reps = _check_n(reps, 1, "reps")
-    if not _is_one_dimensional(n_list):
-        raise ValueError(f"n_list is a sequence of sizes, not {n_list!r}")
-    n_list = [_check_n(n, 3) for n in n_list]
+    n_list = _checked_list(n_list, "n_list", "sizes", "n", lambda n: _check_n(n, 3))
     grid = [np.array([a]) for a in _grid(_BENCH_GRID_POINTS)]
     interior = [a for a in grid if 0.0 < a[0] < 1.0]
     jobs = [

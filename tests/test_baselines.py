@@ -219,9 +219,10 @@ class TestNewtonBisection:
         got = baselines._newton_bisection(lambda x: x - root, lambda x: 1.0, 0.0, 1.0)
         assert got == root
 
-    def test_same_sign_ends_raise(self):
-        with pytest.raises(ValueError, match="^root not bracketed$"):
-            baselines._newton_bisection(lambda x: x, lambda x: 1.0, 1.0, 2.0)
+    def test_same_sign_ends_return_lo(self):
+        # No sign change between the ends: the low end comes back, for the
+        # caller's polish to judge.
+        assert baselines._newton_bisection(lambda x: x, lambda x: 1.0, 1.0, 2.0) == 1.0
 
     def test_returns_after_the_iteration_cap(self):
         # A zero derivative forces bisection, and 120 halvings of a

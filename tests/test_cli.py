@@ -33,6 +33,12 @@ class TestGen:
         for val in ("0.2715541", "0.2484458", "0.2042229", "0.16", "0.1157770"):
             assert val in out
 
+    def test_maxent_without_a_sign_change_at_the_bracket_ends_exits_0(self, capsys):
+        args = ["gen", "--n", "5", "--orness", "0.500087", "--method", "maxent"]
+        code, out, err = run(args, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert "maxent" in out
+
     def test_maxent_extreme_orness_exit3(self, capsys):
         code, _, err = run(["gen", "--n", "5", "--orness", "1.0", "--method", "maxent"], capsys)
         assert code == EXIT_METHOD_DOMAIN
@@ -163,6 +169,18 @@ class TestSweep:
         assert err.count("\n") == 1 and "beta" in err
         assert not out_path.exists()
 
+    def test_repeated_beta_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "f.csv"
+        code, _, err = run(
+            [
+                "sweep", "--n", "5", "--method", "linear", "--steps", "3",
+                "--beta", "1.5", "--beta", "1.5", "--out", str(out_path),
+            ],
+            capsys,
+        )
+        assert (code, err) == (EXIT_USAGE, "betas repeats 1.5\n")
+        assert not out_path.exists()
+
     def test_n1_linear_follows_the_library(self, tmp_path):
         # The size rule is the method's own: linear takes n = 1, and the
         # orness warning of a length-1 vector stays out of the output.
@@ -218,6 +236,10 @@ class TestBench:
     def test_bad_reps_exits_2(self, capsys):
         code, _, _ = run(["bench", "--n", "3", "--reps", "0"], capsys)
         assert code == EXIT_USAGE
+
+    def test_repeated_n_exits_2(self, capsys):
+        code, out, err = run(["bench", "--n", "10", "--n", "10"], capsys)
+        assert (code, out, err) == (EXIT_USAGE, "", "n_list repeats 10\n")
 
 
 

@@ -132,6 +132,35 @@ def test_exact_root_at_the_bracket_end_is_certified(monkeypatch, n, orness, mirr
     assert ends == [(0.0, True)]
 
 
+# The bracket scan and the Newton search evaluate the polynomial through
+# different power paths; here they round to opposite signs at one end, so
+# the search sees no sign change and the orness polish must solve.
+SIGN_FLIP_POINTS = [
+    (5, 0.500087),
+    (5, 0.499913),
+    (5, 0.4999999962747097),
+    (5, 0.5000000037252903),
+    (17, 0.500055),
+    (17, 0.499945),
+    (19, 0.500183),
+    (19, 0.499817),
+    (3, 0.499678),
+    (3, 0.499721),
+    (5, 0.499634),
+    (5, 0.499638),
+    (5, 0.500362),
+    (5, 0.500366),
+    (9, 0.500215),
+    (12, 0.499753),
+    (12, 0.500247),
+]
+
+
+@pytest.mark.parametrize("n, orness", SIGN_FLIP_POINTS)
+def test_ends_without_a_sign_change_are_certified(n, orness):
+    assert weights_problem(maxent_weights(orness, n).w, orness) is None
+
+
 class TestGeometricOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_grid_search_oracle(self, n):

@@ -228,7 +228,7 @@ class TestSweep:
         with pytest.raises(ValueError, match="^methods is a sequence of method names, not "):
             sweep(5, methods, steps=11)
 
-    @pytest.mark.parametrize("betas", [1.0, 1, np.float64(1.25)])
+    @pytest.mark.parametrize("betas", [1.0, 1, np.float64(1.25), "1.25"])
     def test_betas_must_not_be_a_single_number(self, betas):
         with pytest.raises(ValueError, match="^betas is a sequence of numbers"):
             sweep(5, [METHOD_LINEAR], betas=betas, steps=11)
@@ -258,8 +258,9 @@ class TestSweep:
             (1000, [METHOD_EXPONENTIAL, METHOD_LINEAR], [2.0], "^beta must be in"),
             (1000, [METHOD_EXPONENTIAL, METHOD_LINEAR], [None], "^beta must be a number; got None$"),
             (1, [METHOD_LINEAR, METHOD_EXPONENTIAL], (DEFAULT_BETA,), "^n must be >= 2"),
+            (1000, [METHOD_EXPONENTIAL, METHOD_LINEAR], [1.5, 1.5], "^betas repeats 1.5$"),
         ],
-        ids=["unknown method", "beta", "None beta", "n"],
+        ids=["unknown method", "beta", "None beta", "n", "repeated beta"],
     )
     def test_arguments_are_checked_before_any_kernel_runs(self, monkeypatch, n, methods, betas, message):
         runs = []
@@ -267,6 +268,28 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             sweep(n, methods, betas=betas)
         assert runs == []
+
+    @pytest.mark.parametrize(
+        "methods, betas, message",
+        [
+            ([METHOD_LINEAR, METHOD_LINEAR], (DEFAULT_BETA,), "^methods repeats 'linear'$"),
+            (
+                np.array([METHOD_MAXENT, METHOD_MAXENT]),
+                (DEFAULT_BETA,),
+                "^methods repeats 'maxent'$",
+            ),
+            ([METHOD_LINEAR], [1, 1.0], "^betas repeats 1.0$"),
+        ],
+        ids=["methods", "methods array", "beta as int and float"],
+    )
+    def test_repeats_raise(self, methods, betas, message):
+        with pytest.raises(ValueError, match=message):
+            sweep(5, methods, betas=betas, steps=3)
+
+    def test_repeated_betas_are_kept_without_a_method_that_takes_them(self):
+        # A repeat there duplicates no row.
+        rows = sweep(5, [METHOD_MAXENT], betas=[1.0, 1.0], steps=3)
+        assert rows == sweep(5, [METHOD_MAXENT], steps=3)
 
     def test_betas_are_unchecked_without_a_method_that_takes_them(self):
         assert sweep(5, [METHOD_MAXENT], betas=[2.0], steps=3) == sweep(5, [METHOD_MAXENT], steps=3)
@@ -625,6 +648,18 @@ class TestBench:
     def test_n_list_must_be_a_sequence(self, n_list):
         with pytest.raises(ValueError, match="^n_list is a sequence of sizes, not "):
             bench(n_list, reps=1)
+
+    @pytest.mark.parametrize(
+        "n_list, message",
+        [([], "^at least one n is required$"), ([3, 3], "^n_list repeats 3$")],
+        ids=["empty", "repeat"],
+    )
+    def test_n_list_holds_distinct_sizes(self, monkeypatch, n_list, message):
+        passes = []
+        monkeypatch.setattr(reports, "_timed_pass", lambda *args: passes.append(args) or 1.0)
+        with pytest.raises(ValueError, match=message):
+            bench(n_list, reps=1)
+        assert passes == []
 
 
 class TestMethodTable:
