@@ -180,8 +180,8 @@ def sweep(
     ms = _checked_list(methods, "methods", "method names", "method", _method)
     takes_beta = any(m.takes_beta for m in ms)
     betas = _checked_list(betas, "betas", "numbers", "beta", _check_beta if takes_beta else None)
-    n = _check_n(n, max(m.min_n for m in ms))
     runs = [(m, b) for m in ms for b in (betas if m.takes_beta else (None,))]
+    n = _check_n(n, max(m.min_n for m in ms))
     rows = [row for m, beta in runs for row in _rows(m, grid, n, beta)]
     rows.sort(
         key=lambda r: (r.method, r.requested_orness, r.beta if r.beta is not None else -1.0)

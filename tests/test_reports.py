@@ -228,7 +228,7 @@ class TestSweep:
         with pytest.raises(ValueError, match="^methods is a sequence of method names, not "):
             sweep(5, methods, steps=11)
 
-    @pytest.mark.parametrize("betas", [1.0, 1, np.float64(1.25), "1.25"])
+    @pytest.mark.parametrize("betas", [1.0, 1, np.float64(1.25), "1.5"])
     def test_betas_must_not_be_a_single_number(self, betas):
         with pytest.raises(ValueError, match="^betas is a sequence of numbers"):
             sweep(5, [METHOD_LINEAR], betas=betas, steps=11)
