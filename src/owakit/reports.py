@@ -18,7 +18,10 @@ deterministically: no timestamps, numbers at 17 significant digits so
 parsing them back is lossless.  The families are mirror-symmetric (the
 vector at orness 1 - a is the one at a reversed), so the writer reuses
 the weight cells of a repeated or mirrored row: the bytes are those of
-formatting every cell.
+formatting every cell.  The other weight rows are formatted in numpy
+blocks by exact integer arithmetic, byte for byte as ``%.17g``, when
+every cell is +0, 1 or in (1e-11, 1); a row with any other cell (-0,
+a subnormal, a tiny or negative weight, NaN) goes through ``%.17g``.
 """
 
 import dataclasses
@@ -272,12 +275,20 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
     row, or equal it reversed (the mirror at orness 1 - a), reuses its
     cells instead of formatting them again.  A cell is a function of its
     value's bytes alone, so the output is the same as formatting every row.
+
+    The rows that need formatting are formatted a block of about
+    ``_BLOCK_CELLS`` cells at a time, as the lines are reached: by
+    :func:`_exact_cells` for a row whose every cell is +0, 1 or in
+    (1e-11, 1), and by ``%.17g`` for any other row or a block of fewer
+    than ``_MIN_BLOCK_CELLS`` cells.
     """
-    weights = ",".join(["%.17g"] * n) + end
-    no_weights = "," * (n - 1) + end
+    weights = ",".join(["%.17g"] * n)
+    no_weights = "," * (n - 1)
     pack = struct.Struct(f"{n}d").pack
-    method, kept = None, {}
+    per_block = max(1, _BLOCK_CELLS // n)
     yield ",".join(sweep_header(n)) + end
+    method, kept = None, {}  # row bytes -> (cells of a kept row, whether reversed)
+    lines, new = [], []  # the lines since the last block; its rows to format
     for r in rows:
         if r.n != n:
             raise ValueError(f"row has n={r.n} but the header has n={n}")
@@ -286,26 +297,148 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
             f"{_fmt(r.achieved_orness)},{_fmt(r.dispersion)},{r.status},"
         )
         if r.w is None:
-            yield head + no_weights
+            lines.append((head + no_weights, None, False))
             continue
         if r.method != method:
             method, kept = r.method, {}
         w = tuple(r.w)
         try:
             # Bytes, not floats: 0.0 == -0.0, but they print differently.
-            key, flipped = pack(*w), pack(*w[::-1])
+            key = pack(*w)
         except struct.error:  # not n numbers: the template raises its TypeError
-            key = flipped = None
+            key = None
         if key in kept:
-            cells = kept[key]
-        elif flipped in kept:
-            mirror = kept[flipped]
-            cells = ",".join(reversed(mirror[: len(mirror) - len(end)].split(","))) + end
+            cells, flip = kept[key]
         else:
-            cells = weights % w
-        if r.requested_orness <= 0.5:
-            kept[key] = cells
-        yield head + cells
+            cells, flip = [w, key], False  # becomes [text] once its block is formatted
+            new.append(cells)
+            if key is not None and r.requested_orness <= 0.5:
+                kept[np.frombuffer(key)[::-1].tobytes()] = (cells, True)  # its mirror
+                kept[key] = (cells, False)
+        lines.append((head, cells, flip))
+        if len(new) == per_block:
+            yield from _block_lines(lines, new, n, weights, end)
+            lines, new = [], []
+    yield from _block_lines(lines, new, n, weights, end)
+
+
+def _block_lines(lines, new, n: int, weights: str, end: str):
+    """Format the ``[w, key]`` cells of each row in ``new`` in place, as
+    ``[text]``, then yield ``lines`` ending in ``end``."""
+    exact = [None] * len(new)
+    if len(new) * n >= _MIN_BLOCK_CELLS and all(key is not None for _, key in new):
+        exact = _exact_cells(np.frombuffer(b"".join(key for _, key in new)).reshape(-1, n))
+    for cells, text in zip(new, exact):
+        cells[:] = [weights % cells[0] if text is None else text]
+    for head, cells, flip in lines:
+        if cells is None:
+            yield head + end
+        elif flip:
+            yield head + ",".join(reversed(cells[0].split(","))) + end
+        else:
+            yield head + cells[0] + end
+
+
+# Rows are formatted a block of about this many cells at a time; below
+# _MIN_BLOCK_CELLS, one ``%`` per row costs less than the numpy passes.
+_BLOCK_CELLS = 8192
+_MIN_BLOCK_CELLS = 256
+_LOW32 = np.uint64(0xFFFFFFFF)
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+_TWO_DIGITS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+# One cell's canvas: "0.000" for the fixed layout, then the 17 digits
+# with a point after the first, "e-" and the decade, then the separator.
+_CANVAS = np.frombuffer(b"0.000d.0000000000000000e-00,", np.uint8)
+
+
+def _keep_masks():
+    """The canvas bytes each layout keeps: row 0 for a cell of 0 or 1,
+    then one row per decade E = -11..-1 and digit count L = 1..17."""
+    col = np.arange(len(_CANVAS))
+    E = np.arange(-11, 0)[:, None, None]
+    L = np.arange(1, 18)[None, :, None]
+    digits = (col == 5) | ((col >= 7) & (col <= 5 + L))
+    fixed = digits | (col < 1 - E)  # "0." and -E-1 zeros
+    scientific = digits | ((col == 6) & (L > 1)) | ((col >= 23) & (col <= 26))
+    keep = np.where(E >= -4, fixed, scientific).reshape(-1, len(col))
+    return np.vstack([col == 0, keep]) | (col == len(col) - 1)
+
+
+_KEEP = _keep_masks()
+
+
+def _exact_cells(x: np.ndarray) -> list:
+    """``",".join("%.17g" % v for v in row)`` for each row of the float64
+    matrix ``x`` whose every cell is +0, 1 or in (1e-11, 1); None for any
+    other row.
+
+    A cell v = m * 2**e in (1e-11, 1), with m < 2**53, has its decade E in
+    [-11, -1] and its 17 digits D = round-half-even(m * 5**(16-E) / 2**s),
+    s = -e - (16-E) in [35, 63]; the product is below 2**116 and is taken
+    exactly in 32-bit limbs.  Where :func:`_decade_guess` is one off, the
+    quotient falls outside [10**16, 10**17) and is taken again at the next
+    decade.  The digits go onto a canvas two at a time, and the layout
+    ``%g`` picks (fixed for E >= -4, scientific below) keeps the bytes it
+    needs, without trailing zeros.
+    """
+    n = x.shape[1]
+    ok = ((x > 1e-11) & (x < 1.0)) | (x == 1.0) | ((x == 0.0) & ~np.signbit(x))
+    ok = ok.all(axis=1)
+    v = (x if ok.all() else x[ok]).ravel()
+    ends = v == 0.0
+    ends |= v == 1.0
+    safe = np.where(ends, 0.5, v)  # the two ends take their own layout
+    bits = safe.view(np.uint64)
+    m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
+    s0 = 1059 - (bits >> np.uint64(52)).astype(np.int64)  # s = s0 + E
+    E = _decade_guess(safe)
+    D, up = _scaled_digits(m, s0 + E, 16 - E)
+    i = np.flatnonzero((D < 10**16) | (D >= 10**17))  # E is one off
+    E[i] += np.where(D[i] >= 10**17, 1, -1)
+    D[i], up[i] = _scaled_digits(m[i], s0[i] + E[i], 16 - E[i])
+    D += up
+    first, rest = np.divmod(D, np.uint64(10**16))
+    eights = np.empty((len(D), 2), np.uint32)
+    eights[:, 0], eights[:, 1] = np.divmod(rest, np.uint64(10**8))
+    pairs = np.empty((len(D), 2, 4), np.intp)
+    pairs[:, :, 0], low = np.divmod(eights, 10**6)
+    pairs[:, :, 1], low = np.divmod(low, 10**4)
+    pairs[:, :, 2], pairs[:, :, 3] = np.divmod(low, 100)
+    canvas = np.empty((len(D), len(_CANVAS)), np.uint8)
+    canvas[:] = _CANVAS
+    canvas[:, 0] += v == 1.0
+    canvas[:, 5] = first + ord("0")
+    canvas[:, 7:23] = np.take(_TWO_DIGITS, pairs).reshape(len(D), 8).view(np.uint8)
+    canvas[:, 25:27] = np.take(_TWO_DIGITS, -E)[:, None].view(np.uint8)
+    canvas[n - 1 :: n, -1] = ord("\n")
+    # Digits kept: up to the last nonzero one; column 6 ('.') stops the search.
+    digits = 17 - (canvas[:, 22:5:-1] != ord("0")).argmax(axis=1)
+    layout = np.where(ends, 0, 1 + (E + 11) * 17 + digits - 1)
+    text = iter(canvas[np.take(_KEEP, layout, axis=0)].tobytes().decode("ascii").split("\n"))
+    return [next(text) if good else None for good in ok.tolist()]
+
+
+def _decade_guess(v: np.ndarray) -> np.ndarray:
+    """floor(log10(v)) in [-11, -1] for ``v`` in (1e-11, 1): the decade,
+    or one off where ``log10`` rounds across a power of ten."""
+    return np.clip(np.floor(np.log10(v)), -11, -1).astype(np.int64)
+
+
+def _scaled_digits(m, s, k):
+    """floor(m * 5**k / 2**s) and whether it rounds up (half to even), for
+    uint64 ``m`` < 2**53, ``k`` <= 27 and 1 <= ``s`` <= 63."""
+    p = _POW5[k]
+    s = s.astype(np.uint64)
+    one, b32 = np.uint64(1), np.uint64(32)
+    m0, m1 = m & _LOW32, m >> b32
+    p0, p1 = p & _LOW32, p >> b32
+    low, cross, cross2 = m0 * p0, m0 * p1, m1 * p0
+    carry = (cross & _LOW32) + (cross2 & _LOW32) + (low >> b32)
+    mid = (carry << b32) | (low & _LOW32)  # bits 0..63 of the product
+    high = m1 * p1 + (cross >> b32) + (cross2 >> b32) + (carry >> b32)  # bits 64..
+    q = (high << (np.uint64(64) - s)) | (mid >> s)
+    rem, half = mid & ((one << s) - one), one << (s - one)
+    return q, (rem > half) | ((rem == half) & (q & one == one))
 
 
 def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
@@ -314,8 +447,9 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
 
     The first line is a ``#`` comment carrying the tool version and the
     flags that produced the file, ending in ``\\n``; the header and rows
-    below it end in ``\\r\\n`` and never vary between identical runs.
-    ValueError, before any file is made, for a provenance with a line break.
+    below it end in ``\\r\\n``.  The file is UTF-8 whatever the locale, so
+    it never varies between identical runs.  ValueError, before any file is
+    made, for a provenance with a line break.
     """
     if "\r" in provenance or "\n" in provenance:
         raise ValueError(f"provenance must be one line; got {provenance!r}")
@@ -325,7 +459,7 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp, flags, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# owakit {__version__} {provenance}".rstrip() + "\n")
             fh.writelines(sweep_lines(rows, n))
         os.replace(tmp, path)
@@ -336,7 +470,7 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
 
 
 def read_sweep_csv(path: str) -> list:
-    """Parse a sweep CSV back into :class:`MethodReport` rows in one pass, split at commas.
+    """Parse a UTF-8 sweep CSV back into :class:`MethodReport` rows in one pass, split at commas.
 
     ValueError naming the path and the file line (``#`` lines counted) for a row with a
     ``"`` (no cell is quoted), a row that does not match the header or a non-number cell.
@@ -346,7 +480,7 @@ def read_sweep_csv(path: str) -> list:
         return None if s == "" else float(s)
 
     rows, header, fixed = [], None, len(sweep_header(0))
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         for k, line in enumerate(fh, 1):
             if line.startswith("#"):
                 continue

@@ -2,8 +2,13 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from decimal import Decimal
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -40,6 +45,7 @@ from owakit.reports import (
     sweep,
     write_sweep_csv,
 )
+from test_arrays import DISPATCH_AVX512, DISPATCH_X86_V3, NO_AVX512_ENV, _dispatch
 
 
 class TestEvaluateMethod:
@@ -465,6 +471,28 @@ class TestCsv:
         with pytest.raises(OSError):
             write_sweep_csv(rows, 3, str(tmp_path / "no_dir" / "s.csv"), "")
 
+    def test_files_are_utf8_under_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "s.csv"
+        script = (
+            "import sys; from owakit import reports as r; "
+            "rows = r.sweep(3, ['linear'], steps=3); "
+            "r.write_sweep_csv(rows, 3, sys.argv[1], 'caf\\u00e9'); "
+            "assert r.read_sweep_csv(sys.argv[1]) == rows; "
+            "print(sys.getfilesystemencoding(), open(sys.argv[1]).encoding)"
+        )
+        src = os.path.dirname(os.path.dirname(reports.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", script, str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, LC_ALL="C", PYTHONPATH=src),
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ascii", "ANSI_X3.4-1968"]  # the locale is ASCII
+        first = f"# owakit {owakit.__version__} café\n".encode("utf-8")
+        assert path.read_bytes().startswith(first)
+
 
 def _reference_cell(value):
     return "" if value is None else format(value, ".17g")
@@ -596,6 +624,175 @@ class TestWeightCellReuse:
         rows = [_row(METHOD_MAXENT, 0.3, (0.5, 0.5, 0.5)), _row(METHOD_MAXENT, 0.4, w)]
         with pytest.raises(TypeError):
             list(reports.sweep_lines(rows, 3))
+
+
+# Values the exact cell path must format as "%.17g" does, byte for byte.
+_TENTHS = [float(f"1e-{k}") for k in range(1, 12)]
+_EXACT_CASES = {
+    "powers of ten and their neighbours": sorted(
+        float(np.nextafter(v, toward)) for v in _TENTHS for toward in (0.0, v, 1.0)
+    ),
+    # m / 2**q (odd m) has the decimal digits of m * 5**q, ending in 5: a
+    # tie at the 17th digit when there are 18 of them.
+    "ties at the 17th digit": [
+        m / 2**q
+        for q in range(1, 49)
+        for m in range(1, min(4000, 2**q), 2)
+        if m / 2**q >= 1e-11 and len(str(m * 5**q)) == 18
+    ],
+    "log-uniform": (10 ** np.random.default_rng(25).uniform(-11, 0, 20000)).tolist(),
+    "ends": [0.0, 1.0],
+}
+_FALLBACK_CELLS = [
+    -0.0, 5e-324, 2.2250738585072014e-308, -1e-13, 1e-11, 1.5,
+    float("nan"), float("inf"), float("-inf"),
+]
+
+
+def _exact_cell_mismatches():
+    """Each cell of the exact path that is not its ``%.17g``, or that falls
+    back, and each fallback cell that does not, as (case, value, got)."""
+    bad = []
+    for case, values in _EXACT_CASES.items():
+        # 1e-11 and the double below it are not above 1e-11: they fall back.
+        for v, got in zip(values, reports._exact_cells(np.array(values)[:, None])):
+            if got != ("%.17g" % v if v > 1e-11 or v == 0.0 else None):
+                bad.append((case, v, got))
+    for v in _FALLBACK_CELLS:
+        rows = reports._exact_cells(np.array([[0.25, v, 0.5], [0.25, 0.25, 0.5]]))
+        if rows != [None, "0.25,0.25,0.5"]:
+            bad.append(("fallback", v, rows))
+    return bad
+
+
+class TestExactCells:
+    def test_case_sizes(self):
+        assert len(_EXACT_CASES["ties at the 17th digit"]) == 2656
+        assert len(_EXACT_CASES["powers of ten and their neighbours"]) == 33
+
+    def test_cells_are_their_percent_format(self):
+        assert _exact_cell_mismatches() == []
+
+    def test_rows_join_their_cells(self):
+        x = np.array(_EXACT_CASES["log-uniform"]).reshape(-1, 10)
+        x[::7, 3] = 0.0
+        x[::5, 0] = 1.0
+        expected = [",".join("%.17g" % v for v in row) for row in x.tolist()]
+        assert reports._exact_cells(x) == expected
+
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_a_decade_guess_one_off_is_corrected(self, monkeypatch, off):
+        def guess(v):
+            decades = np.array([Decimal(x).adjusted() for x in v.tolist()])
+            return np.clip(decades + off, -11, -1)
+
+        monkeypatch.setattr(reports, "_decade_guess", guess)
+        assert _exact_cell_mismatches() == []
+
+    def test_cells_without_avx512(self):
+        # numpy's log10 may round differently on other SIMD targets.
+        if _dispatch() != DISPATCH_AVX512:
+            pytest.skip("numpy has no AVX-512 dispatch here")
+        src = os.path.dirname(os.path.dirname(reports.__file__))
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import json, test_arrays as a, test_reports as t; "
+            "print(json.dumps([a._dispatch(), repr(t._exact_cell_mismatches())]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path, **NO_AVX512_ENV),
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [DISPATCH_X86_V3, "[]"]
+
+
+def _first_mismatch(rows, n, end="\r\n", given=None):
+    """(index, line, reference line) for the first line that
+    ``sweep_lines`` writes for ``given`` (default: ``rows``) and that is
+    not the reference line for ``rows``, or None."""
+    reference = _reference_csv(rows, n, "", newline=end).split("\n", 1)[1]
+    lines = reports.sweep_lines(rows if given is None else given, n, end)
+    lines = zip_longest(lines, reference.splitlines(keepends=True))
+    return next(((k, a, b) for k, (a, b) in enumerate(lines) if a != b), None)
+
+
+def _random_rows(count, n, seed):
+    """``count`` rows of ``n`` log-uniform cells in (1e-11, 1), at orness
+    0.1 so that each is kept for reuse."""
+    cells = 10 ** np.random.default_rng(seed).uniform(-11, 0, (count, n))
+    return [_row(METHOD_MAXENT, 0.1, tuple(w), n=n) for w in cells.tolist()]
+
+
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """A list that counts the rows the exact path formats."""
+    counted = []
+
+    def spy(x):
+        rows = exact_cells(x)
+        counted.extend(r for r in rows if r is not None)
+        return rows
+
+    exact_cells = reports._exact_cells
+    monkeypatch.setattr(reports, "_exact_cells", spy)
+    return counted
+
+
+class TestBlocks:
+    """``sweep_lines`` formats rows in blocks; every line must still be the
+    plain per-cell ``%.17g`` line."""
+
+    def test_rows_span_several_blocks(self, exact_rows):
+        n = 100
+        rows = _random_rows(3 * reports._BLOCK_CELLS // n + 5, n, 1)
+        assert _first_mismatch(rows, n) is None
+        assert len(exact_rows) == len(rows)
+
+    def test_one_cell_rows(self, exact_rows):
+        rows = _random_rows(reports._BLOCK_CELLS + 300, 1, 2)
+        rows[7] = _row(METHOD_MAXENT, 0.1, (1.0,), n=1)
+        rows[8] = _row(METHOD_MAXENT, 0.1, (0.0,), n=1)
+        assert _first_mismatch(rows, 1, "\n") is None
+        assert len(exact_rows) == len(rows)
+
+    def test_rows_larger_than_a_block(self, exact_rows):
+        n = reports._BLOCK_CELLS + 100
+        rows = _random_rows(3, n, 3) + [_row(METHOD_MAXENT, 0.5, None, n=n)]
+        assert _first_mismatch(rows, n) is None
+        assert len(exact_rows) == 3
+
+    @pytest.mark.parametrize("fallback", _FALLBACK_CELLS, ids=repr)
+    def test_exact_and_fallback_rows_interleave(self, exact_rows, fallback):
+        n = 7
+        rows = _random_rows(2 * reports._BLOCK_CELLS // n, n, 4)
+        for k in range(0, len(rows), 3):
+            w = list(rows[k].w)
+            w[k % n] = fallback
+            rows[k] = _row(METHOD_MAXENT, 0.1, tuple(w), n=n)
+        assert _first_mismatch(rows, n) is None
+        assert len(exact_rows) == len(rows) - len(range(0, len(rows), 3))
+
+    def test_mirror_of_a_row_in_an_earlier_block(self, exact_rows):
+        n = 50
+        rows = _random_rows(2 * (reports._BLOCK_CELLS // n), n, 5)
+        rows += [_row(METHOD_MAXENT, 0.9, rows[0].w[::-1], n=n), rows[1], rows[-1]]
+        assert _first_mismatch(rows, n) is None
+        assert len(exact_rows) == len(rows) - 3
+
+    def test_small_blocks_take_the_percent_format(self, exact_rows):
+        rows = _random_rows(reports._MIN_BLOCK_CELLS // 7 - 1, 7, 6)
+        assert _first_mismatch(rows, 7) is None
+        assert exact_rows == []
+
+    def test_rows_may_be_a_generator(self, exact_rows):
+        rows = sweep(1000, [METHOD_LINEAR, METHOD_EXPONENTIAL], steps=21)
+        assert _first_mismatch(rows, 1000, given=iter(rows)) is None
+        assert exact_rows
 
 
 class TestBench:
