@@ -356,14 +356,16 @@ def _maxent_rows(orness: np.ndarray, n: int) -> np.ndarray:
     which the entropy objective cannot reach, and wherever the solve finds
     no root.  n = 2 and orness 0.5 have closed forms; below 0.5 the folded
     value 1 - orness is solved and the solution reversed.  Solves are kept
-    by folded value, so a value and its mirror are solved once.
+    by folded value, so a value and its mirror are solved once.  The
+    matrix is not pre-filled: each row is written once it is known, so a
+    one-value call touches none of it during its solve.
     """
-    w = np.full((orness.size, n), np.nan)
+    w = np.empty((orness.size, n))
     solved = {}
     for row, value in zip(w, orness.tolist()):
         if not 0.0 < value < 1.0:
-            continue
-        if n == 2:
+            row[:] = np.nan
+        elif n == 2:
             row[:] = value, 1.0 - value
         elif value == 0.5:
             row[:] = 1.0 / n
@@ -372,7 +374,9 @@ def _maxent_rows(orness: np.ndarray, n: int) -> np.ndarray:
             a = 1.0 - value if value < 0.5 else value
             if a not in solved:
                 solved[a] = _maxent_solve(a, n)
-            if solved[a] is not None:
+            if solved[a] is None:
+                row[:] = np.nan
+            else:
                 row[:] = solved[a][::-1] if value < 0.5 else solved[a]
     return w
 

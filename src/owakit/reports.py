@@ -268,7 +268,9 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
     Numbers are written at 17 significant digits; a row without weights
     gets ``n`` empty weight cells.  Method and status names contain no
     comma, quote or line break, so no cell needs CSV quoting.  ValueError
-    for a row of another size than ``n``.
+    naming ``n`` unless it is an integer >= 1, and for a row of another
+    size than ``n``; TypeError for a row whose weights are not ``n``
+    numbers.
 
     The weight cells of a row at orness <= 0.5 are kept until the method
     changes.  A later row of that method whose float64 bytes equal a kept
@@ -279,9 +281,9 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
     The rows that need formatting are formatted a block of about
     ``_BLOCK_CELLS`` cells at a time, as the lines are reached: by
     :func:`_exact_cells` for a row whose every cell is +0, 1 or in
-    (1e-11, 1), and by ``%.17g`` for any other row or a block of fewer
-    than ``_MIN_BLOCK_CELLS`` cells.
+    (1e-11, 1), and by ``%.17g`` for any other row.
     """
+    n = _check_n(n, 1)
     weights = ",".join(["%.17g"] * n)
     no_weights = "," * (n - 1)
     pack = struct.Struct(f"{n}d").pack
@@ -301,18 +303,17 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
             continue
         if r.method != method:
             method, kept = r.method, {}
-        w = tuple(r.w)
         try:
             # Bytes, not floats: 0.0 == -0.0, but they print differently.
-            key = pack(*w)
-        except struct.error:  # not n numbers: the template raises its TypeError
-            key = None
+            key = pack(*r.w)
+        except struct.error as exc:
+            raise TypeError(f"row weights are not {n} numbers: {exc}") from None
         if key in kept:
             cells, flip = kept[key]
         else:
-            cells, flip = [w, key], False  # becomes [text] once its block is formatted
+            cells, flip = [key], False  # becomes [text] once its block is formatted
             new.append(cells)
-            if key is not None and r.requested_orness <= 0.5:
+            if r.requested_orness <= 0.5:
                 kept[np.frombuffer(key)[::-1].tobytes()] = (cells, True)  # its mirror
                 kept[key] = (cells, False)
         lines.append((head, cells, flip))
@@ -323,13 +324,12 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
 
 
 def _block_lines(lines, new, n: int, weights: str, end: str):
-    """Format the ``[w, key]`` cells of each row in ``new`` in place, as
+    """Format the ``[key]`` cells of each row in ``new`` in place, as
     ``[text]``, then yield ``lines`` ending in ``end``."""
-    exact = [None] * len(new)
-    if len(new) * n >= _MIN_BLOCK_CELLS and all(key is not None for _, key in new):
-        exact = _exact_cells(np.frombuffer(b"".join(key for _, key in new)).reshape(-1, n))
-    for cells, text in zip(new, exact):
-        cells[:] = [weights % cells[0] if text is None else text]
+    if new:
+        x = np.frombuffer(b"".join(cells[0] for cells in new)).reshape(-1, n)
+        for cells, row, text in zip(new, x, _exact_cells(x)):
+            cells[0] = weights % tuple(row.tolist()) if text is None else text
     for head, cells, flip in lines:
         if cells is None:
             yield head + end
@@ -339,10 +339,8 @@ def _block_lines(lines, new, n: int, weights: str, end: str):
             yield head + cells[0] + end
 
 
-# Rows are formatted a block of about this many cells at a time; below
-# _MIN_BLOCK_CELLS, one ``%`` per row costs less than the numpy passes.
+# Rows are formatted a block of about this many cells at a time.
 _BLOCK_CELLS = 8192
-_MIN_BLOCK_CELLS = 256
 _LOW32 = np.uint64(0xFFFFFFFF)
 _POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
 _TWO_DIGITS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
@@ -449,10 +447,12 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
     flags that produced the file, ending in ``\\n``; the header and rows
     below it end in ``\\r\\n``.  The file is UTF-8 whatever the locale, so
     it never varies between identical runs.  ValueError, before any file is
-    made, for a provenance with a line break.
+    made, for a provenance with a line break or an ``n`` that is not an
+    integer >= 1.
     """
     if "\r" in provenance or "\n" in provenance:
         raise ValueError(f"provenance must be one line; got {provenance!r}")
+    n = _check_n(n, 1)
     # O_EXCL on a random name, as in tempfile.mkstemp, whose files are always 0600.
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
@@ -472,16 +472,21 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
 def read_sweep_csv(path: str) -> list:
     """Parse a UTF-8 sweep CSV back into :class:`MethodReport` rows in one pass, split at commas.
 
-    ValueError naming the path and the file line (``#`` lines counted) for a row with a
-    ``"`` (no cell is quoted), a row that does not match the header or a non-number cell.
+    ValueError naming the path and the file line (``#`` lines counted) for a byte that is not
+    UTF-8, a row with a ``"`` (no cell is quoted), a row that does not match the header or a
+    non-number cell.
     """
 
     def opt_float(s):
         return None if s == "" else float(s)
 
     rows, header, fixed = [], None, len(sweep_header(0))
-    with open(path, encoding="utf-8", newline="") as fh:
+    # surrogateescape reads a byte that is not UTF-8 as U+DC80..U+DCFF, found on its line.
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for k, line in enumerate(fh, 1):
+            bad = not line.isascii() and next((c for c in line if "\udc80" <= c <= "\udcff"), "")
+            if bad:
+                raise ValueError(f"{path} line {k}: byte {ord(bad) - 0xDC00:#04x} is not UTF-8")
             if line.startswith("#"):
                 continue
             rec = line.rstrip("\r\n").split(",")

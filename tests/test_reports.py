@@ -406,6 +406,31 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 4: a cell is not a number"):
             read_sweep_csv(str(path))
 
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("byte", [0xE9, 0xFF], ids=hex)
+    def test_byte_that_is_not_utf8_raises(self, tmp_path, byte, k):
+        # Line 1 is the "#" line, skipped once read; line 4 is a row.
+        path = tmp_path / "s.csv"
+        write_sweep_csv(sweep(3, [METHOD_LINEAR], steps=3), 3, str(path), "flags")
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[k - 1] = lines[k - 1].replace(b"a", bytes([byte]), 1)
+        path.write_bytes(b"".join(lines))
+        message = f"{path} line {k}: byte {byte:#04x} is not UTF-8"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_sweep_csv(str(path))
+
+    @pytest.mark.parametrize("n", [0, -1, True, 5.0, "5"], ids=repr)
+    def test_n_must_be_an_integer_of_at_least_one(self, tmp_path, n):
+        rows = sweep(5, [METHOD_LINEAR], steps=3)
+        with pytest.raises(ValueError, match="^n must be "):
+            list(reports.sweep_lines(rows, n))
+        # In a missing directory, a check made after the temp file's open
+        # would come too late: that open raises FileNotFoundError.
+        for path in (tmp_path / "s.csv", tmp_path / "no_dir" / "s.csv"):
+            with pytest.raises(ValueError, match="^n must be "):
+                write_sweep_csv(rows, n, str(path), "")
+        assert list(tmp_path.iterdir()) == []
+
     def test_quoted_cell_raises(self, tmp_path):
         # The writer quotes no cell, so a quote would otherwise be read back
         # as part of the method name.
@@ -784,10 +809,16 @@ class TestBlocks:
         assert _first_mismatch(rows, n) is None
         assert len(exact_rows) == len(rows) - 3
 
-    def test_small_blocks_take_the_percent_format(self, exact_rows):
-        rows = _random_rows(reports._MIN_BLOCK_CELLS // 7 - 1, 7, 6)
-        assert _first_mismatch(rows, 7) is None
-        assert exact_rows == []
+    def test_small_blocks_take_the_exact_path(self, monkeypatch, exact_rows):
+        shapes, spy = [], reports._exact_cells
+        monkeypatch.setattr(reports, "_exact_cells", lambda x: shapes.append(x.shape) or spy(x))
+        # One row of 7 cells, then 15 rows of 17: a block of 255 cells.
+        for count, n in [(1, 7), (15, 17)]:
+            assert _first_mismatch(_random_rows(count, n, 6), n) is None
+        no_weights = [_row(METHOD_MAXENT, a, None) for a in (0.0, 0.5, 1.0)]
+        assert _first_mismatch(no_weights, 3) is None
+        assert shapes == [(1, 7), (15, 17)]
+        assert len(exact_rows) == 16
 
     def test_rows_may_be_a_generator(self, exact_rows):
         rows = sweep(1000, [METHOD_LINEAR, METHOD_EXPONENTIAL], steps=21)
