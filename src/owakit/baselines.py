@@ -93,7 +93,7 @@ def _exponential_rows(a: np.ndarray, n: int, and_like: np.ndarray) -> np.ndarray
     w = np.empty((a.size, n))
     base = 1.0 - a
     np.power(base[:, np.newaxis], np.arange(n - 1), out=w[:, : n - 1])
-    w *= a[:, np.newaxis]
+    w[:, : n - 1] *= a[:, np.newaxis]
     # Python's float ** per value: numpy's array power differs in the last bit.
     w[:, n - 1] = [b ** (n - 1) for b in base.tolist()]
     w[and_like] = w[and_like, ::-1]

@@ -116,9 +116,11 @@ class OrnessTarget:
 
 def _check_number(value, name: str, low: float, high: float, interval: str) -> float:
     """``value`` as a plain float; ValueError naming ``name`` unless it is
-    a number (not a string, None or an array) in [``low``, ``high``],
-    which NaN is not."""
+    a number (not a bool, a string, None or an array) in [``low``,
+    ``high``], which NaN is not."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         in_range = low <= value <= high
         number = float(value)
     except (TypeError, ValueError):

@@ -285,7 +285,7 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
     """
     n = _check_n(n, 1)
     weights = ",".join(["%.17g"] * n)
-    no_weights = "," * (n - 1)
+    no_weights = ["," * (n - 1)]  # the cells of a row without weights, already text
     pack = struct.Struct(f"{n}d").pack
     per_block = max(1, _BLOCK_CELLS // n)
     yield ",".join(sweep_header(n)) + end
@@ -299,7 +299,7 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
             f"{_fmt(r.achieved_orness)},{_fmt(r.dispersion)},{r.status},"
         )
         if r.w is None:
-            lines.append((head + no_weights, None, False))
+            lines.append((head, no_weights, False))
             continue
         if r.method != method:
             method, kept = r.method, {}
@@ -331,9 +331,7 @@ def _block_lines(lines, new, n: int, weights: str, end: str):
         for cells, row, text in zip(new, x, _exact_cells(x)):
             cells[0] = weights % tuple(row.tolist()) if text is None else text
     for head, cells, flip in lines:
-        if cells is None:
-            yield head + end
-        elif flip:
+        if flip:
             yield head + ",".join(reversed(cells[0].split(","))) + end
         else:
             yield head + cells[0] + end
@@ -365,17 +363,28 @@ def _keep_masks():
 _KEEP = _keep_masks()
 
 
+# By the exponent b = -37..-1 of a cell's binade [2**b, 2**(b+1)), as a negative index, and
+# from Python integers: F = floor(log10 2**b), as 10**-F is the least power of ten >= 2**-b;
+# and the least m for which m * 2**(b-52) >= 10**(F+1) - 5 * 10**(F-17), so rounds to 10**(F+1)
+# at 17 digits (a tie rounds to even: up).
+_FLOOR_LOG10 = np.array([-len(str(2**-b - 1)) for b in range(-37, 0)])
+_NEXT_DECADE = np.array(
+    [-((5 - 10**18 << 52 - b) // 10 ** (17 - f)) for b, f in enumerate(_FLOOR_LOG10.tolist(), -37)],
+    np.uint64,
+)
+
+
 def _exact_cells(x: np.ndarray) -> list:
     """``",".join("%.17g" % v for v in row)`` for each row of the float64
     matrix ``x`` whose every cell is +0, 1 or in (1e-11, 1); None for any
     other row.
 
-    A cell v = m * 2**e in (1e-11, 1), with m < 2**53, has its decade E in
-    [-11, -1] and its 17 digits D = round-half-even(m * 5**(16-E) / 2**s),
-    s = -e - (16-E) in [35, 63]; the product is below 2**116 and is taken
-    exactly in 32-bit limbs.  Where :func:`_decade_guess` is one off, the
-    quotient falls outside [10**16, 10**17) and is taken again at the next
-    decade.  The digits go onto a canvas two at a time, and the layout
+    A cell v = m * 2**(b-52) in (1e-11, 1), 2**52 <= m < 2**53, has its decade E
+    in [-11, -1] and its 17 digits D = round-half-even(m * 5**(16-E) / 2**s),
+    s = 36 - b + E in [35, 63]; the product is below 2**116 and is taken
+    exactly in 32-bit limbs.  Its binade [2**b, 2**(b+1)) holds at most one
+    power of ten, so E is read from b and m by two tables and one
+    comparison.  The digits go onto a canvas two at a time, and the layout
     ``%g`` picks (fixed for E >= -4, scientific below) keeps the bytes it
     needs, without trailing zeros.
     """
@@ -388,13 +397,9 @@ def _exact_cells(x: np.ndarray) -> list:
     safe = np.where(ends, 0.5, v)  # the two ends take their own layout
     bits = safe.view(np.uint64)
     m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
-    s0 = 1059 - (bits >> np.uint64(52)).astype(np.int64)  # s = s0 + E
-    E = _decade_guess(safe)
-    D, up = _scaled_digits(m, s0 + E, 16 - E)
-    i = np.flatnonzero((D < 10**16) | (D >= 10**17))  # E is one off
-    E[i] += np.where(D[i] >= 10**17, 1, -1)
-    D[i], up[i] = _scaled_digits(m[i], s0[i] + E[i], 16 - E[i])
-    D += up
+    b = (bits.view(np.int64) >> 52) - 1023
+    E = _FLOOR_LOG10[b] + (m >= _NEXT_DECADE[b])
+    D = _scaled_digits(m, 36 - b + E, 16 - E)
     first, rest = np.divmod(D, np.uint64(10**16))
     eights = np.empty((len(D), 2), np.uint32)
     eights[:, 0], eights[:, 1] = np.divmod(rest, np.uint64(10**8))
@@ -416,14 +421,8 @@ def _exact_cells(x: np.ndarray) -> list:
     return [next(text) if good else None for good in ok.tolist()]
 
 
-def _decade_guess(v: np.ndarray) -> np.ndarray:
-    """floor(log10(v)) in [-11, -1] for ``v`` in (1e-11, 1): the decade,
-    or one off where ``log10`` rounds across a power of ten."""
-    return np.clip(np.floor(np.log10(v)), -11, -1).astype(np.int64)
-
-
 def _scaled_digits(m, s, k):
-    """floor(m * 5**k / 2**s) and whether it rounds up (half to even), for
+    """m * 5**k / 2**s rounded to an integer, half to even, for
     uint64 ``m`` < 2**53, ``k`` <= 27 and 1 <= ``s`` <= 63."""
     p = _POW5[k]
     s = s.astype(np.uint64)
@@ -436,7 +435,7 @@ def _scaled_digits(m, s, k):
     high = m1 * p1 + (cross >> b32) + (cross2 >> b32) + (carry >> b32)  # bits 64..
     q = (high << (np.uint64(64) - s)) | (mid >> s)
     rem, half = mid & ((one << s) - one), one << (s - one)
-    return q, (rem > half) | ((rem == half) & (q & one == one))
+    return q + ((rem > half) | ((rem == half) & (q & one == one)))
 
 
 def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:

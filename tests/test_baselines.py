@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,34 @@ class TestExponentialRaw:
         for a in np.linspace(0.0, 1.0, 21):
             for n in (2, 5, 40):
                 assert exponential_raw(a, n).w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("fill", [np.inf, -np.inf, "signaling NaN"])
+    @pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
+    def test_no_arithmetic_on_unwritten_memory(self, monkeypatch, fill, a):
+        # The last column of the fresh matrix is written, not scaled: the
+        # memory it held before (inf * 0 is invalid) takes no part.
+        expected = {(n, kind): exponential_raw(a, n, kind).w.tobytes()
+                    for n in (2, 4, 5, 10, 50) for kind in ("or-like", "and-like")}
+        empty = np.empty
+
+        def filled(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if fill == "signaling NaN":
+                out.view(np.uint64).fill(0x7FF0000000000001)
+            else:
+                out.fill(fill)
+            return out
+
+        monkeypatch.setattr(np, "empty", filled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = {key: exponential_raw(a, *key).w.tobytes() for key in expected}
+        assert got == expected
+
+    @pytest.mark.parametrize("flag", [False, True, np.True_], ids=repr)
+    def test_a_bool_is_not_a_number(self, flag):
+        with pytest.raises(ValueError, match="^parameter a must be a number; got "):
+            exponential_raw(flag, 5)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -323,7 +352,7 @@ PUBLIC_CALLS = {
 }
 
 
-@pytest.mark.parametrize("orness_value", ["0.3", None])
+@pytest.mark.parametrize("orness_value", ["0.3", None, True, np.True_], ids=repr)
 @pytest.mark.parametrize("call", PUBLIC_CALLS.values(), ids=PUBLIC_CALLS.keys())
 def test_orness_must_be_a_number(call, orness_value):
     # One type rule: a ValueError naming the value, never a TypeError from

@@ -127,7 +127,9 @@ class TestOrnessTarget:
             OrnessTarget(0.5, beta)
 
     @pytest.mark.parametrize(
-        "value", ["0.3", None, np.array([0.3]), np.array([0.3, 0.4])], ids=repr
+        "value",
+        ["0.3", None, np.array([0.3]), np.array([0.3, 0.4]), True, False, np.True_],
+        ids=repr,
     )
     def test_non_numbers_are_value_errors(self, value):
         with pytest.raises(ValueError, match="^orness must be a number; got "):

@@ -31,6 +31,17 @@ class TestFAlpha:
         with pytest.raises(ValueError, match="beta"):
             f_alpha(0.3, 1.6)
 
+    @pytest.mark.parametrize("flag", [False, True, np.False_, np.True_], ids=repr)
+    def test_a_bool_is_not_a_number(self, flag):
+        with pytest.raises(ValueError, match="^alpha must be a number; got "):
+            f_alpha(flag, 1.5)
+        with pytest.raises(ValueError, match="^alpha must be a number; got "):
+            linear_coefficients(flag, 5)
+        with pytest.raises(ValueError, match="^beta must be a number; got "):
+            f_alpha(0.25, flag)
+        with pytest.raises(ValueError, match="^beta must be a number; got "):
+            linear_coefficients(0.25, 5, flag)
+
     @pytest.mark.parametrize("beta", BETAS)
     def test_monotone_and_bounded(self, beta):
         alphas = np.linspace(0.0, 0.5, 501)

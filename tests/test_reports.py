@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from decimal import Decimal
+from fractions import Fraction
 from itertools import zip_longest
 
 import numpy as np
@@ -263,10 +263,11 @@ class TestSweep:
             (1000, [METHOD_LINEAR, METHOD_EXPONENTIAL, "bogus"], (DEFAULT_BETA,), "^unknown method 'bogus'$"),
             (1000, [METHOD_EXPONENTIAL, METHOD_LINEAR], [2.0], "^beta must be in"),
             (1000, [METHOD_EXPONENTIAL, METHOD_LINEAR], [None], "^beta must be a number; got None$"),
+            (1000, [METHOD_EXPONENTIAL, METHOD_LINEAR], [True], "^beta must be a number; got True$"),
             (1, [METHOD_LINEAR, METHOD_EXPONENTIAL], (DEFAULT_BETA,), "^n must be >= 2"),
             (1000, [METHOD_EXPONENTIAL, METHOD_LINEAR], [1.5, 1.5], "^betas repeats 1.5$"),
         ],
-        ids=["unknown method", "beta", "None beta", "n", "repeated beta"],
+        ids=["unknown method", "beta", "None beta", "bool beta", "n", "repeated beta"],
     )
     def test_arguments_are_checked_before_any_kernel_runs(self, monkeypatch, n, methods, betas, message):
         runs = []
@@ -705,17 +706,30 @@ class TestExactCells:
         expected = [",".join("%.17g" % v for v in row) for row in x.tolist()]
         assert reports._exact_cells(x) == expected
 
-    @pytest.mark.parametrize("off", [-1, 1])
-    def test_a_decade_guess_one_off_is_corrected(self, monkeypatch, off):
-        def guess(v):
-            decades = np.array([Decimal(x).adjusted() for x in v.tolist()])
-            return np.clip(decades + off, -11, -1)
-
-        monkeypatch.setattr(reports, "_decade_guess", guess)
-        assert _exact_cell_mismatches() == []
+    def test_decade_tables_are_exact(self):
+        # The cells in (1e-11, 1) lie in the binades [2**b, 2**(b+1)), b = -37..-1.
+        assert 2.0**-37 < 1e-11 < 2.0**-36 and len(reports._FLOOR_LOG10) == 37
+        cells = []
+        for b in range(-37, 0):
+            f, m = int(reports._FLOOR_LOG10[b]), int(reports._NEXT_DECADE[b])
+            assert Fraction(10) ** f <= Fraction(2) ** b < Fraction(10) ** (f + 1)
+            # The least m with m * 2**(b-52) at or above 10**(f+1) less half a
+            # unit in its 17th digit.
+            bounds = [Fraction(10) ** (f + 1) * (1 - Fraction(5, 10**18))]
+            cells += [2.0**b, np.nextafter(2.0**b, 0.0)]
+            if m < 2**53:  # the binade holds 10**(f+1), whose least double above is m's
+                bounds.append(Fraction(10) ** (f + 1))
+                cells += [m * 2.0 ** (b - 52), (m - 1) * 2.0 ** (b - 52)]
+            for bound in bounds:
+                assert Fraction(m - 1, 2 ** (52 - b)) < bound <= Fraction(m, 2 ** (52 - b))
+        # Not 2**-37, its predecessor, and the double 1e-11, which is below 10**-11.
+        cells = [v for v in cells if v > 1e-11]
+        assert len(cells) == 2 * 37 + 2 * 11 - 3
+        assert reports._exact_cells(np.array(cells)[:, None]) == ["%.17g" % v for v in cells]
 
     def test_cells_without_avx512(self):
-        # numpy's log10 may round differently on other SIMD targets.
+        # No decade depends on log10 any more, but the digits still come from
+        # numpy loops that dispatch on the SIMD target: check another target.
         if _dispatch() != DISPATCH_AVX512:
             pytest.skip("numpy has no AVX-512 dispatch here")
         src = os.path.dirname(os.path.dirname(reports.__file__))
