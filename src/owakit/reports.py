@@ -381,7 +381,7 @@ def _exact_cells(x: np.ndarray) -> list:
 
     A cell v = m * 2**(b-52) in (1e-11, 1), 2**52 <= m < 2**53, has its decade E
     in [-11, -1] and its 17 digits D = round-half-even(m * 5**(16-E) / 2**s),
-    s = 36 - b + E in [35, 63]; the product is below 2**116 and is taken
+    s = 36 - b + E in [36, 62]; the product is below 2**116 and is taken
     exactly in 32-bit limbs.  Its binade [2**b, 2**(b+1)) holds at most one
     power of ten, so E is read from b and m by two tables and one
     comparison.  The digits go onto a canvas two at a time, and the layout
