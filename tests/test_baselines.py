@@ -352,7 +352,9 @@ PUBLIC_CALLS = {
 }
 
 
-@pytest.mark.parametrize("orness_value", ["0.3", None, True, np.True_], ids=repr)
+@pytest.mark.parametrize(
+    "orness_value", ["0.3", None, True, np.True_], ids=["0.3", "None", "True", "np.True_"]
+)
 @pytest.mark.parametrize("call", PUBLIC_CALLS.values(), ids=PUBLIC_CALLS.keys())
 def test_orness_must_be_a_number(call, orness_value):
     # One type rule: a ValueError naming the value, never a TypeError from
