@@ -23,7 +23,7 @@ from .reports import (
     bench,
     evaluate_method,
     report_to_dict,
-    sweep,
+    _sweep_rows,
     sweep_lines,
     write_sweep_csv,
 )
@@ -115,7 +115,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_sweep(args) -> int:
     betas = args.beta if args.beta else [DEFAULT_BETA]
-    rows = sweep(args.n, _FLAG_METHODS[args.method], betas=betas, steps=args.steps)
+    rows = _sweep_rows(args.n, _FLAG_METHODS[args.method], betas, args.steps)
     provenance = (
         f"sweep --n {args.n} --method {args.method} "
         f"--steps {args.steps} betas={','.join(format(b, '.17g') for b in betas)}"

@@ -22,12 +22,15 @@ class DimensionMismatchError(ValueError):
 
 def _real_array(values, name: str) -> np.ndarray:
     """``values`` as a float array; ValueError naming ``name`` unless it is 1-d, non-empty
-    and real (no strings or complex values).  May share the caller's buffer:
-    an exact native-float64 1-d ndarray is returned as is."""
+    and real (no bools, also not among a list's floats, strings or complex values).  May
+    share the caller's buffer: an exact native-float64 1-d ndarray is returned as is."""
     if type(values) is np.ndarray and values.dtype is _FLOAT64 and values.ndim == 1 and values.size:
         return values
     arr = np.asarray(values)
-    if arr.dtype.kind not in "biuf" and not all(isinstance(v, numbers.Real) for v in arr.flat):
+    items = values if isinstance(values, (list, tuple)) else arr.flat if arr.dtype == object else ()
+    if arr.dtype.kind == "b" or not {bool, np.bool_}.isdisjoint(map(type, items)):
+        raise ValueError(f"{name} must be real numbers, not bools")
+    if arr.dtype.kind not in "iuf" and not all(isinstance(v, numbers.Real) for v in arr.flat):
         raise ValueError(f"{name} must be real numbers; got dtype {arr.dtype}")
     arr = arr.astype(float, copy=False)
     if arr.ndim != 1 or arr.size < 1:

@@ -162,7 +162,7 @@ def evaluate_method(
     m = _method(method)
     grid = [_check_orness(requested)]
     beta = _check_beta(DEFAULT_BETA if beta is None else beta) if m.takes_beta else None
-    return _rows(m, grid, _check_n(n, m.min_n), beta)[0]
+    return next(_rows(m, grid, _check_n(n, m.min_n), beta))
 
 
 def sweep(
@@ -176,20 +176,24 @@ def sweep(
     ``methods`` and ``betas`` each hold at least one item and no repeat.
     Methods that take beta produce rows once per beta; the others ignore
     betas, whose items go unchecked when no listed method takes them.
-    Every argument is checked before the first kernel runs.  Rows come
-    back sorted by (method, requested_orness, beta).
+    Every argument is checked before the first kernel runs.  Rows are made in
+    (method, requested_orness, beta) order, so ``owakit sweep`` writes each as it
+    is made: it holds one method's kernel matrices and the kept rows of the writer.
     """
+    return list(_sweep_rows(n, methods, betas, steps))
+
+
+def _sweep_rows(n, methods, betas, steps):
+    """:func:`sweep`'s rows as they are taken, its arguments checked first.  zip takes
+    a point's row of every beta, so all of a method's kernels run at its first row."""
     grid = _grid(steps)
     ms = _checked_list(methods, "methods", "method names", "method", _method)
     takes_beta = any(m.takes_beta for m in ms)
     betas = _checked_list(betas, "betas", "numbers", "beta", _check_beta if takes_beta else None)
-    runs = [(m, b) for m in ms for b in (betas if m.takes_beta else (None,))]
     n = _check_n(n, max(m.min_n for m in ms))
-    rows = [row for m, beta in runs for row in _rows(m, grid, n, beta)]
-    rows.sort(
-        key=lambda r: (r.method, r.requested_orness, r.beta if r.beta is not None else -1.0)
-    )
-    return rows
+    ms.sort(key=lambda m: m.name)
+    runs = [(m, sorted(betas) if m.takes_beta else [None]) for m in ms]
+    return (r for m, bs in runs for p in zip(*(_rows(m, grid, n, b) for b in bs)) for r in p)
 
 
 def _checked_list(seq, name: str, what: str, item: str, check: Optional[Callable]) -> list:
@@ -218,29 +222,27 @@ def _checked_list(seq, name: str, what: str, item: str, check: Optional[Callable
     return checked
 
 
-def _rows(m: Method, grid: list, n: int, beta: Optional[float]) -> list:
+def _rows(m: Method, grid: list, n: int, beta: Optional[float]):
     """One report per orness in ``grid``, all in [0, 1], for ``n`` and
-    ``beta`` already checked: one kernel call and one read-only check of
-    the weight matrix, whose rows need no clip.  A row is unsupported at
-    orness 0 and 1 for a method without ``endpoints``, and unstable when
-    it fails the simplex check or, for a calibrated method, misses its
-    orness by more than ``ORNESS_TOL``."""
+    ``beta`` already checked, yielded in grid order: one kernel call and
+    one read-only check of the weight matrix, whose rows need no clip.  A
+    row is unsupported at orness 0 and 1 for a method without
+    ``endpoints``, and unstable when it fails the simplex check or, for a
+    calibrated method, misses its orness by more than ``ORNESS_TOL``."""
     w = m.kernel(np.array(grid, dtype=float), n, beta)
     problems, achieved = _simplex_rows(w), _orness_rows(w)
 
     def failed(requested, status):
         return MethodReport(m.name, beta, n, requested, None, None, None, status)
 
-    rows = []
     for requested, got, row, problem in zip(grid, achieved, w, problems):
         if not m.endpoints and requested in (0.0, 1.0):
-            rows.append(failed(requested, STATUS_UNSUPPORTED))
+            yield failed(requested, STATUS_UNSUPPORTED)
         elif problem is not None or (m.calibrated and abs(got - requested) > ORNESS_TOL):
-            rows.append(failed(requested, STATUS_UNSTABLE))
+            yield failed(requested, STATUS_UNSTABLE)
         else:
             disp, values = _dispersion_array(row), tuple(row.tolist())
-            rows.append(MethodReport(m.name, beta, n, requested, got, disp, values, STATUS_OK))
-    return rows
+            yield MethodReport(m.name, beta, n, requested, got, disp, values, STATUS_OK)
 
 
 def _grid(steps) -> list:

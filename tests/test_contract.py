@@ -9,7 +9,14 @@ import owakit
 NUMBER, ARRAY, WEIGHTS, OTHER = "number", "array", "weights", "other"
 BAD = {
     NUMBER: ["0.3", None, np.array([0.3, 0.4])],
-    ARRAY: [["0.5", "0.5"], [0.5 + 1j, 0.5], [0.5, None]],
+    ARRAY: [
+        ["0.5", "0.5"],
+        [0.5 + 1j, 0.5],
+        [0.5, None],
+        [True, False],
+        np.array([True, False]),
+        [0.5, True],
+    ],
     WEIGHTS: [[0.5, 0.5], None, np.array([0.5, 0.5])],
 }
 W2 = owakit.WeightVector([0.5, 0.5])

@@ -258,7 +258,8 @@ class TestAggregate:
         # whose items are all real numbers.
         w = WeightVector([Fraction(1, 2), Fraction(1, 2)])
         assert aggregate(w, [2**70, 0]) == 2.0**69
-        assert aggregate(w, np.array([True, False])) == 0.5
+        with pytest.raises(ValueError, match="^inputs must be real numbers, not bools$"):
+            aggregate(w, np.array([True, False]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 100, 1000])
     def test_bit_identical_to_stable_argsort(self, n):

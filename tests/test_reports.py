@@ -23,7 +23,7 @@ from owakit import (
     maxent_weights,
     orness,
 )
-from owakit import reports
+from owakit import cli, reports
 from owakit.baselines import CalibrationError, MaxentInstabilityError, UnsupportedOrnessError
 from owakit.core import DEFAULT_BETA
 from owakit.cli import main
@@ -159,9 +159,12 @@ class TestSweep:
                 assert disp[key] == pytest.approx(disp[mirror], abs=1e-9)
 
     def test_rows_sorted(self):
-        rows = sweep(4, list(ALL_METHODS), steps=11)
-        keys = [(r.method, r.requested_orness) for r in rows]
-        assert keys == sorted(keys)
+        # Methods and betas given out of order; a missing beta sorts first.
+        methods = [METHOD_MAXENT, METHOD_LINEAR, METHOD_EXPONENTIAL_NO_PRESET, METHOD_EXPONENTIAL]
+        rows = sweep(4, methods, betas=[1.5, 1.0, 1.25], steps=11)
+        keys = [(r.method, r.requested_orness, r.beta is not None, r.beta or 0.0) for r in rows]
+        assert keys == sorted(set(keys))
+        assert len(keys) == 11 * 6
 
     def test_ok_rows_meet_tolerance(self):
         rows = sweep(5, list(ALL_METHODS), steps=21)
@@ -310,6 +313,58 @@ class TestSweep:
             sweep(5, [METHOD_LINEAR], steps=True)
         with pytest.raises(ValueError, match="^reps must be an integer; got True$"):
             bench([5], reps=True)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The (method, beta) of each kernel call, in call order."""
+    calls = []
+
+    def counted(m):
+        def kernel(a, n, beta):
+            calls.append((m.name, beta))
+            return m.kernel(a, n, beta)
+
+        return dataclasses.replace(m, kernel=kernel)
+
+    monkeypatch.setattr(reports, "METHODS", tuple(counted(m) for m in METHODS))
+    return calls
+
+
+class TestStreaming:
+    # owakit sweep writes rows as they are made, from the iterator sweep lists.
+    ARGS = ["sweep", "--n", "6", "--method", "all", "--steps", "11", "--beta", "1.5", "--beta", "1.0"]
+
+    def test_first_row_runs_only_the_first_methods_kernels(self, kernel_calls):
+        rows = reports._sweep_rows(5, [METHOD_MAXENT, METHOD_LINEAR], [1.5, 1.0, 1.25], 11)
+        assert kernel_calls == []
+        first = next(rows)
+        assert (first.method, first.beta, first.requested_orness) == (METHOD_LINEAR, 1.0, 0.0)
+        assert kernel_calls == [(METHOD_LINEAR, 1.0), (METHOD_LINEAR, 1.25), (METHOD_LINEAR, 1.5)]
+        rest = list(rows)
+        assert kernel_calls[3:] == [(METHOD_MAXENT, None)]
+        assert [first] + rest == sweep(5, [METHOD_MAXENT, METHOD_LINEAR], [1.5, 1.0, 1.25], 11)
+
+    def test_cli_hands_the_writer_an_iterator(self, monkeypatch, tmp_path, capsys):
+        given = []
+
+        def spy(rows, n, path, provenance):
+            given.append((rows, provenance))
+            write_sweep_csv(rows, n, path, provenance)
+
+        monkeypatch.setattr(cli, "write_sweep_csv", spy)
+        out = tmp_path / "cli.csv"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        ((rows, provenance),) = given
+        assert not isinstance(rows, (list, tuple)) and iter(rows) is rows
+        ref = tmp_path / "ref.csv"
+        write_sweep_csv(sweep(6, list(ALL_METHODS), [1.5, 1.0], 11), 6, str(ref), provenance)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_unwritable_out_exits_4_before_any_kernel_runs(self, kernel_calls, tmp_path, capsys):
+        assert main(self.ARGS + ["--out", str(tmp_path / "missing" / "s.csv")]) == 4
+        assert "cannot write" in capsys.readouterr().err
+        assert kernel_calls == []
 
 
 class TestCsv:
