@@ -22,7 +22,7 @@ class DimensionMismatchError(ValueError):
 
 def _real_array(values, name: str) -> np.ndarray:
     """``values`` as a float array; ValueError naming ``name`` unless it is 1-d, non-empty
-    and real (no bools, also not among a list's floats, strings or complex values).  May
+    and real (no bools, even among a list's floats, and no strings or complex values).  May
     share the caller's buffer: an exact native-float64 1-d ndarray is returned as is."""
     if type(values) is np.ndarray and values.dtype is _FLOAT64 and values.ndim == 1 and values.size:
         return values
