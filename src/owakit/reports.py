@@ -19,12 +19,14 @@ parsing them back is lossless.  The families are mirror-symmetric (the
 vector at orness 1 - a is the one at a reversed), so the writer reuses
 the weight cells of a repeated or mirrored row: the bytes are those of
 formatting every cell.  The other weight rows are formatted in numpy
-blocks by exact integer arithmetic, byte for byte as ``%.17g``, when
-every cell is +0, 1 or in (1e-11, 1); a row with any other cell (-0,
-a subnormal, a tiny or negative weight, NaN) goes through ``%.17g``.
+blocks by exact integer arithmetic, byte for byte as ``%.17g``, cell by
+cell: +0, 1 and every cell in (0, 1), subnormals included, get their
+digits from :mod:`owakit._digits`; ``%.17g`` is spliced in for any other
+cell alone (-0, a negative weight, NaN).
 """
 
 import dataclasses
+import errno
 import os
 import struct
 import time
@@ -33,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _digits
 from .baselines import (
     ORNESS_TOL,
     _calibrated_exponential_array,
@@ -281,12 +283,11 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
     value's bytes alone, so the output is the same as formatting every row.
 
     The rows that need formatting are formatted a block of about
-    ``_BLOCK_CELLS`` cells at a time, as the lines are reached: by
-    :func:`_exact_cells` for a row whose every cell is +0, 1 or in
-    (1e-11, 1), and by ``%.17g`` for any other row.
+    ``_BLOCK_CELLS`` cells at a time, as the lines are reached, by
+    :func:`_exact_cells`: exact digits for each cell in [0, 1] but -0, and
+    ``%.17g`` spliced in for each other cell alone.
     """
     n = _check_n(n, 1)
-    weights = ",".join(["%.17g"] * n)
     no_weights = ["," * (n - 1)]  # the cells of a row without weights, already text
     pack = struct.Struct(f"{n}d").pack
     per_block = max(1, _BLOCK_CELLS // n)
@@ -320,18 +321,18 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
                 kept[key] = (cells, False)
         lines.append((head, cells, flip))
         if len(new) == per_block:
-            yield from _block_lines(lines, new, n, weights, end)
+            yield from _block_lines(lines, new, n, end)
             lines, new = [], []
-    yield from _block_lines(lines, new, n, weights, end)
+    yield from _block_lines(lines, new, n, end)
 
 
-def _block_lines(lines, new, n: int, weights: str, end: str):
+def _block_lines(lines, new, n: int, end: str):
     """Format the ``[key]`` cells of each row in ``new`` in place, as
     ``[text]``, then yield ``lines`` ending in ``end``."""
     if new:
         x = np.frombuffer(b"".join(cells[0] for cells in new)).reshape(-1, n)
-        for cells, row, text in zip(new, x, _exact_cells(x)):
-            cells[0] = weights % tuple(row.tolist()) if text is None else text
+        for cells, text in zip(new, _exact_cells(x)):
+            cells[0] = text
     for head, cells, flip in lines:
         if flip:
             yield head + ",".join(reversed(cells[0].split(","))) + end
@@ -341,67 +342,49 @@ def _block_lines(lines, new, n: int, weights: str, end: str):
 
 # Rows are formatted a block of about this many cells at a time.
 _BLOCK_CELLS = 8192
-_LOW32 = np.uint64(0xFFFFFFFF)
-_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
 _TWO_DIGITS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
-# One cell's canvas: "0.000" for the fixed layout, then the 17 digits
-# with a point after the first, "e-" and the decade, then the separator.
-_CANVAS = np.frombuffer(b"0.000d.0000000000000000e-00,", np.uint8)
+# By -E = 0..324: "-" and the decade's three digits.
+_DECADES = np.frombuffer(("-%03d" * 325 % tuple(range(325))).encode(), np.uint32)
+# One cell's canvas: "0.000" for the fixed layout, then the 17 digits with a
+# point after the first, "e-" and a three-digit decade, then the separator.
+_CANVAS = np.frombuffer(b"0.000d.0000000000000000e-000,", np.uint8)
 
 
 def _keep_masks():
     """The canvas bytes each layout keeps: row 0 for a cell of 0 or 1,
-    then one row per decade E = -11..-1 and digit count L = 1..17."""
+    then one row per decade E = -1..-324 and digit count L = 1..17."""
     col = np.arange(len(_CANVAS))
-    E = np.arange(-11, 0)[:, None, None]
+    E = np.array([-1, -2, -3, -4, -5, -100])[:, None, None]  # the decades' six layouts
     L = np.arange(1, 18)[None, :, None]
     digits = (col == 5) | ((col >= 7) & (col <= 5 + L))
     fixed = digits | (col < 1 - E)  # "0." and -E-1 zeros
-    scientific = digits | ((col == 6) & (L > 1)) | ((col >= 23) & (col <= 26))
-    keep = np.where(E >= -4, fixed, scientific).reshape(-1, len(col))
+    decade = (col == 23) | (col == 24) | ((col >= 26 - (E <= -100)) & (col <= 27))
+    scientific = digits | ((col == 6) & (L > 1)) | decade
+    keep = np.repeat(np.where(E >= -4, fixed, scientific), [1, 1, 1, 1, 95, 225], axis=0)
+    keep = keep.reshape(-1, len(col))
     return np.vstack([col == 0, keep]) | (col == len(col) - 1)
 
 
 _KEEP = _keep_masks()
 
 
-# By the exponent b = -37..-1 of a cell's binade [2**b, 2**(b+1)), as a negative index, and
-# from Python integers: F = floor(log10 2**b), as 10**-F is the least power of ten >= 2**-b;
-# and the least m for which m * 2**(b-52) >= 10**(F+1) - 5 * 10**(F-17), so rounds to 10**(F+1)
-# at 17 digits (a tie rounds to even: up).
-_FLOOR_LOG10 = np.array([-len(str(2**-b - 1)) for b in range(-37, 0)])
-_NEXT_DECADE = np.array(
-    [-((5 - 10**18 << 52 - b) // 10 ** (17 - f)) for b, f in enumerate(_FLOOR_LOG10.tolist(), -37)],
-    np.uint64,
-)
-
-
 def _exact_cells(x: np.ndarray) -> list:
     """``",".join("%.17g" % v for v in row)`` for each row of the float64
-    matrix ``x`` whose every cell is +0, 1 or in (1e-11, 1); None for any
-    other row.
+    matrix ``x``.
 
-    A cell v = m * 2**(b-52) in (1e-11, 1), 2**52 <= m < 2**53, has its decade E
-    in [-11, -1] and its 17 digits D = round-half-even(m * 5**(16-E) / 2**s),
-    s = 36 - b + E in [36, 62]; the product is below 2**116 and is taken
-    exactly in 32-bit limbs.  Its binade [2**b, 2**(b+1)) holds at most one
-    power of ten, so E is read from b and m by two tables and one
-    comparison.  The digits go onto a canvas two at a time, and the layout
-    ``%g`` picks (fixed for E >= -4, scientific below) keeps the bytes it
-    needs, without trailing zeros.
+    Every cell that is +0, 1 or in (0, 1) takes its 17 digits D and decade
+    E from :func:`owakit._digits.decimal`, exactly.  The digits go onto a
+    canvas two at a time, and the layout ``%g`` picks (fixed for E >= -4,
+    scientific below) keeps the bytes it needs, without trailing zeros.
+    ``"%.17g" % v`` is spliced into its row for each other cell (-0, NaN,
+    +-inf, a negative cell or one above 1) and for each cell whose rounding
+    the digits leave too close to call.
     """
     n = x.shape[1]
-    ok = ((x > 1e-11) & (x < 1.0)) | (x == 1.0) | ((x == 0.0) & ~np.signbit(x))
-    ok = ok.all(axis=1)
-    v = (x if ok.all() else x[ok]).ravel()
-    ends = v == 0.0
-    ends |= v == 1.0
-    safe = np.where(ends, 0.5, v)  # the two ends take their own layout
-    bits = safe.view(np.uint64)
-    m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
-    b = (bits.view(np.int64) >> 52) - 1023
-    E = _FLOOR_LOG10[b] + (m >= _NEXT_DECADE[b])
-    D = _scaled_digits(m, 36 - b + E, 16 - E)
+    v = x.ravel()
+    inner = (v > 0.0) & (v < 1.0)
+    D, E, splice = _digits.decimal(np.where(inner, v, 0.5))  # the ends take their own layout
+    splice |= ~(inner | (v == 1.0) | ((v == 0.0) & ~np.signbit(v)))
     first, rest = np.divmod(D, np.uint64(10**16))
     eights = np.empty((len(D), 2), np.uint32)
     eights[:, 0], eights[:, 1] = np.divmod(rest, np.uint64(10**8))
@@ -414,30 +397,18 @@ def _exact_cells(x: np.ndarray) -> list:
     canvas[:, 0] += v == 1.0
     canvas[:, 5] = first + ord("0")
     canvas[:, 7:23] = np.take(_TWO_DIGITS, pairs).reshape(len(D), 8).view(np.uint8)
-    canvas[:, 25:27] = np.take(_TWO_DIGITS, -E)[:, None].view(np.uint8)
+    canvas[:, 24:28] = np.take(_DECADES, -E)[:, None].view(np.uint8)
     canvas[n - 1 :: n, -1] = ord("\n")
     # Digits kept: up to the last nonzero one; column 6 ('.') stops the search.
     digits = 17 - (canvas[:, 22:5:-1] != ord("0")).argmax(axis=1)
-    layout = np.where(ends, 0, 1 + (E + 11) * 17 + digits - 1)
-    text = iter(canvas[np.take(_KEEP, layout, axis=0)].tobytes().decode("ascii").split("\n"))
-    return [next(text) if good else None for good in ok.tolist()]
-
-
-def _scaled_digits(m, s, k):
-    """m * 5**k / 2**s rounded to an integer, half to even, for
-    uint64 ``m`` < 2**53, ``k`` <= 27 and 1 <= ``s`` <= 63."""
-    p = _POW5[k]
-    s = s.astype(np.uint64)
-    one, b32 = np.uint64(1), np.uint64(32)
-    m0, m1 = m & _LOW32, m >> b32
-    p0, p1 = p & _LOW32, p >> b32
-    low, cross, cross2 = m0 * p0, m0 * p1, m1 * p0
-    carry = (cross & _LOW32) + (cross2 & _LOW32) + (low >> b32)
-    mid = (carry << b32) | (low & _LOW32)  # bits 0..63 of the product
-    high = m1 * p1 + (cross >> b32) + (cross2 >> b32) + (carry >> b32)  # bits 64..
-    q = (high << (np.uint64(64) - s)) | (mid >> s)
-    rem, half = mid & ((one << s) - one), one << (s - one)
-    return q + ((rem > half) | ((rem == half) & (q & one == one)))
+    layout = np.where(inner, (-E - 1) * 17 + digits, 0)
+    lines = canvas[np.take(_KEEP, layout, axis=0)].tobytes().decode("ascii").split("\n")
+    for i in np.flatnonzero(splice.reshape(-1, n).any(axis=1)).tolist():
+        cells = lines[i].split(",")
+        for j in np.flatnonzero(splice[i * n : i * n + n]).tolist():
+            cells[j] = "%.17g" % v[i * n + j]
+        lines[i] = ",".join(cells)
+    return lines[:-1]
 
 
 def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
@@ -447,13 +418,16 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
     The first line is a ``#`` comment carrying the tool version and the
     flags that produced the file, ending in ``\\n``; the header and rows
     below it end in ``\\r\\n``.  The file is UTF-8 whatever the locale, so
-    it never varies between identical runs.  ValueError, before any file is
-    made, for a provenance with a line break or an ``n`` that is not an
-    integer >= 1.
+    it never varies between identical runs.  Before any file is made or row
+    taken: ValueError for a provenance with a line break or an ``n`` that is
+    not an integer >= 1, and IsADirectoryError naming ``path`` if it is a
+    directory.
     """
     if "\r" in provenance or "\n" in provenance:
         raise ValueError(f"provenance must be one line; got {provenance!r}")
     n = _check_n(n, 1)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     # O_EXCL on a random name, as in tempfile.mkstemp, whose files are always 0600.
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")

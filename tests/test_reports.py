@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -23,7 +24,7 @@ from owakit import (
     maxent_weights,
     orness,
 )
-from owakit import cli, reports
+from owakit import _digits, cli, reports
 from owakit.baselines import CalibrationError, MaxentInstabilityError, UnsupportedOrnessError
 from owakit.core import DEFAULT_BETA
 from owakit.cli import main
@@ -45,7 +46,14 @@ from owakit.reports import (
     sweep,
     write_sweep_csv,
 )
-from test_arrays import DISPATCH_AVX512, DISPATCH_X86_V3, NO_AVX512_ENV, _dispatch
+from test_arrays import (
+    DISPATCH_AVX512,
+    DISPATCH_X86_V3,
+    LINEAR_ONLY_AT_1000,
+    NO_AVX512_ENV,
+    SWEEP_CSV_SHA256,
+    _dispatch,
+)
 
 
 class TestEvaluateMethod:
@@ -365,6 +373,17 @@ class TestStreaming:
         assert main(self.ARGS + ["--out", str(tmp_path / "missing" / "s.csv")]) == 4
         assert "cannot write" in capsys.readouterr().err
         assert kernel_calls == []
+
+    def test_directory_out_exits_4_before_any_kernel_runs(self, kernel_calls, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "kept.txt").write_text("kept")
+        assert main(self.ARGS + ["--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"cannot write {out}: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert kernel_calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
 
 
 class TestCsv:
@@ -723,7 +742,24 @@ _EXACT_CASES = {
     ],
     "log-uniform": (10 ** np.random.default_rng(25).uniform(-11, 0, 20000)).tolist(),
     "ends": [0.0, 1.0],
+    "powers of ten down to 1e-323 and their neighbours": [
+        float(np.nextafter(v, toward))
+        for v in (float(f"1e-{k}") for k in range(1, 324))
+        for toward in (0.0, v, 1.0)
+    ],
+    "powers of two and their predecessors": [
+        float(np.nextafter(2.0**b, toward)) for b in range(-1074, 0) for toward in (0.0, 1.0)
+    ],
+    # Every double in (0, 1) is a bit pattern in [1, 0x3FF0000000000000).
+    "random bit patterns": np.random.default_rng(29)
+    .integers(1, 0x3FF0000000000000, 20000, dtype=np.uint64)
+    .view(np.float64)
+    .tolist(),
+    "three-digit decades": [1e-99, 1e-100],
 }
+# The cells a row could not hold when every cell of a row had to be +0, 1 or
+# in (1e-11, 1).  The digits now cover the subnormal, the least normal and
+# 1e-11; "%.17g" is spliced in for the others.
 _FALLBACK_CELLS = [
     -0.0, 5e-324, 2.2250738585072014e-308, -1e-13, 1e-11, 1.5,
     float("nan"), float("inf"), float("-inf"),
@@ -731,25 +767,45 @@ _FALLBACK_CELLS = [
 
 
 def _exact_cell_mismatches():
-    """Each cell of the exact path that is not its ``%.17g``, or that falls
-    back, and each fallback cell that does not, as (case, value, got)."""
+    """Each cell of the exact path that is not its ``%.17g``, and each row
+    mixing a ``_FALLBACK_CELLS`` value with other cells that is not its
+    cells' ``%.17g`` joined, as (case, value, got)."""
     bad = []
     for case, values in _EXACT_CASES.items():
-        # 1e-11 and the double below it are not above 1e-11: they fall back.
         for v, got in zip(values, reports._exact_cells(np.array(values)[:, None])):
-            if got != ("%.17g" % v if v > 1e-11 or v == 0.0 else None):
+            if got != "%.17g" % v:
                 bad.append((case, v, got))
     for v in _FALLBACK_CELLS:
-        rows = reports._exact_cells(np.array([[0.25, v, 0.5], [0.25, 0.25, 0.5]]))
-        if rows != [None, "0.25,0.25,0.5"]:
+        x = np.array(
+            [[0.25, v, 0.5, 1e-300, 0.0], [0.25, 0.25, 0.5, 5e-324, 1.0], [v, 1e-11, v, 1e-100, 0.75]]
+        )
+        rows = reports._exact_cells(x)
+        if rows != [",".join("%.17g" % c for c in row) for row in x.tolist()]:
             bad.append(("fallback", v, rows))
     return bad
+
+
+def _near_half_cells(family):
+    """By size, the weight cells in (0, 1) of the sweeps behind ``family``'s
+    ``SWEEP_CSV_SHA256`` set (the ``perfbench`` sweep jobs among them) whose
+    digits ``_digits.decimal`` leaves to ``%.17g``, and the cells below 1e-39,
+    whose P_k is not 5**k."""
+    counts = {}
+    for n in sorted(family):
+        methods = LINEAR_ONLY_AT_1000 if n == 1000 else ALL_METHODS
+        rows = sweep(n, methods, betas=(1.0, 1.25, 1.5), steps=101)
+        v = np.array([c for r in rows if r.w is not None for c in r.w])
+        v = v[(v > 0.0) & (v < 1.0)]
+        counts[n] = [int(_digits.decimal(v)[2].sum()), int((v < 1e-39).sum())]
+    return counts
 
 
 class TestExactCells:
     def test_case_sizes(self):
         assert len(_EXACT_CASES["ties at the 17th digit"]) == 2656
         assert len(_EXACT_CASES["powers of ten and their neighbours"]) == 33
+        assert len(_EXACT_CASES["powers of ten down to 1e-323 and their neighbours"]) == 969
+        assert len(_EXACT_CASES["powers of two and their predecessors"]) == 2148
 
     def test_cells_are_their_percent_format(self):
         assert _exact_cell_mismatches() == []
@@ -762,24 +818,26 @@ class TestExactCells:
         assert reports._exact_cells(x) == expected
 
     def test_decade_tables_are_exact(self):
-        # The cells in (1e-11, 1) lie in the binades [2**b, 2**(b+1)), b = -37..-1.
-        assert 2.0**-37 < 1e-11 < 2.0**-36 and len(reports._FLOOR_LOG10) == 37
-        cells = []
-        for b in range(-37, 0):
-            f, m = int(reports._FLOOR_LOG10[b]), int(reports._NEXT_DECADE[b])
+        # The cells in (0, 1) lie in the binades [2**b, 2**(b+1)), b = -1074..-1.
+        assert 2.0**-1074 == 5e-324 and len(_digits._FLOOR_LOG10) == 1074
+        cells, above = [], []
+        for b in range(-1074, 0):
+            f, m = int(_digits._FLOOR_LOG10[b]), int(_digits._NEXT_DECADE[b])
             assert Fraction(10) ** f <= Fraction(2) ** b < Fraction(10) ** (f + 1)
             # The least m with m * 2**(b-52) at or above 10**(f+1) less half a
             # unit in its 17th digit.
-            bounds = [Fraction(10) ** (f + 1) * (1 - Fraction(5, 10**18))]
+            bound = Fraction(10) ** (f + 1) * (1 - Fraction(5, 10**18))
+            assert Fraction(m - 1, 2 ** (52 - b)) < bound <= Fraction(m, 2 ** (52 - b))
             cells += [2.0**b, np.nextafter(2.0**b, 0.0)]
-            if m < 2**53:  # the binade holds 10**(f+1), whose least double above is m's
-                bounds.append(Fraction(10) ** (f + 1))
-                cells += [m * 2.0 ** (b - 52), (m - 1) * 2.0 ** (b - 52)]
-            for bound in bounds:
-                assert Fraction(m - 1, 2 ** (52 - b)) < bound <= Fraction(m, 2 ** (52 - b))
-        # Not 2**-37, its predecessor, and the double 1e-11, which is below 10**-11.
-        cells = [v for v in cells if v > 1e-11]
-        assert len(cells) == 2 * 37 + 2 * 11 - 3
+            if m < 2**53:  # the binade holds 10**(f+1)
+                # The least m at or above 10**(f+1) is m's, but for ten decades
+                # (10**-14, 10**-70, ...) a double lies between the bound and it.
+                power = math.ceil(Fraction(10) ** (f + 1) * 2 ** (52 - b))
+                above.append(power > m)
+                # Below 2**-1022 the nearest doubles: m may need more bits than a subnormal has.
+                cells += [math.ldexp(k, b - 52) for k in (m, m - 1, power, power - 1)]
+        # Each binade but the ten-free ones holds one of 10**-1..10**-323.
+        assert len(cells) == 2 * 1074 + 4 * 323 and sum(above) == 10
         assert reports._exact_cells(np.array(cells)[:, None]) == ["%.17g" % v for v in cells]
 
     def test_cells_without_avx512(self):
@@ -803,6 +861,34 @@ class TestExactCells:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [DISPATCH_X86_V3, "[]"]
+
+    def test_no_sweep_cell_is_near_a_half(self):
+        # Sweep cells go down to subnormals, and none is left to "%.17g" by the
+        # P_k bound, on either SIMD family.
+        counts = _near_half_cells(SWEEP_CSV_SHA256)
+        assert [near for near, _ in counts.values()] == [0] * 6
+        assert counts[1000][1] > 40000
+        if _dispatch() != DISPATCH_AVX512:
+            return
+        src = os.path.dirname(os.path.dirname(reports.__file__))
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import json, test_arrays as a, test_reports as t; "
+            "print(json.dumps([a._dispatch(), t._near_half_cells(a.SWEEP_CSV_SHA256_X86_V3)]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path, **NO_AVX512_ENV),
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        dispatch, other = json.loads(proc.stdout)
+        assert dispatch == DISPATCH_X86_V3
+        assert [near for near, _ in other.values()] == [0] * 6
+        assert other["1000"][1] > 40000
 
 
 def _first_mismatch(rows, n, end="\r\n", given=None):
@@ -869,7 +955,7 @@ class TestBlocks:
             w[k % n] = fallback
             rows[k] = _row(METHOD_MAXENT, 0.1, tuple(w), n=n)
         assert _first_mismatch(rows, n) is None
-        assert len(exact_rows) == len(rows) - len(range(0, len(rows), 3))
+        assert len(exact_rows) == len(rows)
 
     def test_mirror_of_a_row_in_an_earlier_block(self, exact_rows):
         n = 50
