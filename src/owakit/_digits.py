@@ -28,8 +28,8 @@ _P128_SHIFT = np.array([p.bit_length() - 128 for p in _FIVES])
 
 
 def decimal(v: np.ndarray):
-    """(D, E, near) for a 1-d float64 array ``v`` of values in (0, 1): ``"%.16e" % x``
-    is ``D[0] "." D[1:] "e" E`` but for the cells ``near`` a half (see :func:`_wide_digits`).
+    """(D, E, near) for a 1-d float64 array ``v`` of values in (0, 1): each x rounded to
+    17 significant digits is D * 10**(E-16), but for the cells ``near`` (:func:`_wide_digits`).
 
     A cell v = m * 2**(b-52), 2**52 <= m < 2**53 (a subnormal's m shifted up to 53 bits),
     has its decade E in [-324, -1], read from b and m by two tables and one comparison as
