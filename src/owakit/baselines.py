@@ -199,11 +199,12 @@ def _newton_bisection(func, dfunc, lo, hi):
     """Root of ``func`` bracketed in [lo, hi]; Newton steps when they stay
     in the bracket and halve it fast enough, bisection otherwise.  ``lo``
     when the ends show no sign change, as they can after the bracket scan
-    when it rounds ``func`` differently.  The caller sets numpy's warning
-    policy for ``func`` and ``dfunc``."""
+    when it rounds ``func`` differently.  Signs and finiteness are read by
+    plain comparisons, so a Python-float ``func`` makes no numpy call.  The
+    caller sets numpy's warning policy for ``func`` and ``dfunc``."""
     flo = func(lo)
     fhi = func(hi)
-    if flo == 0.0 or np.sign(flo) == np.sign(fhi):
+    if flo == 0.0 or (flo > 0.0 and fhi > 0.0) or (flo < 0.0 and fhi < 0.0):
         return lo
     if fhi == 0.0:
         return hi
@@ -215,8 +216,8 @@ def _newton_bisection(func, dfunc, lo, hi):
         df = dfunc(x)
         newton_ok = (
             df != 0.0
-            and np.isfinite(df)
-            and np.isfinite(f)
+            and math.isfinite(df)
+            and math.isfinite(f)
             and ((x - hi) * df - f) * ((x - lo) * df - f) < 0.0
             and abs(2.0 * f) <= abs(dx_old * df)
         )
@@ -232,9 +233,9 @@ def _newton_bisection(func, dfunc, lo, hi):
             return x_new
         x = x_new
         f = func(x)
-        if f == 0.0 or not np.isfinite(f):
+        if f == 0.0 or not math.isfinite(f):
             return x
-        if np.sign(f) == np.sign(flo):
+        if (f > 0.0 and flo > 0.0) or (f < 0.0 and flo < 0.0):
             lo = x
         else:
             hi = x
@@ -245,16 +246,16 @@ def _maxent_polynomial(A: float, n: int):
     # First-weight equation of the analytic maximum-entropy solution:
     #   w1 * (A + 1 - n*w1)^n = A^(n-1) * ((A - n)*w1 + 1).
     # w1 = 1/n (the uniform solution) is always a root; the interior root
-    # above 1/n is the one wanted for a > 0.5.
+    # above 1/n is the one wanted for a > 0.5.  A^(n-1) is one Python float.
     B = A + 1.0
-    logA = (n - 1) * np.log(A)
+    power = float(np.exp((n - 1) * np.log(A)))
 
     def F(w):
-        return w * (B - n * w) ** n - np.exp(logA) * ((A - n) * w + 1.0)
+        return w * (B - n * w) ** n - power * ((A - n) * w + 1.0)
 
     def dF(w):
         base = B - n * w
-        return base**n - n * n * w * base ** (n - 1) - np.exp(logA) * (A - n)
+        return base**n - n * n * w * base ** (n - 1) - power * (A - n)
 
     return F, dF
 
@@ -332,11 +333,11 @@ def _maxent_solve(a: float, n: int):
     1/(n - A).  The bracket scan and the polish search that interval."""
     A = (n - 1) * a
     lo, hi = 1.0 / n, 1.0 / (n - A)
-    F, dF = _maxent_polynomial(A, n)
     # At large n the polynomial overflows to inf or NaN, which the scan and
     # the search pass over.  With no sign change, start from the uniform
     # 1/n and let the polish below find the root.
     with np.errstate(over="ignore", invalid="ignore"):
+        F, dF = _maxent_polynomial(A, n)
         bracket = _maxent_bracket(F, lo, hi)
         w1 = lo if bracket is None else _newton_bisection(F, dF, *bracket)
     w = _rebuild_from_first_weight(w1, A, n)

@@ -225,26 +225,37 @@ def _checked_list(seq, name: str, what: str, item: str, check: Optional[Callable
 
 
 def _rows(m: Method, grid: list, n: int, beta: Optional[float]):
-    """One report per orness in ``grid``, all in [0, 1], for ``n`` and
-    ``beta`` already checked, yielded in grid order: one kernel call and
-    one read-only check of the weight matrix, whose rows need no clip.  A
-    row is unsupported at orness 0 and 1 for a method without
-    ``endpoints``, and unstable when it fails the simplex check or, for a
-    calibrated method, misses its orness by more than ``ORNESS_TOL``."""
+    """One report per orness in ``grid``, all in [0, 1], for ``n`` and ``beta`` already
+    checked, yielded in grid order: one kernel call, one read-only check of the weight
+    matrix, whose rows need no clip, and one pass for the dispersions, its scratch freed
+    before the first row.  A row is unsupported at orness 0 and 1 for a method without
+    ``endpoints``, and unstable when it fails the simplex check or, for a calibrated
+    method, misses its orness by more than ``ORNESS_TOL``."""
     w = m.kernel(np.array(grid, dtype=float), n, beta)
     problems, achieved = _simplex_rows(w), _orness_rows(w)
 
     def failed(requested, status):
         return MethodReport(m.name, beta, n, requested, None, None, None, status)
 
-    for requested, got, row, problem in zip(grid, achieved, w, problems):
+    for requested, got, row, problem, disp in zip(grid, achieved, w, problems, _dispersions(w)):
         if not m.endpoints and requested in (0.0, 1.0):
             yield failed(requested, STATUS_UNSUPPORTED)
         elif problem is not None or (m.calibrated and abs(got - requested) > ORNESS_TOL):
             yield failed(requested, STATUS_UNSTABLE)
         else:
-            disp, values = _dispersion_array(row), tuple(row.tolist())
+            disp = _dispersion_array(row) if disp is None else disp
+            values = tuple(row.tolist())
             yield MethodReport(m.name, beta, n, requested, got, disp, values, STATUS_OK)
+
+
+def _dispersions(w: np.ndarray) -> list:
+    """``_dispersion_array(row)``, bit for bit, for each row of ``w`` with every cell > 0, in
+    one pass; None for each other row, whose sum without its zeros pairs its terms differently."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = np.log(w, order="C")
+        terms *= w
+        sums = (0.0 - terms.sum(axis=1)).tolist()
+    return [d if whole else None for d, whole in zip(sums, (w > 0.0).all(axis=1).tolist())]
 
 
 def _grid(steps) -> list:
@@ -342,12 +353,17 @@ def _block_lines(lines, new, n: int, end: str):
 
 # Rows are formatted a block of about this many cells at a time.
 _BLOCK_CELLS = 8192
-_TWO_DIGITS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+# By i < 10**4: f"{i:04d}" as bytes and its trailing zeros ("0000": 4); uint16 spares import RSS.
+_FOUR = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+_FOUR = (_FOUR % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_TZ = sum(np.arange(10000) % 10**k == 0 for k in range(1, 5)).astype(np.uint8)
 # By -E = 0..324: "-" and the decade's three digits.
 _DECADES = np.frombuffer(("-%03d" * 325 % tuple(range(325))).encode(), np.uint32)
 # One cell's canvas: "0.000" for the fixed layout, then the 17 digits with a
-# point after the first, "e-" and a three-digit decade, then the separator.
+# point after the first, "e-" and a three-digit decade, then the separator;
+# as _FIELDS, d is its 16 digits after the point and e is "-" and the decade.
 _CANVAS = np.frombuffer(b"0.000d.0000000000000000e-000,", np.uint8)
+_FIELDS = np.dtype(dict(names=["d", "e"], formats=["V16", "V4"], offsets=[7, 24], itemsize=29))
 
 
 def _keep_masks():
@@ -374,7 +390,7 @@ def _exact_cells(x: np.ndarray) -> list:
 
     Every cell that is +0, 1 or in (0, 1) takes its 17 digits D and decade
     E from :func:`owakit._digits.decimal`, exactly.  The digits go onto a
-    canvas two at a time, and the layout ``%g`` picks (fixed for E >= -4,
+    canvas four at a time, and the layout ``%g`` picks (fixed for E >= -4,
     scientific below) keeps the bytes it needs, without trailing zeros.
     ``"%.17g" % v`` is spliced into its row for each other cell (-0, NaN,
     +-inf, a negative cell or one above 1) and for each cell whose rounding
@@ -388,27 +404,32 @@ def _exact_cells(x: np.ndarray) -> list:
     first, rest = np.divmod(D, np.uint64(10**16))
     eights = np.empty((len(D), 2), np.uint32)
     eights[:, 0], eights[:, 1] = np.divmod(rest, np.uint64(10**8))
-    pairs = np.empty((len(D), 2, 4), np.intp)
-    pairs[:, :, 0], low = np.divmod(eights, 10**6)
-    pairs[:, :, 1], low = np.divmod(low, 10**4)
-    pairs[:, :, 2], pairs[:, :, 3] = np.divmod(low, 100)
-    canvas = np.empty((len(D), len(_CANVAS)), np.uint8)
-    canvas[:] = _CANVAS
+    fours = np.empty((len(D), 4), np.uint32)
+    fours[:, 0::2], fours[:, 1::2] = np.divmod(eights, np.uint32(10**4))
+    canvas = np.frombuffer(bytearray(_CANVAS.tobytes() * len(D)), np.uint8).reshape(len(D), -1)
     canvas[:, 0] += v == 1.0
     canvas[:, 5] = first + ord("0")
-    canvas[:, 7:23] = np.take(_TWO_DIGITS, pairs).reshape(len(D), 8).view(np.uint8)
-    canvas[:, 24:28] = np.take(_DECADES, -E)[:, None].view(np.uint8)
+    fields = canvas.reshape(-1).view(_FIELDS)
+    fields["d"] = np.take(_FOUR, fours).view("V16").ravel()
+    fields["e"] = np.take(_DECADES, -E).view("V4")
     canvas[n - 1 :: n, -1] = ord("\n")
-    # Digits kept: up to the last nonzero one; column 6 ('.') stops the search.
-    digits = 17 - (canvas[:, 22:5:-1] != ord("0")).argmax(axis=1)
-    layout = np.where(inner, (-E - 1) * 17 + digits, 0)
+    # Digits kept: 17 less the trailing zeros, a chunk's counted if those after it are all 0.
+    t = np.take(_TZ, fours)
+    z = t == 4
+    zeros = t[:, 3] + z[:, 3] * (t[:, 2] + z[:, 2] * (t[:, 1] + z[:, 1] * t[:, 0]))
+    layout = np.where(inner, -17 * E - zeros, 0)
     lines = canvas[np.take(_KEEP, layout, axis=0)].tobytes().decode("ascii").split("\n")
-    for i in np.flatnonzero(splice.reshape(-1, n).any(axis=1)).tolist():
+    return _splice(lines[:-1], x, splice.reshape(x.shape))
+
+
+def _splice(lines: list, x: np.ndarray, splice: np.ndarray) -> list:
+    """``lines`` with ``"%.17g" % x[i, j]`` for cell j of line i wherever ``splice[i, j]``."""
+    for i in np.flatnonzero(splice.any(axis=1)).tolist():
         cells = lines[i].split(",")
-        for j in np.flatnonzero(splice[i * n : i * n + n]).tolist():
-            cells[j] = "%.17g" % v[i * n + j]
+        for j in np.flatnonzero(splice[i]).tolist():
+            cells[j] = "%.17g" % x[i, j]
         lines[i] = ",".join(cells)
-    return lines[:-1]
+    return lines
 
 
 def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
@@ -432,7 +453,10 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp, flags, 0o666)
+    try:
+        fd = os.open(tmp, flags, 0o666)
+    except OSError as exc:  # name the path given, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# owakit {__version__} {provenance}".rstrip() + "\n")

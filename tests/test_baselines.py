@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -242,7 +243,41 @@ class TestMaxent:
                 assert d_oracle <= d + 1e-6
 
 
+_SIGN_CASES = [0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf"), float("nan")]
+
+
+def _bisection_mismatches():
+    """(flo, fhi, fmid, df, got, expected) for each function on [0, 1] that is
+    ``flo`` at 0, ``fhi`` at 1 and ``fmid`` inside, with a slope ``df`` that
+    allows no Newton step, where ``_newton_bisection`` does not decide as
+    ``np.sign`` does: the low end for ends of one sign, the high end for a
+    root there, the midpoint where ``fmid`` is 0 or not finite, else bisection
+    up (``fmid`` of ``flo``'s sign) or down."""
+    bad = []
+    for flo, fhi, fmid, df in itertools.product(
+        _SIGN_CASES, _SIGN_CASES, _SIGN_CASES, [0.0, float("inf"), float("nan")]
+    ):
+        got = baselines._newton_bisection(
+            lambda x: flo if x == 0.0 else fhi if x == 1.0 else fmid, lambda x: df, 0.0, 1.0
+        )
+        if flo == 0.0 or np.sign(flo) == np.sign(fhi):
+            expected = "lo"
+        elif fhi == 0.0:
+            expected = "hi"
+        elif fmid == 0.0 or not np.isfinite(fmid):
+            expected = "mid"
+        else:
+            expected = "up" if np.sign(fmid) == np.sign(flo) else "down"
+        where = {0.0: "lo", 1.0: "hi", 0.5: "mid"}.get(got, "up" if got > 0.5 else "down")
+        if where != expected:
+            bad.append((flo, fhi, fmid, df, got, expected))
+    return bad
+
+
 class TestNewtonBisection:
+    def test_decisions_follow_the_signs(self):
+        assert _bisection_mismatches() == []
+
     @pytest.mark.parametrize("root", [0.0, 1.0])
     def test_exact_root_at_an_end_is_returned(self, root):
         got = baselines._newton_bisection(lambda x: x - root, lambda x: 1.0, 0.0, 1.0)

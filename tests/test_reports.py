@@ -26,7 +26,7 @@ from owakit import (
 )
 from owakit import _digits, cli, reports
 from owakit.baselines import CalibrationError, MaxentInstabilityError, UnsupportedOrnessError
-from owakit.core import DEFAULT_BETA
+from owakit.core import DEFAULT_BETA, _dispersion_array
 from owakit.cli import main
 from owakit.reports import (
     ALL_METHODS,
@@ -373,6 +373,16 @@ class TestStreaming:
         assert main(self.ARGS + ["--out", str(tmp_path / "missing" / "s.csv")]) == 4
         assert "cannot write" in capsys.readouterr().err
         assert kernel_calls == []
+
+    def test_missing_directory_is_named_as_given(self, tmp_path, capsys, monkeypatch):
+        # The message names the path given, not the temp file beside it.
+        monkeypatch.chdir(tmp_path)
+        out = os.path.join("missing", "s.csv")
+        assert main(self.ARGS + ["--out", out]) == 4
+        err = capsys.readouterr().err
+        assert err == f"cannot write {out}: [Errno 2] No such file or directory: {out!r}\n"
+        assert ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_directory_out_exits_4_before_any_kernel_runs(self, kernel_calls, tmp_path, capsys):
         out = tmp_path / "d"
@@ -891,6 +901,139 @@ class TestExactCells:
         assert other["1000"][1] > 40000
 
 
+def _table_mismatches():
+    """The entries of ``reports._FOUR`` and ``reports._TZ`` that are not
+    f"{i:04d}" and its number of trailing zeros, as (table, i)."""
+    four = [f"{i:04d}" for i in range(10000)]
+    got = reports._FOUR.view("S4").tolist()
+    bad = [("_FOUR", i) for i in range(10000) if got[i] != four[i].encode()]
+    tz = reports._TZ.tolist()
+    bad += [("_TZ", i) for i in range(10000) if tz[i] != len(four[i]) - len(four[i].rstrip("0"))]
+    return bad + [(t.dtype.name, len(t)) for t in (reports._FOUR, reports._TZ) if len(t) != 10000]
+
+
+def _digit_count_cells():
+    """Doubles whose ``%.17g`` has 17 - k significant digits, four for each
+    k = 0..16 in each layout: fixed (decades -1..-4) and scientific (-5 down
+    to -307).  The 16 digits after the first are four chunks, each all zeros
+    or drawn, then cut to 16 - k with a nonzero last one."""
+    rng = np.random.default_rng(30)
+    cells = []
+    for k in range(17):
+        for decades in ((-1, -4), (-5, -307)):
+            found = 0
+            for _ in range(5000):
+                e = int(rng.integers(decades[1], decades[0] + 1))
+                chunks = rng.integers(0, 10**4, 4) * (rng.random(4) < 0.7)
+                digits = str(rng.integers(1, 10)) + "".join(f"{c:04d}" for c in chunks)
+                digits = digits[: 17 - k] + "0" * k
+                if digits[16 - k] == "0":
+                    continue
+                v = float(f"{digits[0]}.{digits[1:]}e{e}")
+                if f"{v:.16e}" == f"{digits[0]}.{digits[1:]}e{e:+03d}":
+                    cells.append(v)
+                    found += 1
+                    if found == 4:
+                        break
+            assert found == 4, (k, decades)
+    return cells
+
+
+def _digit_count_mismatches():
+    """Each cell of :func:`_digit_count_cells` that ``_exact_cells`` does not
+    format as ``%.17g``, as (value, got)."""
+    cells = _digit_count_cells()
+    got = reports._exact_cells(np.array(cells)[:, None])
+    return [(v, g) for v, g in zip(cells, got) if g != "%.17g" % v]
+
+
+_DISPERSION_SIZES = (1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 1000)
+
+
+def _dispersion_mismatches():
+    """(n, row, got, expected) for each row of a matrix of size ``n`` whose
+    ``reports._dispersions`` value is not ``_dispersion_array(row)`` bit for
+    bit, or not None for a row with a cell that is not > 0; then each ok row
+    of a sweep whose dispersion is not that of its weights."""
+    rng = np.random.default_rng(30)
+    bad = []
+    for n in _DISPERSION_SIZES:
+        cells = 10 ** rng.uniform(-12, 0, (10, n))
+        w = cells / cells.sum(axis=1, keepdims=True)
+        w[1] = 1.0 / n
+        w[2, -1] = 5e-324
+        w[5, rng.integers(n)] = 0.0
+        w[6, rng.integers(n)] = -0.0
+        w[7, :: max(2, n // 3)] = 0.0
+        w[8] = np.where(np.arange(n) == n // 2, 1.0, -0.0)
+        w[9, 0] = np.nan
+        got = reports._dispersions(w)
+        for k, row in enumerate(w):
+            expected = _dispersion_array(row) if (row > 0.0).all() else None
+            if repr(got[k]) != repr(expected):
+                bad.append((n, k, got[k], expected))
+    for n in (7, 129):
+        for r in sweep(n, ALL_METHODS, betas=(1.0, 1.5), steps=21):
+            if r.w is not None and repr(r.dispersion) != repr(_dispersion_array(np.array(r.w))):
+                bad.append((n, r.method, r.requested_orness, r.dispersion))
+    return bad
+
+
+class TestChunksAndDispersions:
+    """The formatter's four-digit chunks and trailing-zero table, and the
+    dispersion pass over a grid's weight matrix."""
+
+    def test_tables_are_their_f_strings(self):
+        assert _table_mismatches() == []
+
+    def test_digit_counts(self):
+        cells = _digit_count_cells()
+        counts = [len(f"{v:.16e}".split("e")[0].replace(".", "").rstrip("0")) for v in cells]
+        assert sorted(set(counts)) == list(range(1, 18))
+        assert not _digits.decimal(np.array(cells))[2].any()
+        assert _digit_count_mismatches() == []
+
+    def test_dispersions_are_the_row_dispersions(self):
+        assert _dispersion_mismatches() == []
+
+    def test_rows_yield_after_the_dispersion_scratch_is_freed(self):
+        # At n = 4000 a 101-row scratch matrix is 3.2 MB; the first row comes
+        # after it is freed, so the rows held no more than the kernel matrix.
+        m = reports._method(METHOD_LINEAR)
+        tracemalloc.start()
+        try:
+            rows = reports._rows(m, reports._grid(101), 4000, 1.0)
+            next(rows)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 101 * 4000 * 8 * 1.5
+
+    def test_without_avx512(self):
+        # The log in the dispersion pass dispatches on the SIMD target: check
+        # the other one, with the tables, the digit counts and the bisection.
+        if _dispatch() != DISPATCH_AVX512:
+            pytest.skip("numpy has no AVX-512 dispatch here")
+        src = os.path.dirname(os.path.dirname(reports.__file__))
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import json, test_arrays as a, test_reports as t, test_baselines as b; "
+            "print(json.dumps([a._dispatch(), repr(t._table_mismatches()), "
+            "repr(t._digit_count_mismatches()), repr(t._dispersion_mismatches()), "
+            "repr(b._bisection_mismatches())]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path, **NO_AVX512_ENV),
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [DISPATCH_X86_V3, "[]", "[]", "[]", "[]"]
+
+
 def _first_mismatch(rows, n, end="\r\n", given=None):
     """(index, line, reference line) for the first line that
     ``sweep_lines`` writes for ``given`` (default: ``rows``) and that is
@@ -915,12 +1058,27 @@ def exact_rows(monkeypatch):
 
     def spy(x):
         rows = exact_cells(x)
-        counted.extend(r for r in rows if r is not None)
+        counted.extend(rows)
         return rows
 
     exact_cells = reports._exact_cells
     monkeypatch.setattr(reports, "_exact_cells", spy)
     return counted
+
+
+@pytest.fixture
+def spliced_cells(monkeypatch):
+    """A list with, for each block the exact path formats, its number of
+    cells that have ``%.17g`` spliced in."""
+    counts = []
+
+    def spy(lines, x, splice):
+        counts.append(int(splice.sum()))
+        return splice_cells(lines, x, splice)
+
+    splice_cells = reports._splice
+    monkeypatch.setattr(reports, "_splice", spy)
+    return counts
 
 
 class TestBlocks:
@@ -947,7 +1105,7 @@ class TestBlocks:
         assert len(exact_rows) == 3
 
     @pytest.mark.parametrize("fallback", _FALLBACK_CELLS, ids=repr)
-    def test_exact_and_fallback_rows_interleave(self, exact_rows, fallback):
+    def test_exact_and_fallback_rows_interleave(self, exact_rows, spliced_cells, fallback):
         n = 7
         rows = _random_rows(2 * reports._BLOCK_CELLS // n, n, 4)
         for k in range(0, len(rows), 3):
@@ -956,6 +1114,11 @@ class TestBlocks:
             rows[k] = _row(METHOD_MAXENT, 0.1, tuple(w), n=n)
         assert _first_mismatch(rows, n) is None
         assert len(exact_rows) == len(rows)
+        # Two blocks of 1170 rows, 390 of them with the fallback cell.  Only a
+        # fallback outside (0, 1) (-0, NaN, +-inf, -1e-13, 1.5) is spliced in:
+        # the subnormal, the least normal and 1e-11 take the digits.
+        assert len(rows) == 2 * (reports._BLOCK_CELLS // n) == 2340
+        assert spliced_cells == ([0, 0] if 0.0 < fallback < 1.0 else [390, 390])
 
     def test_mirror_of_a_row_in_an_earlier_block(self, exact_rows):
         n = 50
