@@ -1,4 +1,11 @@
-"""The ``%.17g`` digits and decade of doubles in (0, 1), exactly, in numpy: :func:`decimal`."""
+"""The sweep CSV's weight cells, byte for byte as ``%.17g``, in numpy blocks: :func:`cells`.
+
+Every cell that is +0, 1 or in (0, 1), subnormals included, takes its 17 digits and
+decade from :func:`decimal` by exact integer arithmetic; ``"%.17g" % v`` is spliced in
+for each other cell alone (-0, NaN, +-inf, a negative cell or one above 1) and for each
+cell whose rounding the digits leave too close to call.  A cell's text is a function of
+its float64 bytes alone.
+"""
 
 from itertools import accumulate
 from operator import mul
@@ -25,6 +32,78 @@ _P128 = np.frombuffer(
     b"".join(((p << 128) >> p.bit_length()).to_bytes(16, "little") for p in _FIVES), "<u4"
 ).reshape(-1, 4).astype(np.uint64)
 _P128_SHIFT = np.array([p.bit_length() - 128 for p in _FIVES])
+
+# By i < 10**4: f"{i:04d}" as bytes and its trailing zeros ("0000": 4); uint16 spares import RSS.
+_FOUR = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+_FOUR = (_FOUR % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_TZ = sum(np.arange(10000) % 10**k == 0 for k in range(1, 5)).astype(np.uint8)
+# By -E = 0..324: "-" and the decade's three digits.
+_DECADES = np.frombuffer(("-%03d" * 325 % tuple(range(325))).encode(), np.uint32)
+# One cell's canvas: "0.000" for the fixed layout, then the 17 digits with a
+# point after the first, "e-" and a three-digit decade, then the separator;
+# as _FIELDS, d is its 16 digits after the point and e is "-" and the decade.
+_CANVAS = np.frombuffer(b"0.000d.0000000000000000e-000,", np.uint8)
+_FIELDS = np.dtype(dict(names=["d", "e"], formats=["V16", "V4"], offsets=[7, 24], itemsize=29))
+
+
+def _keep_masks():
+    """The canvas bytes each layout keeps: row 0 for a cell of 0 or 1,
+    then one row per decade E = -1..-324 and digit count L = 1..17."""
+    col = np.arange(len(_CANVAS))
+    E = np.array([-1, -2, -3, -4, -5, -100])[:, None, None]  # the decades' six layouts
+    L = np.arange(1, 18)[None, :, None]
+    digits = (col == 5) | ((col >= 7) & (col <= 5 + L))
+    fixed = digits | (col < 1 - E)  # "0." and -E-1 zeros
+    decade = (col == 23) | (col == 24) | ((col >= 26 - (E <= -100)) & (col <= 27))
+    scientific = digits | ((col == 6) & (L > 1)) | decade
+    keep = np.repeat(np.where(E >= -4, fixed, scientific), [1, 1, 1, 1, 95, 225], axis=0)
+    keep = keep.reshape(-1, len(col))
+    return np.vstack([col == 0, keep]) | (col == len(col) - 1)
+
+
+_KEEP = _keep_masks()
+
+
+def cells(x: np.ndarray) -> list:
+    """``",".join("%.17g" % v for v in row)`` for each row of the float64
+    matrix ``x``.  The digits D of each cell go onto a canvas four at a
+    time, and the layout ``%g`` picks (fixed for decades E >= -4,
+    scientific below) keeps the bytes it needs, without trailing zeros.
+    """
+    n = x.shape[1]
+    v = x.ravel()
+    inner = (v > 0.0) & (v < 1.0)
+    D, E, splice = decimal(np.where(inner, v, 0.5))  # the ends take their own layout
+    splice |= ~(inner | (v == 1.0) | ((v == 0.0) & ~np.signbit(v)))
+    first, rest = np.divmod(D, np.uint64(10**16))
+    eights = np.empty((len(D), 2), np.uint32)
+    eights[:, 0], eights[:, 1] = np.divmod(rest, np.uint64(10**8))
+    fours = np.empty((len(D), 4), np.uint32)
+    fours[:, 0::2], fours[:, 1::2] = np.divmod(eights, np.uint32(10**4))
+    canvas = np.frombuffer(bytearray(_CANVAS.tobytes() * len(D)), np.uint8).reshape(len(D), -1)
+    canvas[:, 0] += v == 1.0
+    canvas[:, 5] = first + ord("0")
+    fields = canvas.reshape(-1).view(_FIELDS)
+    fields["d"] = np.take(_FOUR, fours).view("V16").ravel()
+    fields["e"] = np.take(_DECADES, -E).view("V4")
+    canvas[n - 1 :: n, -1] = ord("\n")
+    # Digits kept: 17 less the trailing zeros, a chunk's counted if those after it are all 0.
+    t = np.take(_TZ, fours)
+    z = t == 4
+    zeros = t[:, 3] + z[:, 3] * (t[:, 2] + z[:, 2] * (t[:, 1] + z[:, 1] * t[:, 0]))
+    layout = np.where(inner, -17 * E - zeros, 0)
+    lines = canvas[np.take(_KEEP, layout, axis=0)].tobytes().decode("ascii").split("\n")
+    return _splice(lines[:-1], x, splice.reshape(x.shape))
+
+
+def _splice(lines: list, x: np.ndarray, splice: np.ndarray) -> list:
+    """``lines`` with ``"%.17g" % x[i, j]`` for cell j of line i wherever ``splice[i, j]``."""
+    for i in np.flatnonzero(splice.any(axis=1)).tolist():
+        cells = lines[i].split(",")
+        for j in np.flatnonzero(splice[i]).tolist():
+            cells[j] = "%.17g" % x[i, j]
+        lines[i] = ",".join(cells)
+    return lines
 
 
 def decimal(v: np.ndarray):

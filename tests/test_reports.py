@@ -782,14 +782,14 @@ def _exact_cell_mismatches():
     cells' ``%.17g`` joined, as (case, value, got)."""
     bad = []
     for case, values in _EXACT_CASES.items():
-        for v, got in zip(values, reports._exact_cells(np.array(values)[:, None])):
+        for v, got in zip(values, _digits.cells(np.array(values)[:, None])):
             if got != "%.17g" % v:
                 bad.append((case, v, got))
     for v in _FALLBACK_CELLS:
         x = np.array(
             [[0.25, v, 0.5, 1e-300, 0.0], [0.25, 0.25, 0.5, 5e-324, 1.0], [v, 1e-11, v, 1e-100, 0.75]]
         )
-        rows = reports._exact_cells(x)
+        rows = _digits.cells(x)
         if rows != [",".join("%.17g" % c for c in row) for row in x.tolist()]:
             bad.append(("fallback", v, rows))
     return bad
@@ -825,7 +825,7 @@ class TestExactCells:
         x[::7, 3] = 0.0
         x[::5, 0] = 1.0
         expected = [",".join("%.17g" % v for v in row) for row in x.tolist()]
-        assert reports._exact_cells(x) == expected
+        assert _digits.cells(x) == expected
 
     def test_decade_tables_are_exact(self):
         # The cells in (0, 1) lie in the binades [2**b, 2**(b+1)), b = -1074..-1.
@@ -848,7 +848,7 @@ class TestExactCells:
                 cells += [math.ldexp(k, b - 52) for k in (m, m - 1, power, power - 1)]
         # Each binade but the ten-free ones holds one of 10**-1..10**-323.
         assert len(cells) == 2 * 1074 + 4 * 323 and sum(above) == 10
-        assert reports._exact_cells(np.array(cells)[:, None]) == ["%.17g" % v for v in cells]
+        assert _digits.cells(np.array(cells)[:, None]) == ["%.17g" % v for v in cells]
 
     def test_cells_without_avx512(self):
         # No decade depends on log10 any more, but the digits still come from
@@ -902,14 +902,14 @@ class TestExactCells:
 
 
 def _table_mismatches():
-    """The entries of ``reports._FOUR`` and ``reports._TZ`` that are not
+    """The entries of ``_digits._FOUR`` and ``_digits._TZ`` that are not
     f"{i:04d}" and its number of trailing zeros, as (table, i)."""
     four = [f"{i:04d}" for i in range(10000)]
-    got = reports._FOUR.view("S4").tolist()
+    got = _digits._FOUR.view("S4").tolist()
     bad = [("_FOUR", i) for i in range(10000) if got[i] != four[i].encode()]
-    tz = reports._TZ.tolist()
+    tz = _digits._TZ.tolist()
     bad += [("_TZ", i) for i in range(10000) if tz[i] != len(four[i]) - len(four[i].rstrip("0"))]
-    return bad + [(t.dtype.name, len(t)) for t in (reports._FOUR, reports._TZ) if len(t) != 10000]
+    return bad + [(t.dtype.name, len(t)) for t in (_digits._FOUR, _digits._TZ) if len(t) != 10000]
 
 
 def _digit_count_cells():
@@ -943,7 +943,7 @@ def _digit_count_mismatches():
     """Each cell of :func:`_digit_count_cells` that ``_exact_cells`` does not
     format as ``%.17g``, as (value, got)."""
     cells = _digit_count_cells()
-    got = reports._exact_cells(np.array(cells)[:, None])
+    got = _digits.cells(np.array(cells)[:, None])
     return [(v, g) for v, g in zip(cells, got) if g != "%.17g" % v]
 
 
@@ -1061,8 +1061,8 @@ def exact_rows(monkeypatch):
         counted.extend(rows)
         return rows
 
-    exact_cells = reports._exact_cells
-    monkeypatch.setattr(reports, "_exact_cells", spy)
+    exact_cells = _digits.cells
+    monkeypatch.setattr(_digits, "cells", spy)
     return counted
 
 
@@ -1076,8 +1076,8 @@ def spliced_cells(monkeypatch):
         counts.append(int(splice.sum()))
         return splice_cells(lines, x, splice)
 
-    splice_cells = reports._splice
-    monkeypatch.setattr(reports, "_splice", spy)
+    splice_cells = _digits._splice
+    monkeypatch.setattr(_digits, "_splice", spy)
     return counts
 
 
@@ -1128,8 +1128,8 @@ class TestBlocks:
         assert len(exact_rows) == len(rows) - 3
 
     def test_small_blocks_take_the_exact_path(self, monkeypatch, exact_rows):
-        shapes, spy = [], reports._exact_cells
-        monkeypatch.setattr(reports, "_exact_cells", lambda x: shapes.append(x.shape) or spy(x))
+        shapes, spy = [], _digits.cells
+        monkeypatch.setattr(_digits, "cells", lambda x: shapes.append(x.shape) or spy(x))
         # One row of 7 cells, then 15 rows of 17: a block of 255 cells.
         for count, n in [(1, 7), (15, 17)]:
             assert _first_mismatch(_random_rows(count, n, 6), n) is None
