@@ -22,7 +22,6 @@ formats the others, byte for byte as ``%.17g``.
 """
 
 import dataclasses
-import errno
 import os
 import struct
 import time
@@ -246,12 +245,20 @@ def _rows(m: Method, grid: list, n: int, beta: Optional[float]):
 
 def _dispersions(w: np.ndarray) -> list:
     """``_dispersion_array(row)``, bit for bit, for each row of ``w`` with every cell > 0, in
-    one pass; None for each other row, whose sum without its zeros pairs its terms differently."""
+    one pass of row blocks of at most ``_DISPERSION_CELLS`` cells (or one row); None for each
+    other row, whose sum without its zeros pairs its terms differently."""
+    sums, whole, step = [], [], max(1, _DISPERSION_CELLS // w.shape[1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = np.log(w, order="C")
-        terms *= w
-        sums = (0.0 - terms.sum(axis=1)).tolist()
-    return [d if whole else None for d, whole in zip(sums, (w > 0.0).all(axis=1).tolist())]
+        for block in (w[k : k + step] for k in range(0, len(w), step)):
+            terms = np.log(block, order="C")
+            terms *= block
+            sums += (0.0 - terms.sum(axis=1)).tolist()
+            whole += (block > 0.0).all(axis=1).tolist()
+    return [d if ok else None for d, ok in zip(sums, whole)]
+
+
+# The dispersion pass takes a grid's rows a block of at most this many cells at a time.
+_DISPERSION_CELLS = 2**17
 
 
 def _grid(steps) -> list:
@@ -298,7 +305,7 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
     pack = struct.Struct(f"{n}d").pack
     per_block = max(1, _BLOCK_CELLS // n)
     yield ",".join(sweep_header(n)) + end
-    method, kept = None, {}  # row bytes -> (cells of a kept row, whether reversed)
+    method, kept = None, {}  # row bytes -> the cells of a kept row
     lines, new = [], []  # the lines since the last block; its rows to format
     for r in rows:
         if r.n != n:
@@ -317,14 +324,15 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
             key = pack(*r.w)
         except struct.error as exc:
             raise TypeError(f"row weights are not {n} numbers: {exc}") from None
-        if key in kept:
-            cells, flip = kept[key]
-        else:
-            cells, flip = [key], False  # becomes [text] once its block is formatted
+        cells, flip = kept.get(key), False
+        if cells is None:
+            cells = kept.get(np.frombuffer(key)[::-1].tobytes())  # a kept row's mirror
+            flip = cells is not None
+        if cells is None:
+            cells = [key]  # becomes [text] once its block is formatted
             new.append(cells)
             if r.requested_orness <= 0.5:
-                kept[np.frombuffer(key)[::-1].tobytes()] = (cells, True)  # its mirror
-                kept[key] = (cells, False)
+                kept[key] = cells
         lines.append((head, cells, flip))
         if len(new) == per_block:
             yield from _block_lines(lines, new, n, end)
@@ -359,14 +367,14 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
     below it end in ``\\r\\n``.  The file is UTF-8 whatever the locale, so
     it never varies between identical runs.  Before any file is made or row
     taken: ValueError for a provenance with a line break or an ``n`` that is
-    not an integer >= 1, and IsADirectoryError naming ``path`` if it is a
-    directory.
+    not an integer >= 1, and the OSError ``open(path, "w")`` raises, naming
+    ``path``, if it is empty, ends in a separator or is a directory.
     """
     if "\r" in provenance or "\n" in provenance:
         raise ValueError(f"provenance must be one line; got {provenance!r}")
     n = _check_n(n, 1)
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.basename(path) or os.path.isdir(path):
+        open(path, "w").close()  # no file can be made at such a path: this raises its error
     # O_EXCL on a random name, as in tempfile.mkstemp, whose files are always 0600.
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")

@@ -395,6 +395,30 @@ class TestStreaming:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
         assert [p.name for p in out.iterdir()] == ["kept.txt"]
 
+    @pytest.mark.parametrize("out", ["", "newdir/", "file.csv/"], ids=repr)
+    def test_out_without_a_file_name_fails_before_any_row(self, out, tmp_path, monkeypatch, capsys):
+        # The error is open(out, "w")'s, naming out, raised before a row is drawn or a
+        # temp file made: for "" that file would land in the working directory's parent.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(OSError) as want:
+            open(out, "w")
+        drawn = []
+
+        def counted(*args):
+            return (drawn.append(r) or r for r in reports._sweep_rows(*args))
+
+        with pytest.raises(type(want.value)) as got:
+            write_sweep_csv(counted(6, [METHOD_LINEAR], [1.0], 11), 6, out)
+        assert (got.value.errno, got.value.filename) == (want.value.errno, out)
+        monkeypatch.setattr(cli, "_sweep_rows", counted)
+        assert main(self.ARGS + ["--out", out]) == 4
+        assert capsys.readouterr().err == f"cannot write {out}: {want.value}\n"
+        assert drawn == []
+        assert [p.name for p in tmp_path.iterdir()] == ["work"]
+        assert list(work.iterdir()) == []
+
 
 class TestCsv:
     def test_round_trip_is_lossless(self, tmp_path):
@@ -947,7 +971,9 @@ def _digit_count_mismatches():
     return [(v, g) for v, g in zip(cells, got) if g != "%.17g" % v]
 
 
-_DISPERSION_SIZES = (1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 1000)
+# The ten-row matrices of the last two sizes take more than one block of the
+# dispersion pass: blocks of six and four rows, then one row at a time.
+_DISPERSION_SIZES = (1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 1000, 20000, 2**17 + 1)
 
 
 def _dispersion_mismatches():
@@ -994,6 +1020,7 @@ class TestChunksAndDispersions:
         assert _digit_count_mismatches() == []
 
     def test_dispersions_are_the_row_dispersions(self):
+        assert reports._DISPERSION_CELLS // 20000 == 6 and reports._DISPERSION_CELLS < 2**17 + 1
         assert _dispersion_mismatches() == []
 
     def test_rows_yield_after_the_dispersion_scratch_is_freed(self):
@@ -1137,6 +1164,31 @@ class TestBlocks:
         assert _first_mismatch(no_weights, 3) is None
         assert shapes == [(1, 7), (15, 17)]
         assert len(exact_rows) == 16
+
+    def test_sweep_rows_reuse_the_cells_of_kept_rows(self, monkeypatch):
+        # The rows formatted are the ok rows whose bytes are no earlier kept row's
+        # (one at orness <= 0.5) of their method, forward or reversed: the others
+        # reuse its cells.
+        formatted = []
+
+        def spy(x):
+            formatted.extend(row.tobytes() for row in x)
+            return cells(x)
+
+        cells = _digits.cells
+        monkeypatch.setattr(_digits, "cells", spy)
+        rows = sweep(10, ALL_METHODS, betas=(1.0, 1.25, 1.5))
+        assert _first_mismatch(rows, 10) is None
+        ok = [r for r in rows if r.status == STATUS_OK]
+        expected, kept = [], set()
+        for r in ok:
+            w = np.array(r.w)
+            if (r.method, w.tobytes()) not in kept:
+                expected.append(w.tobytes())
+                if r.requested_orness <= 0.5:
+                    kept |= {(r.method, w.tobytes()), (r.method, w[::-1].tobytes())}
+        assert formatted == expected
+        assert len(ok) - len(expected) >= len(ok) / 4
 
     def test_rows_may_be_a_generator(self, exact_rows):
         rows = sweep(1000, [METHOD_LINEAR, METHOD_EXPONENTIAL], steps=21)
