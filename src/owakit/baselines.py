@@ -37,9 +37,9 @@ _HALVINGS = 40
 # this margin of the target; then the midpoint row's orness by
 # core._orness_rows decides.  log1p and expm1 avoid the cancellation, so
 # the closed form is good to a few ulps.  The worst |closed - _orness_rows|
-# measured over every midpoint the bisection visits (n in {2, 3, 5, 10,
-# 37, 100, 1000} on orness k/1000, n = 10^4 on k/100) is 6.7e-16, so the
-# margin leaves >= 150x headroom and every decision is _orness_rows'.
+# over every midpoint the bisection visits (n in {2, 3, 5, 10, 37, 100,
+# 1000} on orness k/1000, n = 10^4 on k/100) is 4.4e-16 on both SIMD families,
+# so the margin leaves >= 225x headroom and every decision is _orness_rows'.
 _SCREEN_MARGIN = 1e-13
 _NEWTON_XTOL = 1e-15
 _NEWTON_MAX_ITER = 120
@@ -293,7 +293,7 @@ def _constraint_residual(w1: float, a: float, A: float, n: int):
     w = _rebuild_from_first_weight(w1, A, n)
     if w is None:
         return None
-    return _orness_rows((w,))[0] - a
+    return _orness_rows(w[np.newaxis])[0] - a
 
 
 def _polish_first_weight(a: float, A: float, n: int, lo: float, hi: float) -> float:
@@ -345,7 +345,7 @@ def _maxent_solve(a: float, n: int):
     # orness; once it sits at rounding scale the rebuilt family is fiction
     # and no amount of polishing should "succeed".
     if w is not None and (A - n) * w1 + 1.0 > 1e-12:
-        if abs(_orness_rows((w,))[0] - a) > 1e-10:
+        if abs(_orness_rows(w[np.newaxis])[0] - a) > 1e-10:
             w1 = _polish_first_weight(a, A, n, lo, hi)
             w = _rebuild_from_first_weight(w1, A, n)
     return w

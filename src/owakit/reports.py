@@ -42,7 +42,7 @@ from .core import (
     _check_beta,
     _check_n,
     _check_orness,
-    _dispersion_array,
+    _dispersion_rows,
     _orness_rows,
     _simplex_rows,
 )
@@ -222,43 +222,24 @@ def _checked_list(seq, name: str, what: str, item: str, check: Optional[Callable
 def _rows(m: Method, grid: list, n: int, beta: Optional[float]):
     """One report per orness in ``grid``, all in [0, 1], for ``n`` and ``beta`` already
     checked, yielded in grid order: one kernel call, one read-only check of the weight
-    matrix, whose rows need no clip, and one pass for the dispersions, its scratch freed
-    before the first row.  A row is unsupported at orness 0 and 1 for a method without
-    ``endpoints``, and unstable when it fails the simplex check or, for a calibrated
-    method, misses its orness by more than ``ORNESS_TOL``."""
+    matrix, whose rows need no clip, and one pass each for every row's orness and dispersion,
+    their scratch freed before the first row.  A row is unsupported at orness 0 and 1 for a
+    method without ``endpoints``, and unstable when it fails the simplex check or, for a
+    calibrated method, misses its orness by more than ``ORNESS_TOL``."""
     w = m.kernel(np.array(grid, dtype=float), n, beta)
-    problems, achieved = _simplex_rows(w), _orness_rows(w)
+    problems, achieved, dispersions = _simplex_rows(w), _orness_rows(w), _dispersion_rows(w)
 
     def failed(requested, status):
         return MethodReport(m.name, beta, n, requested, None, None, None, status)
 
-    for requested, got, row, problem, disp in zip(grid, achieved, w, problems, _dispersions(w)):
+    for requested, got, row, problem, disp in zip(grid, achieved, w, problems, dispersions):
         if not m.endpoints and requested in (0.0, 1.0):
             yield failed(requested, STATUS_UNSUPPORTED)
         elif problem is not None or (m.calibrated and abs(got - requested) > ORNESS_TOL):
             yield failed(requested, STATUS_UNSTABLE)
         else:
-            disp = _dispersion_array(row) if disp is None else disp
             values = tuple(row.tolist())
             yield MethodReport(m.name, beta, n, requested, got, disp, values, STATUS_OK)
-
-
-def _dispersions(w: np.ndarray) -> list:
-    """``_dispersion_array(row)``, bit for bit, for each row of ``w`` with every cell > 0, in
-    one pass of row blocks of at most ``_DISPERSION_CELLS`` cells (or one row); None for each
-    other row, whose sum without its zeros pairs its terms differently."""
-    sums, whole, step = [], [], max(1, _DISPERSION_CELLS // w.shape[1])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for block in (w[k : k + step] for k in range(0, len(w), step)):
-            terms = np.log(block, order="C")
-            terms *= block
-            sums += (0.0 - terms.sum(axis=1)).tolist()
-            whole += (block > 0.0).all(axis=1).tolist()
-    return [d if ok else None for d, ok in zip(sums, whole)]
-
-
-# The dispersion pass takes a grid's rows a block of at most this many cells at a time.
-_DISPERSION_CELLS = 2**17
 
 
 def _grid(steps) -> list:

@@ -45,29 +45,46 @@ LINEAR_ONLY_AT_1000 = (METHOD_LINEAR, METHOD_EXPONENTIAL, METHOD_EXPONENTIAL_NO_
 SWEEP_CSV_SHA256 = {
     2: "2d9b5d22c8bb04bc2bd710c219497bd612baab64d3714b344a54fbdda18756d1",
     3: "726e4f88ebcebd6bc9836adbcd1d7c8952c85c702095adc7ade4ad028ec6c99c",
-    5: "259b192ec4ab45329f24b3b311d6713b45f1e434b25ec3e08c5ce68f0745a716",
-    10: "c4fcd41526844ded9e16d6d082bdd4f5f220986e792e515c36e8ef75d3678ed8",
-    100: "0639395dc1d71bb38d1b92e910d89c8dc4aec9570664c24545f54382c5fb509c",
-    1000: "796af0e0203912e3b0b2143cdb6972f6b535b338088305beb9f9d863818c20b8",
+    5: "f25c8148ff88b3e2ce83033c32272b3a814f2fd9e5c5f92f0f04e03aa2942b02",
+    10: "638bb7a09a6b617601f497f6a76166b0b05ee66b4b646a5e3f80a130823fd96d",
+    100: "c616d96a16a693e2f2e63b10469cbfa2a4d1a0a778950b0957829e98de08d954",
+    1000: "bc7c8c709ef8ef7bccdd7271d272c14f99e6b91d217d8d593dd2dda9c0194b20",
 }
 
 # The same sweeps where numpy runs its float64 exp and log loops on
 # X86_V3 and power on its baseline (no AVX-512), recorded from the same
 # code under NO_AVX512_ENV.  The exponential and maximum-entropy kernels
-# call these loops, so their last bits follow the SIMD family.
+# call these loops, so their last bits follow the SIMD family.  No pinned
+# number calls BLAS, so neither set depends on OpenBLAS's core type.
 SWEEP_CSV_SHA256_X86_V3 = {
     2: "2d9b5d22c8bb04bc2bd710c219497bd612baab64d3714b344a54fbdda18756d1",
     3: "75748bb469c273749027c6d67f14e23a0d949c80a6e1807b790b8096d9aac3f8",
-    5: "b51d222869112d3f94ec95bf70340c0c4a7d737384e7dbbb653b60d1a1a6d61f",
-    10: "1c373f33dd78d244b7e6a2917decba68274fec87604bc8bb1a7031a8eb6260da",
-    100: "e8ae6b814c026fc9a5b78573c760c2fe7dd8d202ebbac4077961520692e2204c",
-    1000: "565792a1095642983070501dd060abeb06290f0d23d9cfc7e59866f8b450acfd",
+    5: "cdc44f360a6abd745e4d5631d5b50a8940718618e1670a7fcbf01d1d0d0b43eb",
+    10: "d1f8d04c3a287f4ac5262402e3c736a6f59932e032ec1dda6d2128a5d1c6b6f4",
+    100: "7a2ac01c993b013b262a5f6ded21b88486c21facbcf754d824dd2b4abded0997",
+    1000: "00621a2fb36e7a81892118880789cae7524e618288d8eee4359c1a03d5787d0b",
 }
 
 # The expected digests by the SIMD target of numpy's exp, log and power.
 DISPATCH_AVX512 = {"exp": "X86_V4", "log": "X86_V4", "power": "X86_V4"}
 DISPATCH_X86_V3 = {"exp": "X86_V3", "log": "X86_V3", "power": "baseline(X86_V2)"}
 NO_AVX512_ENV = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def _on_emulated_avx2_host(script, *args):
+    """What ``python -c script *args`` prints, read as JSON, on an emulated
+    AVX2-only x86 host: numpy's loops without AVX-512 (``NO_AVX512_ENV``)
+    and OpenBLAS on its Haswell kernels, with ``owakit`` and these tests
+    importable.  Fails the calling test if the script fails."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(reports.__file__))
+    path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE="Haswell", **NO_AVX512_ENV)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def _dispatch():
@@ -124,23 +141,12 @@ class TestPinned:
         # An AVX-512 host checks the other family's pins too.
         if _dispatch() != DISPATCH_AVX512:
             pytest.skip("numpy has no AVX-512 dispatch here")
-        src = os.path.dirname(os.path.dirname(reports.__file__))
-        here = os.path.dirname(os.path.abspath(__file__))
-        path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
         script = (
             "import json, sys, test_arrays as t; "
             "print(json.dumps([t._dispatch(), "
             "{n: t._sweep_csv_digest(n, sys.argv[1]) for n in t.SWEEP_CSV_SHA256_X86_V3}]))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path, **NO_AVX512_ENV),
-            check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        dispatch, digests = json.loads(proc.stdout)
+        dispatch, digests = _on_emulated_avx2_host(script, str(tmp_path))
         assert dispatch == DISPATCH_X86_V3
         assert {int(n): d for n, d in digests.items()} == SWEEP_CSV_SHA256_X86_V3
 

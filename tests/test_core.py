@@ -22,7 +22,13 @@ from owakit import (
     orness,
     uniform_weights,
 )
-from owakit.core import _orness_rows, _real_array, _simplex_rows
+from owakit.core import (
+    _SUM_COLUMNS,
+    _dispersion_rows,
+    _orness_rows,
+    _real_array,
+    _simplex_rows,
+)
 
 
 def random_weight_vectors(count, rng):
@@ -189,6 +195,56 @@ class TestDispersion:
         rng = np.random.default_rng(13)
         for v in random_weight_vectors(200, rng):
             assert -1e-12 <= dispersion(v) <= math.log(v.n) + 1e-12
+
+
+def _row_sum_grid(n):
+    """Eight weight rows of size ``n``: log-uniform cells, uniform, a +0.0
+    cell, every third cell -0.0, and single atoms among +0.0 and -0.0 cells."""
+    if n == 1:
+        return np.ones((2, 1))
+    rng = np.random.default_rng(n)
+    cells = 10 ** rng.uniform(-12, 0, (8, n))
+    cells[1] = 1.0
+    cells[2, rng.integers(n)] = 0.0
+    cells[3, ::3] = -0.0
+    w = cells / cells.sum(axis=1, keepdims=True)
+    w[4:6] = np.where(np.arange(n) == n // 2, 1.0, 0.0)
+    w[6:8] = np.where(np.arange(n) == n - 1, 1.0, -0.0)
+    w[5], w[7] = w[5, ::-1], w[7, ::-1]
+    return w
+
+
+class TestOneRowSum:
+    """Orness and dispersion sum each row's terms by one rule: pairwise
+    within column chunks of ``_SUM_COLUMNS``, the chunk sums added left to
+    right.  A row's value is the same alone or in a grid."""
+
+    SIZES = (1, 2, 7, _SUM_COLUMNS - 1, _SUM_COLUMNS, _SUM_COLUMNS + 1, 2 * _SUM_COLUMNS + 3)
+
+    @pytest.mark.filterwarnings("ignore:orness of a length-1")
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rows_equal_their_one_row_calls(self, n):
+        w = _row_sum_grid(n)
+        for rows, one in ((_orness_rows, orness), (_dispersion_rows, dispersion)):
+            got = rows(w)
+            for k, row in enumerate(w):
+                alone = rows(row[np.newaxis])[0]
+                assert repr(got[k]) == repr(alone) == repr(one(WeightVector(row))), (n, k)
+
+    @pytest.mark.parametrize("n", SIZES[1:])
+    def test_orness_is_the_chunked_pairwise_sum(self, n):
+        w = _row_sum_grid(n)
+        coef = np.arange(n - 1, -1, -1, dtype=float)
+        for got, row in zip(_orness_rows(w), w):
+            total = 0.0
+            for k in range(0, n, _SUM_COLUMNS):
+                total += float((row[k : k + _SUM_COLUMNS] * coef[k : k + _SUM_COLUMNS]).sum())
+            assert repr(got) == repr(total / (n - 1)), n
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_single_atoms_have_positive_zero_dispersion(self, n):
+        atoms = _row_sum_grid(n)[-4:]
+        assert [repr(d) for d in _dispersion_rows(atoms)] == ["0.0"] * len(atoms)
 
 
 class TestAggregate:
@@ -434,3 +490,21 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+def test_library_calls_blas_only_in_aggregate():
+    # Orness and dispersion sum in numpy, so the host's BLAS core reaches no
+    # pinned number; aggregate keeps its dot product.
+    blas = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+    found = []
+    for path in sorted(pathlib.Path(owakit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        nodes = list(ast.walk(tree))
+        funcs = [f for f in nodes if isinstance(f, ast.FunctionDef) and f.name == "aggregate"]
+        allowed = {id(node) for f in funcs for node in ast.walk(f)}
+        for node in nodes:
+            matmul = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            if matmul or (isinstance(node, ast.Attribute) and node.attr in blas):
+                found.append((path.name, node.lineno, id(node) in allowed))
+    # The one call left is aggregate's ``ww.dot``.
+    assert [f for f in found if not f[2]] == [] and len(found) == 1

@@ -22,7 +22,7 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STDOUT_SHA256 = {
     "01_weight_families.py": "4cc497de27620e0adc85c3eee307b2e30c8d18b59ee6ad5d5d2046a15706a956",
     "02_entropy_curves.py": "1a7b5ba536d36ba10e8c76d6ba46a3a6c5b5a7354fcf282d91952b4e8cb83a51",
-    "03_instability_region.py": "0d7cf6e484be06829805f605c2490f29840742d45b85ff653641e7b55f70dfc1",
+    "03_instability_region.py": "5d9c77cbe8a71d712d6a9fa7d8b0e4f453d56e831af222855e381a00733e4096",
 }
 
 

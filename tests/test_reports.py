@@ -17,6 +17,7 @@ import pytest
 import owakit
 from owakit import (
     OrnessTarget,
+    WeightVector,
     dispersion,
     exponential_weights,
     exponential_weights_no_preset,
@@ -24,9 +25,9 @@ from owakit import (
     maxent_weights,
     orness,
 )
-from owakit import _digits, cli, reports
+from owakit import _digits, cli, core, reports
 from owakit.baselines import CalibrationError, MaxentInstabilityError, UnsupportedOrnessError
-from owakit.core import DEFAULT_BETA, _dispersion_array
+from owakit.core import DEFAULT_BETA
 from owakit.cli import main
 from owakit.reports import (
     ALL_METHODS,
@@ -50,9 +51,9 @@ from test_arrays import (
     DISPATCH_AVX512,
     DISPATCH_X86_V3,
     LINEAR_ONLY_AT_1000,
-    NO_AVX512_ENV,
     SWEEP_CSV_SHA256,
     _dispatch,
+    _on_emulated_avx2_host,
 )
 
 
@@ -879,22 +880,11 @@ class TestExactCells:
         # numpy loops that dispatch on the SIMD target: check another target.
         if _dispatch() != DISPATCH_AVX512:
             pytest.skip("numpy has no AVX-512 dispatch here")
-        src = os.path.dirname(os.path.dirname(reports.__file__))
-        here = os.path.dirname(os.path.abspath(__file__))
-        path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
         script = (
             "import json, test_arrays as a, test_reports as t; "
             "print(json.dumps([a._dispatch(), repr(t._exact_cell_mismatches())]))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path, **NO_AVX512_ENV),
-            check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [DISPATCH_X86_V3, "[]"]
+        assert _on_emulated_avx2_host(script) == [DISPATCH_X86_V3, "[]"]
 
     def test_no_sweep_cell_is_near_a_half(self):
         # Sweep cells go down to subnormals, and none is left to "%.17g" by the
@@ -904,22 +894,11 @@ class TestExactCells:
         assert counts[1000][1] > 40000
         if _dispatch() != DISPATCH_AVX512:
             return
-        src = os.path.dirname(os.path.dirname(reports.__file__))
-        here = os.path.dirname(os.path.abspath(__file__))
-        path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
         script = (
             "import json, test_arrays as a, test_reports as t; "
             "print(json.dumps([a._dispatch(), t._near_half_cells(a.SWEEP_CSV_SHA256_X86_V3)]))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path, **NO_AVX512_ENV),
-            check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        dispatch, other = json.loads(proc.stdout)
+        dispatch, other = _on_emulated_avx2_host(script)
         assert dispatch == DISPATCH_X86_V3
         assert [near for near, _ in other.values()] == [0] * 6
         assert other["1000"][1] > 40000
@@ -971,16 +950,30 @@ def _digit_count_mismatches():
     return [(v, g) for v, g in zip(cells, got) if g != "%.17g" % v]
 
 
-# The ten-row matrices of the last two sizes take more than one block of the
-# dispersion pass: blocks of six and four rows, then one row at a time.
+# Rows of the last two sizes take more than one column chunk of the row sums.
 _DISPERSION_SIZES = (1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 1000, 20000, 2**17 + 1)
+
+
+def _compressed_dispersion(row):
+    """The dispersion formula the row sums replaced, kept as the reference:
+    0.0 less the pairwise sum of w ln w over the cells > 0 alone.  It is
+    taken per column chunk of ``core._SUM_COLUMNS``, the chunk sums added to
+    +0.0 left to right, so a row of no more cells is the old formula exactly."""
+    total = 0.0
+    for k in range(0, row.size, core._SUM_COLUMNS):
+        chunk = row[k : k + core._SUM_COLUMNS]
+        pos = chunk[chunk > 0.0]
+        total += float((pos * np.log(pos)).sum())
+    return 0.0 - total
 
 
 def _dispersion_mismatches():
     """(n, row, got, expected) for each row of a matrix of size ``n`` whose
-    ``reports._dispersions`` value is not ``_dispersion_array(row)`` bit for
-    bit, or not None for a row with a cell that is not > 0; then each ok row
-    of a sweep whose dispersion is not that of its weights."""
+    ``core._dispersion_rows`` value is not, bit for bit, its one-row call and,
+    for a row of cells > 0, :func:`_compressed_dispersion`; a row with a cell
+    of +-0.0 must lie within 1e-14 of it, a single atom give +0.0 and a row
+    with a NaN give NaN.  Then
+    each ok row of a sweep whose dispersion is not that of its weights."""
     rng = np.random.default_rng(30)
     bad = []
     for n in _DISPERSION_SIZES:
@@ -993,14 +986,21 @@ def _dispersion_mismatches():
         w[7, :: max(2, n // 3)] = 0.0
         w[8] = np.where(np.arange(n) == n // 2, 1.0, -0.0)
         w[9, 0] = np.nan
-        got = reports._dispersions(w)
+        got = core._dispersion_rows(w)
         for k, row in enumerate(w):
-            expected = _dispersion_array(row) if (row > 0.0).all() else None
-            if repr(got[k]) != repr(expected):
+            expected = _compressed_dispersion(row)
+            one = core._dispersion_rows(row[np.newaxis])[0]
+            if k in (8, 9):  # the single atom, and the row with a NaN
+                ok = repr(got[k]) == repr(one) == ("0.0" if k == 8 else "nan")
+            elif (row > 0.0).all():
+                ok = repr(got[k]) == repr(one) == repr(expected)
+            else:
+                ok = repr(got[k]) == repr(one) and abs(got[k] - expected) <= 1e-14
+            if not ok:
                 bad.append((n, k, got[k], expected))
     for n in (7, 129):
         for r in sweep(n, ALL_METHODS, betas=(1.0, 1.5), steps=21):
-            if r.w is not None and repr(r.dispersion) != repr(_dispersion_array(np.array(r.w))):
+            if r.w is not None and repr(r.dispersion) != repr(dispersion(WeightVector(r.w))):
                 bad.append((n, r.method, r.requested_orness, r.dispersion))
     return bad
 
@@ -1020,7 +1020,7 @@ class TestChunksAndDispersions:
         assert _digit_count_mismatches() == []
 
     def test_dispersions_are_the_row_dispersions(self):
-        assert reports._DISPERSION_CELLS // 20000 == 6 and reports._DISPERSION_CELLS < 2**17 + 1
+        assert core._SUM_COLUMNS < 20000 and 2 * core._SUM_COLUMNS < 2**17 + 1
         assert _dispersion_mismatches() == []
 
     def test_rows_yield_after_the_dispersion_scratch_is_freed(self):
@@ -1041,24 +1041,13 @@ class TestChunksAndDispersions:
         # the other one, with the tables, the digit counts and the bisection.
         if _dispatch() != DISPATCH_AVX512:
             pytest.skip("numpy has no AVX-512 dispatch here")
-        src = os.path.dirname(os.path.dirname(reports.__file__))
-        here = os.path.dirname(os.path.abspath(__file__))
-        path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
         script = (
             "import json, test_arrays as a, test_reports as t, test_baselines as b; "
             "print(json.dumps([a._dispatch(), repr(t._table_mismatches()), "
             "repr(t._digit_count_mismatches()), repr(t._dispersion_mismatches()), "
             "repr(b._bisection_mismatches())]))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path, **NO_AVX512_ENV),
-            check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [DISPATCH_X86_V3, "[]", "[]", "[]", "[]"]
+        assert _on_emulated_avx2_host(script) == [DISPATCH_X86_V3, "[]", "[]", "[]", "[]"]
 
 
 def _first_mismatch(rows, n, end="\r\n", given=None):
@@ -1189,6 +1178,21 @@ class TestBlocks:
                     kept |= {(r.method, w.tobytes()), (r.method, w[::-1].tobytes())}
         assert formatted == expected
         assert len(ok) - len(expected) >= len(ok) / 4
+
+    def test_only_rows_at_orness_at_most_a_half_are_kept(self, exact_rows):
+        # A row at 0.7 is not kept, so its repeat at 0.8 is formatted again; a
+        # row at 0.3 is kept, so its repeat after other rows is not.
+        n = 5
+        high, low, other = (r.w for r in _random_rows(3, n, 7))
+        rows = [
+            _row(METHOD_MAXENT, 0.7, high, n=n),
+            _row(METHOD_MAXENT, 0.8, high, n=n),
+            _row(METHOD_MAXENT, 0.3, low, n=n),
+            _row(METHOD_MAXENT, 0.6, other, n=n),
+            _row(METHOD_MAXENT, 0.9, low, n=n),
+        ]
+        assert _first_mismatch(rows, n) is None
+        assert exact_rows == [",".join("%.17g" % v for v in w) for w in (high, high, low, other)]
 
     def test_rows_may_be_a_generator(self, exact_rows):
         rows = sweep(1000, [METHOD_LINEAR, METHOD_EXPONENTIAL], steps=21)
