@@ -35,12 +35,12 @@ ORNESS_TOL = 1e-9
 _HALVINGS = 40
 # A halving is decided by the closed-form orness unless that lies within
 # this margin of the target; then the midpoint row's orness by
-# core._orness_rows decides.  log1p and expm1 avoid the cancellation, so
-# the closed form is good to a few ulps.  The worst |closed - _orness_rows|
-# over every midpoint the bisection visits (n in {2, 3, 5, 10, 37, 100,
-# 1000} on orness k/1000, n = 10^4 on k/100) is 4.4e-16 on both SIMD families,
-# so the margin leaves >= 225x headroom and every decision is _orness_rows'.
-_SCREEN_MARGIN = 1e-13
+# core._orness_rows decides.  log1p and expm1 keep the closed form good to
+# a few ulps; a row's running product drifts by about sqrt(n) ulps.  The
+# worst |closed - _orness_rows| over every midpoint visited is 1.9e-15 at
+# n <= 1000 (orness k/1000), 4.3e-15 at 10^4 (k/100) and 9.6e-14 at 10^7:
+# >= 46x headroom to n = 10^4, so every decision is _orness_rows'.
+_SCREEN_MARGIN = 2e-13
 _NEWTON_XTOL = 1e-15
 _NEWTON_MAX_ITER = 120
 _BRACKET_SCAN_POINTS = 400
@@ -85,17 +85,23 @@ class CalibrationResult:
 # Exponential family
 # ---------------------------------------------------------------------------
 
+def _geometric_rows(q, n: int) -> np.ndarray:
+    """q^j for j < n, one row per value of the sequence ``q``, as a running
+    product: cell j is exactly fl(cell[j-1] * q), so IEEE multiplication alone
+    sets every bit, and once a product underflows every later cell is +0.0."""
+    w = np.empty((len(q), n))
+    w.T[:] = q  # row i filled with q[i]
+    w[:, 0] = 1.0
+    return np.multiply.accumulate(w, axis=1, out=w)
+
+
 def _exponential_rows(a: np.ndarray, n: int, and_like: np.ndarray) -> np.ndarray:
     """Geometric weights, one row per parameter in the 1-d array ``a``.
     The or-like row is w_i = a(1-a)^(i-1) for i < n and w_n = (1-a)^(n-1),
     which telescope to 1; the and-like row is the same row reversed, and
     it is returned where the boolean array ``and_like`` is True."""
-    w = np.empty((a.size, n))
-    base = 1.0 - a
-    np.power(base[:, np.newaxis], np.arange(n - 1), out=w[:, : n - 1])
+    w = _geometric_rows(1.0 - a, n)
     w[:, : n - 1] *= a[:, np.newaxis]
-    # Python's float ** per value: numpy's array power differs in the last bit.
-    w[:, n - 1] = [b ** (n - 1) for b in base.tolist()]
     w[and_like] = w[and_like, ::-1]
     return w
 
@@ -275,17 +281,14 @@ def _maxent_bracket(F, lo: float, hi: float):
 
 
 def _rebuild_from_first_weight(w1: float, A: float, n: int):
-    """Weights implied by a candidate first weight: the last weight from
-    the two constraints, geometric interpolation in between (done in logs
-    so large n does not underflow intermediate powers)."""
+    """Weights implied by a candidate first weight: the last weight wn from
+    the two constraints, then the geometric row of ratio q = (wn/w1)^(1/(n-1))
+    normalised by its sum; q is one Python float, rounded by libm, not numpy."""
     num = (A - n) * w1 + 1.0
     den = A + 1.0 - n * w1
     if w1 <= 0.0 or num <= 0.0 or den <= 0.0:
         return None
-    wn = num / den
-    j = np.arange(n)
-    logw = ((n - 1 - j) * np.log(w1) + j * np.log(wn)) / (n - 1)
-    w = np.exp(logw)
+    (w,) = _geometric_rows([(num / den / w1) ** (1.0 / (n - 1))], n)
     return w / w.sum()
 
 

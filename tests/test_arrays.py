@@ -44,25 +44,27 @@ LINEAR_ONLY_AT_1000 = (METHOD_LINEAR, METHOD_EXPONENTIAL, METHOD_EXPONENTIAL_NO_
 # ``#`` provenance line, which carries the package version.
 SWEEP_CSV_SHA256 = {
     2: "2d9b5d22c8bb04bc2bd710c219497bd612baab64d3714b344a54fbdda18756d1",
-    3: "726e4f88ebcebd6bc9836adbcd1d7c8952c85c702095adc7ade4ad028ec6c99c",
-    5: "f25c8148ff88b3e2ce83033c32272b3a814f2fd9e5c5f92f0f04e03aa2942b02",
-    10: "638bb7a09a6b617601f497f6a76166b0b05ee66b4b646a5e3f80a130823fd96d",
-    100: "c616d96a16a693e2f2e63b10469cbfa2a4d1a0a778950b0957829e98de08d954",
-    1000: "bc7c8c709ef8ef7bccdd7271d272c14f99e6b91d217d8d593dd2dda9c0194b20",
+    3: "fed2acfdb903f8d93f3278ce707df5b9f553be3c32ace79598193c15f0cbcbc3",
+    5: "d2d81159b11b9ba5c38da585df2306cbc235f61e6a1bb0d09e5bd7d1e066331f",
+    10: "8ad0b3d191f135a033df393db0fd457bd28c35eb33540199b74d41e238b83725",
+    100: "31f60764d32c77d4d36037fdc738c78c46b045f8dea9824236b4c224151c6d5b",
+    1000: "08aa3dbc8a1382c90b6666eabd4e97897857d8abaa7526c0e63ebff55e1ce6c7",
 }
 
 # The same sweeps where numpy runs its float64 exp and log loops on
 # X86_V3 and power on its baseline (no AVX-512), recorded from the same
-# code under NO_AVX512_ENV.  The exponential and maximum-entropy kernels
-# call these loops, so their last bits follow the SIMD family.  No pinned
-# number calls BLAS, so neither set depends on OpenBLAS's core type.
+# code under NO_AVX512_ENV.  Weight rows are running products, which no
+# SIMD loop rounds; only the maximum-entropy rows found on the bracketed
+# path (n below about 150) still follow the family, through the
+# polynomial's powers, so the sets differ at n = 3 to 100 alone.  No
+# pinned number calls BLAS, so neither set depends on OpenBLAS's core type.
 SWEEP_CSV_SHA256_X86_V3 = {
     2: "2d9b5d22c8bb04bc2bd710c219497bd612baab64d3714b344a54fbdda18756d1",
-    3: "75748bb469c273749027c6d67f14e23a0d949c80a6e1807b790b8096d9aac3f8",
-    5: "cdc44f360a6abd745e4d5631d5b50a8940718618e1670a7fcbf01d1d0d0b43eb",
-    10: "d1f8d04c3a287f4ac5262402e3c736a6f59932e032ec1dda6d2128a5d1c6b6f4",
-    100: "7a2ac01c993b013b262a5f6ded21b88486c21facbcf754d824dd2b4abded0997",
-    1000: "00621a2fb36e7a81892118880789cae7524e618288d8eee4359c1a03d5787d0b",
+    3: "dbafcdce9e922fe02ea47184962f7161d5eb258af8fdafe7c9fcb0c904df5d69",
+    5: "42e820304872e251db06d88bc35c7a41a5787886b8bb10846be17350e66e3eae",
+    10: "f7d94aab0f533f314cead50617ef6b45a804ff88cd9624f3596ead91f53283ea",
+    100: "1a9dd1913dbb46e7938dec91465313bb4350ba3857ab4d17d4150f9b0d3553be",
+    1000: "08aa3dbc8a1382c90b6666eabd4e97897857d8abaa7526c0e63ebff55e1ce6c7",
 }
 
 # The expected digests by the SIMD target of numpy's exp, log and power.

@@ -243,6 +243,68 @@ class TestMaxent:
                 assert d_oracle <= d + 1e-6
 
 
+GEOMETRIC_RATIOS = [0.0, 5e-324, 0.01, 0.5, 0.97, 1.0 - 2.0**-53, 1.0]
+GEOMETRIC_GRID = np.arange(101) / 100
+
+
+def _running_product(q, n):
+    """q^j for j < n as a Python loop: each cell the previous one times q."""
+    row, p = [], 1.0
+    for _ in range(n):
+        row.append(p)
+        p *= q
+    return np.array(row)
+
+
+def _maxent_ratios(n):
+    """The ratios the maximum-entropy solves of ``GEOMETRIC_GRID`` build rows of."""
+    ratios = []
+    build = baselines._geometric_rows
+
+    def recording(q, n):
+        ratios.extend(q)
+        return build(q, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "_geometric_rows", recording)
+        _maxent_rows(GEOMETRIC_GRID, n)
+    return ratios
+
+
+class TestGeometricRows:
+    """``_geometric_rows`` is a running product: each cell is the previous
+    cell times q, rounded once, so its bits follow no SIMD loop."""
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000])
+    def test_rows_are_the_running_product(self, n):
+        w = baselines._geometric_rows(GEOMETRIC_RATIOS, n)
+        assert w.shape == (len(GEOMETRIC_RATIOS), n)
+        for q, row in zip(GEOMETRIC_RATIOS, w):
+            expected = _running_product(q, n).tobytes()
+            assert row.tobytes() == expected, q
+            assert baselines._geometric_rows([q], n)[0].tobytes() == expected, q
+
+    @pytest.mark.parametrize("n", [3, 10, 100, 1000])
+    def test_family_grids_equal_their_one_value_calls(self, n):
+        _, a = baselines._calibrated_exponential_array(GEOMETRIC_GRID, n)
+        no_preset = 1.0 - np.where(GEOMETRIC_GRID <= 0.5, 1.0 - GEOMETRIC_GRID, GEOMETRIC_GRID)
+        maxent = _maxent_ratios(n)
+        assert len(maxent) > 0
+        for ratios in (1.0 - a, no_preset, np.array(maxent)):
+            w = baselines._geometric_rows(ratios, n)
+            for q, row in zip(ratios.tolist(), w):
+                assert row.tobytes() == baselines._geometric_rows([q], n)[0].tobytes(), q
+                assert row.tobytes() == _running_product(q, n).tobytes(), q
+
+    def test_an_underflowing_row_is_positive_zero_from_its_first_zero(self):
+        (row,) = baselines._geometric_rows([0.01], 1000)
+        first = int(np.flatnonzero(row == 0.0)[0])
+        assert 0 < first < 1000
+        assert np.all(row[:first] > 0.0)
+        assert row[first:].tobytes() == bytes(8 * (1000 - first))
+        assert not np.isnan(row).any()
+
+
 _SIGN_CASES = [0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf"), float("nan")]
 
 

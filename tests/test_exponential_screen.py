@@ -4,7 +4,8 @@
 series' closed-form orness, and measures the midpoint's row with
 ``core._orness_rows`` only within ``_SCREEN_MARGIN`` of the target.  The
 reference below is the loop it replaced, written with numpy only: 40
-halvings, each summing the whole row matrix.  Every parameter and weight
+halvings, each summing the whole row matrix, whose rows it builds itself
+as running products, one column at a time.  Every parameter and weight
 must match it bit for bit.
 """
 
@@ -19,11 +20,16 @@ from owakit.core import _orness_rows
 
 
 def _reference_rows(a, n, and_like=None):
-    w = np.empty((a.size, n))
+    """The exponential rows at the parameters ``a``, written out: column j
+    holds the running product (1 - a)^j, one multiplication at a time,
+    and every column but the last is then scaled by ``a``."""
     base = 1.0 - a
-    np.power(base[:, np.newaxis], np.arange(n - 1), out=w[:, : n - 1])
-    w *= a[:, np.newaxis]
-    w[:, n - 1] = [b ** (n - 1) for b in base.tolist()]
+    w = np.empty((n, a.size))  # column j of the rows is w[j]
+    w[0] = 1.0
+    for j in range(1, n):
+        np.multiply(w[j - 1], base, out=w[j])
+    w = w.T.copy()
+    w[:, : n - 1] *= a[:, np.newaxis]
     if and_like is not None:
         w[and_like] = w[and_like, ::-1]
     return w

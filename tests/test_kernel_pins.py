@@ -5,7 +5,10 @@ only up to n = 100.  These digests pin the kernels at the sizes where
 the exponential calibration starts to miss its tolerance, where the
 maximum-entropy polish runs without a bracket, and where the linear
 line is longest: SHA-256 over the float64 bytes of each kernel's output
-on the orness grid k/100, one set per SIMD family as in ``test_arrays``.
+on the orness grid k/100.  Every row here comes from IEEE arithmetic and
+libm, which numpy's SIMD dispatch does not reach (maximum entropy's
+polynomial overflows from n of about 150, so its rows come from the
+polish), so one set holds on every numpy SIMD family.
 The calibrated rows that meet ``ORNESS_TOL`` and the rows that miss it
 have separate digests, so a change to one set cannot hide in the other.
 """
@@ -62,7 +65,6 @@ PINS = {
     "linear 100000": lambda: _sha256(_weight_array(K100, 10**5, 1.5)),
 }
 
-# The misses are the same on both SIMD families.
 MISSES_20000 = [39, 42, 44, 47, 48, 49, 51, 52, 53, 56, 58, 61]
 MISSES_100000 = [
     17, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 35, 36, 37, 38, 39,
@@ -74,52 +76,27 @@ NO_ROWS = hashlib.sha256(b"").hexdigest()
 KERNEL_SHA256 = {
     "exponential 10000": {
         "misses": [],
-        "pass": "fdbcaf5eb101eac2cbdcb536fc48c1d8514d10513eabd52b862cb08c2f88311c",
+        "pass": "542f9e5f89ae42f78dc12247632f7faec59f6752ca26b2c2d246f73c07c9d1cb",
         "miss": NO_ROWS,
     },
     "exponential 20000": {
         "misses": MISSES_20000,
-        "pass": "552220bdd4ce1284e3c73056c02f2d449854d86faa13decdd25b93d219e68568",
-        "miss": "4af60ee4e61a3e3c2f968adafd5742480788beb8190c4f6fef7e3c2fa979e542",
+        "pass": "d597e856543230b5b0b5ecea1f66231efeb9b0cb002b35360b1878066ec537da",
+        "miss": "5ebd50a610ff6ac7fc0f674d299b3d6be1c43a9537676186b9f881fd838912bc",
     },
     "exponential 100000": {
         "misses": MISSES_100000,
-        "pass": "55fbaf4bd66da14c99ec56385a89eb4f6cff0d0a1ccd6cffe88e13abe0c82a50",
-        "miss": "4c72413b9ba389279bfb19878c07a38822e2a1ef6d1d20c925358e6c9e141a4d",
+        "pass": "8fcbfcca9852ea56d0c2cdec3b086feaaed3779d7ea14c403d3e74598bc55a39",
+        "miss": "70aff9b5dc42ace507965c2e84042104ac005af68ed9fd65dfeb9a88e705a484",
     },
-    "no-preset 1000": "1e392936345ef409b1da095c81f6871cc37e28429da6f4b7b048d5e58827c372",
-    "no-preset 10000": "d9d67360f2b0b7948617d15733bcdef511ec3d6c74402ea5c2f69e420fb20d1b",
-    "maxent 1000": "c36d8f40894dbd099e40424c6bbbc30b8d9d34d9140a36bf61cc8124157848ca",
-    "maxent 10000": "a524e5c871b1f7cba1342b6d22aa4aa51ec094f28433dc38019fc118095bf436",
+    "no-preset 1000": "4583783a0b6e3947a4d2e4a10c73fb70ea43f571f7b040eebe0ea621f55d642c",
+    "no-preset 10000": "2896007e757fe0546b3ed9a5d9876d45576820b3c7d698a6029df614ed218c33",
+    "maxent 1000": "bd35290c4e1f202933567e780ebf412458c7ee5422f1e114be77065fe5d1172e",
+    "maxent 10000": "31a87df4beb5638d6905a70f98487d8f15e48fcb4eab4ea374215790231226f0",
     "linear 100000": "6de521939b67f63c3d073d7dc218043d7aa2a56d4d13e73b289990d8ec8062ab",
 }
 
-# The same digests recorded under NO_AVX512_ENV (see test_arrays).
-KERNEL_SHA256_X86_V3 = {
-    "exponential 10000": {
-        "misses": [],
-        "pass": "fdf0a1052dff6b953e9a8947df6094b94d78a65dadb086b0fdcd5bb91f23071b",
-        "miss": NO_ROWS,
-    },
-    "exponential 20000": {
-        "misses": MISSES_20000,
-        "pass": "0c8e6788c4d02b0b6f230704c7d0250cda9cd34b830cf07e33876b3012037aec",
-        "miss": "45412df45943a3607188b9cf930646f8680604041d7de8af239979b8cc02b6c4",
-    },
-    "exponential 100000": {
-        "misses": MISSES_100000,
-        "pass": "9a385aa170922f82e74d51356a5c393749fbf3041b1120b3a4f8e38a6c1e349e",
-        "miss": "eb32bce5bfb5330c5ead7eb48b886bf3900df336e5d6c245dcbfd01709574e56",
-    },
-    "no-preset 1000": "73b22a600227ad9675781c1f8bf67e8c6fe8d88ac336c155ca6957b618c9a6d2",
-    "no-preset 10000": "5d0d40b91abbc9b439cc8fdf15e3a52800d6d3e156b26ae0e67792385b11d063",
-    "maxent 1000": "80f952febb3e6596c1bada7e01f4df053d2404bea9b447c378da8c3536879a2f",
-    "maxent 10000": "e8f8b42a7aa9b3ca561f6de4ead8a5d493d3041e340dec34472b203fc808b6f0",
-    "linear 100000": "6de521939b67f63c3d073d7dc218043d7aa2a56d4d13e73b289990d8ec8062ab",
-}
-
-# The refusals' messages, the same on both SIMD families.  The
-# calibration's parameter is printed to 17 digits.
+# The refusals' messages.  The calibration's parameter is printed to 17 digits.
 MESSAGES = {
     ("exponential", 0.48, 2 * 10**4): (
         "exponential preset did not converge: best parameter "
@@ -145,18 +122,9 @@ def _message(method, orness, n):
     return None
 
 
-def _expected():
-    dispatch = _dispatch()
-    if dispatch == DISPATCH_AVX512:
-        return KERNEL_SHA256
-    if dispatch == DISPATCH_X86_V3:
-        return KERNEL_SHA256_X86_V3
-    pytest.fail(f"no kernel digests are recorded for the numpy dispatch {dispatch}")
-
-
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_kernel_digest(name):
-    assert PINS[name]() == _expected()[name]
+    assert PINS[name]() == KERNEL_SHA256[name]
 
 
 @pytest.mark.parametrize("key", sorted(MESSAGES))
@@ -166,7 +134,7 @@ def test_refusal_message(key):
 
 
 def test_kernel_digests_without_avx512():
-    # An AVX-512 host checks the other family's pins too, and its messages.
+    # An AVX-512 host checks that the other family gives the same pins and messages.
     if _dispatch() != DISPATCH_AVX512:
         pytest.skip("numpy has no AVX-512 dispatch here")
     script = (
@@ -176,5 +144,5 @@ def test_kernel_digests_without_avx512():
     )
     dispatch, digests, messages = _on_emulated_avx2_host(script)
     assert dispatch == DISPATCH_X86_V3
-    assert digests == KERNEL_SHA256_X86_V3
+    assert digests == KERNEL_SHA256
     assert messages == [_message(*key) for key in MESSAGES]
