@@ -35,11 +35,11 @@ ORNESS_TOL = 1e-9
 _HALVINGS = 40
 # A halving is decided by the closed-form orness unless that lies within
 # this margin of the target; then the midpoint row's orness by
-# core._orness_rows decides.  log1p and expm1 keep the closed form good to
-# a few ulps; a row's running product drifts by about sqrt(n) ulps.  The
-# worst |closed - _orness_rows| over every midpoint visited is 1.9e-15 at
-# n <= 1000 (orness k/1000), 4.3e-15 at 10^4 (k/100) and 9.6e-14 at 10^7:
-# >= 46x headroom to n = 10^4, so every decision is _orness_rows'.
+# core._orness_rows decides.  The closed form is good to a few ulps; cell j
+# of a row's running product to about sqrt(j) ulps, or j/2 where every step
+# rounds one way (1 - a of few bits), so the last cell is libm's.  Worst
+# |closed - _orness_rows| over every midpoint visited: 1.2e-15 at n <= 1000
+# (k/1000), 3.6e-15 at 10^4 (k/100), 6.4e-14 at 10^7; >= 56x to n = 10^4.
 _SCREEN_MARGIN = 2e-13
 _NEWTON_XTOL = 1e-15
 _NEWTON_MAX_ITER = 120
@@ -87,8 +87,7 @@ class CalibrationResult:
 
 def _geometric_rows(q, n: int) -> np.ndarray:
     """q^j for j < n, one row per value of the sequence ``q``, as a running
-    product: cell j is exactly fl(cell[j-1] * q), so IEEE multiplication alone
-    sets every bit, and once a product underflows every later cell is +0.0."""
+    product: cell j is exactly fl(cell[j-1] * q), +0.0 once one underflows."""
     w = np.empty((len(q), n))
     w.T[:] = q  # row i filled with q[i]
     w[:, 0] = 1.0
@@ -96,12 +95,13 @@ def _geometric_rows(q, n: int) -> np.ndarray:
 
 
 def _exponential_rows(a: np.ndarray, n: int, and_like: np.ndarray) -> np.ndarray:
-    """Geometric weights, one row per parameter in the 1-d array ``a``.
-    The or-like row is w_i = a(1-a)^(i-1) for i < n and w_n = (1-a)^(n-1),
-    which telescope to 1; the and-like row is the same row reversed, and
-    it is returned where the boolean array ``and_like`` is True."""
+    """Geometric weights, one row per parameter in the 1-d array ``a``: the
+    or-like row w_i = a(1-a)^(i-1) for i < n, w_n = (1-a)^(n-1) telescopes
+    to 1, and it is reversed where the boolean array ``and_like`` is True."""
     w = _geometric_rows(1.0 - a, n)
     w[:, : n - 1] *= a[:, np.newaxis]
+    # libm's pow: the running product loses the a^2 term for a near 0.
+    w[:, n - 1] = [(1.0 - x) ** (n - 1) for x in a.tolist()]
     w[and_like] = w[and_like, ::-1]
     return w
 

@@ -45,10 +45,10 @@ LINEAR_ONLY_AT_1000 = (METHOD_LINEAR, METHOD_EXPONENTIAL, METHOD_EXPONENTIAL_NO_
 SWEEP_CSV_SHA256 = {
     2: "2d9b5d22c8bb04bc2bd710c219497bd612baab64d3714b344a54fbdda18756d1",
     3: "fed2acfdb903f8d93f3278ce707df5b9f553be3c32ace79598193c15f0cbcbc3",
-    5: "d2d81159b11b9ba5c38da585df2306cbc235f61e6a1bb0d09e5bd7d1e066331f",
-    10: "8ad0b3d191f135a033df393db0fd457bd28c35eb33540199b74d41e238b83725",
-    100: "31f60764d32c77d4d36037fdc738c78c46b045f8dea9824236b4c224151c6d5b",
-    1000: "08aa3dbc8a1382c90b6666eabd4e97897857d8abaa7526c0e63ebff55e1ce6c7",
+    5: "dd792ed38fb7b21f4d75ef1d1586ca9fc22ad5394337ebe16ba278ee74d84dde",
+    10: "7ab9f47fe5aa0813e855bd50e67b0e6837bef324c57f900c8d1afa401394e69b",
+    100: "eeab884da86ff4cc1bae800179db60d1f2f20e3713ac4bf98c83e0592b044541",
+    1000: "27e41bc82dbaa498ad9b7309f40e089219bf698d2560916c5f51d2ed600b08ff",
 }
 
 # The same sweeps where numpy runs its float64 exp and log loops on
@@ -61,10 +61,10 @@ SWEEP_CSV_SHA256 = {
 SWEEP_CSV_SHA256_X86_V3 = {
     2: "2d9b5d22c8bb04bc2bd710c219497bd612baab64d3714b344a54fbdda18756d1",
     3: "dbafcdce9e922fe02ea47184962f7161d5eb258af8fdafe7c9fcb0c904df5d69",
-    5: "42e820304872e251db06d88bc35c7a41a5787886b8bb10846be17350e66e3eae",
-    10: "f7d94aab0f533f314cead50617ef6b45a804ff88cd9624f3596ead91f53283ea",
-    100: "1a9dd1913dbb46e7938dec91465313bb4350ba3857ab4d17d4150f9b0d3553be",
-    1000: "08aa3dbc8a1382c90b6666eabd4e97897857d8abaa7526c0e63ebff55e1ce6c7",
+    5: "dbd17d0a4756a40e5e0edced56ffdec7357e95a79410d310cf3074da1a86710c",
+    10: "c09784a5c54b611839c7d800073154697127c54095829d3c510dced641cbd163",
+    100: "1b8cb5594729ea49f5f1ea8ab910e1ba86bfc6c70d0a4a96f1e78d2f9a94fa39",
+    1000: "27e41bc82dbaa498ad9b7309f40e089219bf698d2560916c5f51d2ed600b08ff",
 }
 
 # The expected digests by the SIMD target of numpy's exp, log and power.

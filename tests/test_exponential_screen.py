@@ -5,8 +5,8 @@ series' closed-form orness, and measures the midpoint's row with
 ``core._orness_rows`` only within ``_SCREEN_MARGIN`` of the target.  The
 reference below is the loop it replaced, written with numpy only: 40
 halvings, each summing the whole row matrix, whose rows it builds itself
-as running products, one column at a time.  Every parameter and weight
-must match it bit for bit.
+as running products, one column at a time, with a libm last column.
+Every parameter and weight must match it bit for bit.
 """
 
 import numpy as np
@@ -21,15 +21,16 @@ from owakit.core import _orness_rows
 
 def _reference_rows(a, n, and_like=None):
     """The exponential rows at the parameters ``a``, written out: column j
-    holds the running product (1 - a)^j, one multiplication at a time,
-    and every column but the last is then scaled by ``a``."""
+    < n - 1 holds the running product (1 - a)^j, one multiplication at a
+    time, scaled by ``a``; the last column is Python's (1 - a) ** (n - 1)."""
     base = 1.0 - a
     w = np.empty((n, a.size))  # column j of the rows is w[j]
     w[0] = 1.0
-    for j in range(1, n):
+    for j in range(1, n - 1):
         np.multiply(w[j - 1], base, out=w[j])
     w = w.T.copy()
     w[:, : n - 1] *= a[:, np.newaxis]
+    w[:, n - 1] = [b ** (n - 1) for b in base.tolist()]
     if and_like is not None:
         w[and_like] = w[and_like, ::-1]
     return w
@@ -124,7 +125,7 @@ def test_target_at_a_midpoints_row_sum_takes_the_exact_branch(monkeypatch, or_li
 
 def test_at_most_one_exact_row_per_target(monkeypatch):
     # A halving builds a row only within the margin: a grid of 1001
-    # targets at n = 1000 needs 124, where summing every halving built
+    # targets at n = 1000 needs 176, where summing every halving built
     # 40 rows per target.
     built = []
     rows = baselines._exponential_rows

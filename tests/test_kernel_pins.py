@@ -76,18 +76,18 @@ NO_ROWS = hashlib.sha256(b"").hexdigest()
 KERNEL_SHA256 = {
     "exponential 10000": {
         "misses": [],
-        "pass": "542f9e5f89ae42f78dc12247632f7faec59f6752ca26b2c2d246f73c07c9d1cb",
+        "pass": "29d31d4a0d587451f0dc82b9d42d194fdac02fde36cfaaa810e6cb5a1c3b6e6b",
         "miss": NO_ROWS,
     },
     "exponential 20000": {
         "misses": MISSES_20000,
-        "pass": "d597e856543230b5b0b5ecea1f66231efeb9b0cb002b35360b1878066ec537da",
-        "miss": "5ebd50a610ff6ac7fc0f674d299b3d6be1c43a9537676186b9f881fd838912bc",
+        "pass": "28dc6a8824c18f74378031d68a2b1f45bf75f7f54b61730052ca8b3ef7ae86a5",
+        "miss": "727d5892cb9957be131a882ea939ad050958dd50cd7b0d9e89390b648ebf1db7",
     },
     "exponential 100000": {
         "misses": MISSES_100000,
-        "pass": "8fcbfcca9852ea56d0c2cdec3b086feaaed3779d7ea14c403d3e74598bc55a39",
-        "miss": "70aff9b5dc42ace507965c2e84042104ac005af68ed9fd65dfeb9a88e705a484",
+        "pass": "8d5d6efba089fe61e1da120153ddca611312b5ec54d82897a6ddb0b5cd674c00",
+        "miss": "c780e215ba3baa06dbf7d01a5bfadcc58daa13c4bbae6f335ae738e57cb84274",
     },
     "no-preset 1000": "4583783a0b6e3947a4d2e4a10c73fb70ea43f571f7b040eebe0ea621f55d642c",
     "no-preset 10000": "2896007e757fe0546b3ed9a5d9876d45576820b3c7d698a6029df614ed218c33",
