@@ -95,9 +95,10 @@ def _geometric_rows(q, n: int) -> np.ndarray:
 
 
 def _exponential_rows(a: np.ndarray, n: int, and_like: np.ndarray) -> np.ndarray:
-    """Geometric weights, one row per parameter in the 1-d array ``a``: the
-    or-like row w_i = a(1-a)^(i-1) for i < n, w_n = (1-a)^(n-1) telescopes
-    to 1, and it is reversed where the boolean array ``and_like`` is True."""
+    """Geometric weights, one row per parameter in the 1-d array ``a``.
+    The or-like row is w_i = a(1-a)^(i-1) for i < n and w_n = (1-a)^(n-1),
+    which telescope to 1; the and-like row is the same row reversed, and
+    it is returned where the boolean array ``and_like`` is True."""
     w = _geometric_rows(1.0 - a, n)
     w[:, : n - 1] *= a[:, np.newaxis]
     # libm's pow: the running product loses the a^2 term for a near 0.
