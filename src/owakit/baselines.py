@@ -98,11 +98,14 @@ def _exponential_rows(a: np.ndarray, n: int, and_like: np.ndarray) -> np.ndarray
     """Geometric weights, one row per parameter in the 1-d array ``a``.
     The or-like row is w_i = a(1-a)^(i-1) for i < n and w_n = (1-a)^(n-1),
     which telescope to 1; the and-like row is the same row reversed, and
-    it is returned where the boolean array ``and_like`` is True."""
-    w = _geometric_rows(1.0 - a, n)
-    w[:, : n - 1] *= a[:, np.newaxis]
+    it is returned where the boolean array ``and_like`` is True.  The row is
+    built from the rounded ratio q = fl(1 - a) and scaled by 1 - q, exact,
+    so it telescopes where 1 - a is not a double."""
+    q = 1.0 - a
+    w = _geometric_rows(q, n)
+    w[:, : n - 1] *= (1.0 - q)[:, np.newaxis]
     # libm's pow: the running product loses the a^2 term for a near 0.
-    w[:, n - 1] = [(1.0 - x) ** (n - 1) for x in a.tolist()]
+    w[:, n - 1] = [x ** (n - 1) for x in q.tolist()]
     w[and_like] = w[and_like, ::-1]
     return w
 

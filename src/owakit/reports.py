@@ -16,9 +16,10 @@ orness 0/1, or an unstable solve) are recorded with an explanatory status
 rather than dropped.  CSV files are written atomically and
 deterministically: no timestamps, numbers at 17 significant digits so
 parsing them back is lossless.  The families are mirror-symmetric (the
-vector at orness 1 - a is the one at a reversed), so the writer reuses
-the weight cells of a repeated or mirrored row; :mod:`owakit._digits`
-formats the others, byte for byte as ``%.17g``.
+vector at orness 1 - a is the one at a reversed), so a :func:`sweep` row
+holds the floats of its mirror, and the writer reuses the weight cells of
+a repeated or mirrored row; :mod:`owakit._digits` formats the others, byte
+for byte as ``%.17g``.
 """
 
 import dataclasses
@@ -26,6 +27,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -176,13 +178,19 @@ def sweep(
     Every argument is checked before the first kernel runs.  Rows are made in
     (method, requested_orness, beta) order, so ``owakit sweep`` writes each as it
     is made: it holds one method's kernel matrices and the kept rows of the writer.
+
+    The rows share repeated floats: a run of equal neighbouring weights is one
+    float object, and a row whose weights are those of the row at orness
+    1 - a reversed holds that row's floats, reversed (:func:`_rows`).
     """
-    return list(_sweep_rows(n, methods, betas, steps))
+    return list(_sweep_rows(n, methods, betas, steps, True))
 
 
-def _sweep_rows(n, methods, betas, steps):
+def _sweep_rows(n, methods, betas, steps, mirrors=False):
     """:func:`sweep`'s rows as they are taken, its arguments checked first.  zip takes
-    a point's row of every beta, so all of a method's kernels run at its first row."""
+    a point's row of every beta, so all of a method's kernels run at its first row.
+    ``mirrors`` is :func:`_rows`' own; a stream leaves it off, as a held row's tuple
+    would stay alive until its mirror, half a grid later."""
     grid = _grid(steps)
     ms = _checked_list(methods, "methods", "method names", "method", _method)
     takes_beta = any(m.takes_beta for m in ms)
@@ -190,7 +198,9 @@ def _sweep_rows(n, methods, betas, steps):
     n = _check_n(n, max(m.min_n for m in ms))
     ms.sort(key=lambda m: m.name)
     runs = [(m, sorted(betas) if m.takes_beta else [None]) for m in ms]
-    return (r for m, bs in runs for p in zip(*(_rows(m, grid, n, b) for b in bs)) for r in p)
+    return (
+        r for m, bs in runs for p in zip(*(_rows(m, grid, n, b, mirrors) for b in bs)) for r in p
+    )
 
 
 def _checked_list(seq, name: str, what: str, item: str, check: Optional[Callable]) -> list:
@@ -219,27 +229,76 @@ def _checked_list(seq, name: str, what: str, item: str, check: Optional[Callable
     return checked
 
 
-def _rows(m: Method, grid: list, n: int, beta: Optional[float]):
+def _rows(m: Method, grid: list, n: int, beta: Optional[float], mirrors: bool = False):
     """One report per orness in ``grid``, all in [0, 1], for ``n`` and ``beta`` already
     checked, yielded in grid order: one kernel call, one read-only check of the weight
     matrix, whose rows need no clip, and one pass each for every row's orness and dispersion,
     their scratch freed before the first row.  A row is unsupported at orness 0 and 1 for a
     method without ``endpoints``, and unstable when it fails the simplex check or, for a
-    calibrated method, misses its orness by more than ``ORNESS_TOL``."""
+    calibrated method, misses its orness by more than ``ORNESS_TOL``.
+
+    An ``ok`` row's ``w`` holds one float object per run of neighbouring weights with the
+    same float64 bits.  With ``mirrors``, the row at index last - k whose bits are row k's
+    reversed, for an earlier ``ok`` row k, is row k's tuple reversed: the same floats, held
+    only until then.  Bits, not values, decide both, so -0.0 and +0.0 are not shared."""
     w = m.kernel(np.array(grid, dtype=float), n, beta)
     problems, achieved, dispersions = _simplex_rows(w), _orness_rows(w), _dispersion_rows(w)
+    edges, cuts, hold = _repeats(w, mirrors)
+    last, held = len(grid) - 1, {}  # row last - k -> row k's tuple, held until that row
 
     def failed(requested, status):
         return MethodReport(m.name, beta, n, requested, None, None, None, status)
 
-    for requested, got, row, problem, disp in zip(grid, achieved, w, problems, dispersions):
+    for k, (requested, got, row, problem, disp) in enumerate(
+        zip(grid, achieved, w, problems, dispersions)
+    ):
+        mirror = held.pop(k, None)
         if not m.endpoints and requested in (0.0, 1.0):
             yield failed(requested, STATUS_UNSUPPORTED)
         elif problem is not None or (m.calibrated and abs(got - requested) > ORNESS_TOL):
             yield failed(requested, STATUS_UNSTABLE)
         else:
-            values = tuple(row.tolist())
+            if mirror is not None:
+                values = mirror[::-1]
+            elif cuts[k] < cuts[k + 1]:
+                values = _shared_runs(row, edges[cuts[k] : cuts[k + 1]].tolist())
+            else:
+                values = tuple(row.tolist())
+            if k in hold:
+                held[last - k] = values
             yield MethodReport(m.name, beta, n, requested, got, disp, values, STATUS_OK)
+
+
+def _repeats(w: np.ndarray, mirrors: bool):
+    """What the rows of the weight matrix ``w`` repeat, by float64 bits, in numpy passes
+    whose scratch is freed on return.  ``edges[cuts[k]:cuts[k + 1]]`` holds the first and
+    last cell of each run of neighbouring cells with the same bits in row k, an array as a
+    row can hold up to n of them; ``hold`` is, if ``mirrors``, the set of rows k in the
+    first half whose bits are those of row last - k reversed."""
+    bits = w.view(np.uint64)
+    rows, n = bits.shape
+    same = np.zeros((rows, n + 1), bool)  # same[k, j]: cell j of row k has cell j - 1's bits
+    np.equal(bits[:, 1:], bits[:, :-1], out=same[:, 1:-1])
+    at, edges = np.nonzero(same[:, 1:] != same[:, :-1])
+    del same
+    cuts = np.searchsorted(at, np.arange(rows + 1)).tolist()
+    hold = set()
+    if mirrors:
+        half = rows // 2
+        hold = set(np.flatnonzero((bits[:half] == bits[::-1, ::-1][:half]).all(axis=1)).tolist())
+    return edges, cuts, hold
+
+
+def _shared_runs(row: np.ndarray, edges: list) -> tuple:
+    """``tuple(row.tolist())`` for a row whose runs of cells with the same bits go from
+    cell ``edges[2i]`` to cell ``edges[2i + 1]``, each run one float object."""
+    values, start = [], 0
+    for first, last in zip(edges[::2], edges[1::2]):
+        values += row[start : first + 1].tolist()
+        values += repeat(values[-1], last - first)
+        start = last + 1
+    values += row[start:].tolist()
+    return tuple(values)
 
 
 def _grid(steps) -> list:

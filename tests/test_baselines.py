@@ -57,6 +57,13 @@ class TestExponentialRaw:
         expected = 1.0 - baselines._or_like_orness(a, n)
         assert abs(orness(w) - expected) <= baselines._SCREEN_MARGIN
 
+    def test_row_telescopes_where_one_minus_a_is_not_a_double(self):
+        # The row is built from q = fl(1 - a); scaled by a instead of 1 - q it
+        # summed to 0.99999999999478117 here and was refused.
+        a, n = 2.1414570031423787e-12, 10**5
+        assert 1.0 - (1.0 - a) != a
+        assert abs(exponential_raw(a, n).w.sum() - 1.0) <= 1e-15
+
     @pytest.mark.parametrize("fill", [np.inf, -np.inf, "signaling NaN"])
     @pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
     def test_no_arithmetic_on_unwritten_memory(self, monkeypatch, fill, a):

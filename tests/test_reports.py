@@ -3,8 +3,10 @@ import dataclasses
 import io
 import json
 import math
+import operator
 import os
 import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -419,6 +421,81 @@ class TestStreaming:
         assert drawn == []
         assert [p.name for p in tmp_path.iterdir()] == ["work"]
         assert list(work.iterdir()) == []
+
+
+def _fixed_method(matrix):
+    """A method whose kernel returns a copy of ``matrix`` for any grid."""
+    return reports.Method("fixed", "fixed", kernel=lambda a, n, beta: np.array(matrix, float))
+
+
+class TestSharedFloats:
+    # sweep() rows hold one float per run of equal cells, and a mirrored row
+    # holds its partner's floats; only identity differs from the kernel rows.
+    @pytest.mark.filterwarnings("ignore:orness of a length-1 weight vector")
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000])
+    def test_rows_are_the_kernel_rows_with_runs_shared(self, n):
+        grid = reports._grid(101)
+        pack, bits = struct.Struct(f"{n}d").pack, struct.Struct("d").pack
+        ms = sorted((m for m in METHODS if n >= m.min_n), key=lambda m: m.name)
+        rows = iter(sweep(n, [m.name for m in ms], betas=(1.0, 1.25, 1.5)))
+        for m in ms:
+            bs = (1.0, 1.25, 1.5) if m.takes_beta else (None,)
+            kernels = [m.kernel(np.array(grid), n, b) for b in bs]
+            for k in range(len(grid)):
+                for w in kernels:
+                    r = next(rows)
+                    if r.w is None:
+                        continue
+                    assert pack(*r.w) == w[k].tobytes()
+                    for a, b in zip(r.w, r.w[1:]):
+                        assert (a is b) == (bits(a) == bits(b))
+        assert next(rows, None) is None
+
+    @pytest.mark.parametrize("method", [METHOD_EXPONENTIAL, METHOD_EXPONENTIAL_NO_PRESET])
+    def test_mirrored_row_holds_its_partners_floats(self, method):
+        rows = sweep(10, [method])
+        shared = [k for k in range(50) if all(map(operator.is_, rows[k].w, rows[100 - k].w[::-1]))]
+        assert len(shared) == {METHOD_EXPONENTIAL: 50, METHOD_EXPONENTIAL_NO_PRESET: 42}[method]
+        for k in shared:
+            assert rows[k].w == rows[100 - k].w[::-1]
+
+    def test_mirror_that_differs_in_a_zeros_sign_is_not_shared(self):
+        m = _fixed_method([[1.0, 0.0, 0.0], [0.25, 0.5, 0.25], [-0.0, 0.0, 1.0]])
+        first, middle, last = reports._rows(m, [0.0, 0.5, 1.0], 3, None, True)
+        assert first.w == last.w[::-1]
+        assert not any(map(operator.is_, first.w, last.w[::-1]))
+        assert math.copysign(1.0, last.w[0]) == -1.0
+        assert first.w[1] is first.w[2] and last.w[0] is not last.w[1]
+
+    def test_mirror_is_shared_within_one_grid(self):
+        m = _fixed_method([[0.75, 0.25, 0.0], [0.25, 0.5, 0.25], [0.0, 0.25, 0.75]])
+        first, middle, last = reports._rows(m, [0.0, 0.5, 1.0], 3, None, True)
+        assert all(map(operator.is_, first.w, last.w[::-1]))
+        first, middle, last = reports._rows(m, [0.0, 0.5, 1.0], 3, None)
+        assert not any(map(operator.is_, first.w, last.w[::-1]))
+
+    def test_each_run_of_equal_bits_is_one_float(self):
+        row = [0.0, 0.0, 0.125, 0.125, 0.25, 0.25, 0.25, 0.0, -0.0]
+        (r,) = reports._rows(_fixed_method([row]), [0.5], 9, None)
+        assert struct.pack("9d", *r.w) == struct.pack("9d", *row)
+        assert [[id(x) for x in r.w].index(id(x)) for x in r.w] == [0, 0, 2, 2, 4, 4, 4, 7, 8]
+
+    def test_flat_row_holds_two_floats(self):
+        rows = sweep(1000, [METHOD_LINEAR], betas=[1.0])
+        assert {len(set(map(id, r.w))) for r in rows} == {2}
+
+    def test_stream_keeps_no_earlier_rows_weights(self):
+        # Every row of these is ok.  zip keeps the tuple of one point's rows of
+        # both betas for reuse, up to two points, so a row four places back is
+        # referenced from here alone.
+        behind = []
+        for r in reports._sweep_rows(10, [METHOD_LINEAR], [1.0, 1.25], 101):
+            behind.append(r.w)
+            del r
+            if len(behind) > 4:
+                w = behind.pop(0)
+                assert sys.getrefcount(w) == 2  # w and the argument
+        assert len(behind) == 4
 
 
 class TestCsv:
