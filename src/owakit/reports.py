@@ -16,10 +16,10 @@ orness 0/1, or an unstable solve) are recorded with an explanatory status
 rather than dropped.  CSV files are written atomically and
 deterministically: no timestamps, numbers at 17 significant digits so
 parsing them back is lossless.  The families are mirror-symmetric (the
-vector at orness 1 - a is the one at a reversed), so a :func:`sweep` row
-holds the floats of its mirror, and the writer reuses the weight cells of
-a repeated or mirrored row; :mod:`owakit._digits` formats the others, byte
-for byte as ``%.17g``.
+vector at orness 1 - a is the one at a reversed), so a :func:`sweep` row,
+like a row read back, holds the floats of its mirror, and the writer
+reuses the weight cells of a repeated or mirrored row;
+:mod:`owakit._digits` formats the others, byte for byte as ``%.17g``.
 """
 
 import dataclasses
@@ -332,9 +332,10 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
 
     The weight cells of a row at orness <= 0.5 are kept until the method
     changes.  A later row of that method whose float64 bytes equal a kept
-    row, or equal it reversed (the mirror at orness 1 - a), reuses its
-    cells instead of formatting them again.  A cell is a function of its
-    value's bytes alone, so the output is the same as formatting every row.
+    row, or, at orness > 0.5, equal it reversed (the mirror at orness
+    1 - a), reuses its cells instead of formatting them again.  A cell is a
+    function of its value's bytes alone, so the output is the same as
+    formatting every row.
 
     The rows that need formatting are formatted a block of about
     ``_BLOCK_CELLS`` cells at a time, as the lines are reached, by
@@ -365,7 +366,7 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
         except struct.error as exc:
             raise TypeError(f"row weights are not {n} numbers: {exc}") from None
         cells, flip = kept.get(key), False
-        if cells is None:
+        if cells is None and r.requested_orness > 0.5:
             cells = kept.get(np.frombuffer(key)[::-1].tobytes())  # a kept row's mirror
             flip = cells is not None
         if cells is None:
@@ -440,12 +441,31 @@ def read_sweep_csv(path: str) -> list:
     ValueError naming the path and the file line (``#`` lines counted) for a byte that is not
     UTF-8, a row with a ``"`` (no cell is quoted), a row that does not match the header or a
     non-number cell.
+
+    The rows share repeated floats as :func:`sweep` rows do: in a row, a cell with the text of
+    the cell before it is that cell's float, and a row whose packed bytes are those of an earlier
+    row of its method and beta, or of one reversed (its mirror), holds that row's floats.
     """
 
     def opt_float(s):
         return None if s == "" else float(s)
 
+    def weights(method, beta, cells):
+        values, text = [], None
+        for c in cells:
+            if c != text:
+                x, text = float(c), c
+            values.append(x)
+        w = tuple(values)
+        key = (method, beta, w[0], w[-1])
+        for same in (seen.get(key), seen.get((method, beta, w[-1], w[0]), ())[::-1]):
+            if w == same and pack(*w) == pack(*same):  # bytes, as 0.0 == -0.0
+                return same
+        seen.setdefault(key, w)
+        return w
+
     rows, header, fixed = [], None, len(sweep_header(0))
+    seen = {}  # (method, beta, w[0], w[-1]) -> the first row's w with that key
     # surrogateescape reads a byte that is not UTF-8 as U+DC80..U+DCFF, found on its line.
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for k, line in enumerate(fh, 1):
@@ -459,6 +479,7 @@ def read_sweep_csv(path: str) -> list:
                 header, n = rec, len(rec) - fixed
                 if n < 1 or header != sweep_header(n):
                     raise ValueError(f"{path}: the header is not a sweep header")
+                pack = struct.Struct(f"{n}d").pack
                 continue
             where = f"{path} line {k}"
             if '"' in line:
@@ -469,11 +490,12 @@ def read_sweep_csv(path: str) -> list:
             if "" in cells and any(cells):
                 raise ValueError(f"{where}: weight cells must be all empty or all numbers")
             try:
+                beta = opt_float(rec[1])
                 row = MethodReport(
-                    method=rec[0], beta=opt_float(rec[1]), n=int(rec[2]),
+                    method=rec[0], beta=beta, n=int(rec[2]),
                     requested_orness=float(rec[3]), achieved_orness=opt_float(rec[4]),
                     dispersion=opt_float(rec[5]), status=rec[6],
-                    w=None if cells[0] == "" else tuple(float(v) for v in cells),
+                    w=None if cells[0] == "" else weights(rec[0], beta, cells),
                 )
             except ValueError as exc:
                 raise ValueError(f"{where}: a cell is not a number ({exc})") from None
