@@ -465,7 +465,7 @@ def read_sweep_csv(path: str) -> list:
         return w
 
     rows, header, fixed = [], None, len(sweep_header(0))
-    seen = {}  # (method, beta, w[0], w[-1]) -> the first row's w with that key
+    seen = {}  # (method, beta, w[0], w[-1]) -> a w already read, for later rows to share
     # surrogateescape reads a byte that is not UTF-8 as U+DC80..U+DCFF, found on its line.
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for k, line in enumerate(fh, 1):

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 
 import numpy as np
 import pytest
@@ -704,6 +704,128 @@ class TestCsv:
         assert proc.stdout == "ascii\n"  # the locale's encoding, which open() would use
         first = f"# owakit {owakit.__version__} café\n".encode("utf-8")
         assert path.read_bytes().startswith(first)
+
+
+def _plain_parse(path):
+    """The rows of a sweep file parsed with one new float per cell."""
+
+    def opt(s):
+        return None if s == "" else float(s)
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        records = [line.rstrip("\r\n").split(",") for line in fh if not line.startswith("#")]
+    return [
+        MethodReport(
+            rec[0], opt(rec[1]), int(rec[2]), float(rec[3]), opt(rec[4]), opt(rec[5]),
+            None if rec[7] == "" else tuple(float(v) for v in rec[7:]), rec[6],
+        )
+        for rec in records[1:]
+    ]
+
+
+def _bits(r):
+    """A report's fields, every float and weight row as its packed bytes."""
+    floats = (r.beta, r.requested_orness, r.achieved_orness, r.dispersion)
+    w = None if r.w is None else struct.pack(f"{len(r.w)}d", *r.w)
+    floats = tuple(None if x is None else struct.pack("d", x) for x in floats)
+    return (r.method, r.n, r.status, w) + floats
+
+
+def _read_cells(tmp_path, rows):
+    """``read_sweep_csv`` of a file of ``ok`` rows, each (method, beta cell, weight cells)."""
+    n = rows[0][2].count(",") + 1
+    lines = [",".join(reports.sweep_header(n))]
+    lines += [f"{m},{beta},{n},0.5,0.5,0.5,ok,{cells}" for m, beta, cells in rows]
+    path = tmp_path / "s.csv"
+    path.write_text("".join(line + "\r\n" for line in lines))
+    return read_sweep_csv(str(path))
+
+
+def _shares(a, b):
+    """Whether weight tuples ``a`` and ``b`` hold any float object in common."""
+    return bool(set(map(id, a)) & set(map(id, b)))
+
+
+class TestReadBackSharesFloats:
+    # Rows read back hold one float per run of equal cell text, and a repeated
+    # or mirrored row holds its partner's floats; only identity differs from a
+    # parse that makes one float per cell.
+    @pytest.mark.filterwarnings("ignore:orness of a length-1 weight vector")
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000])
+    def test_rows_are_the_plain_parse(self, tmp_path, n):
+        methods = [m.name for m in METHODS if n >= m.min_n]
+        rows = sweep(n, methods, betas=(1.0, 1.25, 1.5))
+        path = tmp_path / "s.csv"
+        write_sweep_csv(rows, n, str(path), "")
+        back = read_sweep_csv(str(path))
+        assert list(map(_bits, back)) == list(map(_bits, _plain_parse(path)))
+        assert list(map(_bits, back)) == list(map(_bits, rows))
+
+    def test_run_of_equal_text_is_one_float(self, tmp_path):
+        (r,) = _read_cells(tmp_path, [("m", "", "0,0,0.125,0.125,0.25,0.25,0.25,0,-0")])
+        assert [[id(x) for x in r.w].index(id(x)) for x in r.w] == [0, 0, 2, 2, 4, 4, 4, 7, 8]
+        assert math.copysign(1.0, r.w[8]) == -1.0
+
+    def test_mirrored_and_repeated_rows_hold_their_partners_floats(self, tmp_path):
+        first, mirror, repeat, mirror_again = _read_cells(
+            tmp_path,
+            [("m", "", "0.5,0.25,0.125"), ("m", "", "0.125,0.25,0.5")]
+            + [("m", "", "0.5,0.25,0.125"), ("m", "", "0.125,0.25,0.5")],
+        )
+        assert repeat.w is first.w
+        for r in (mirror, mirror_again):
+            assert all(map(operator.is_, r.w, first.w[::-1]))
+
+    @pytest.mark.parametrize("method", [METHOD_EXPONENTIAL, METHOD_EXPONENTIAL_NO_PRESET])
+    def test_sweep_mirrors_read_back_shared(self, tmp_path, method):
+        path = tmp_path / "s.csv"
+        write_sweep_csv(sweep(10, [method]), 10, str(path), "")
+        rows = read_sweep_csv(str(path))
+        shared = [k for k in range(50) if all(map(operator.is_, rows[k].w, rows[100 - k].w[::-1]))]
+        assert len(shared) == {METHOD_EXPONENTIAL: 50, METHOD_EXPONENTIAL_NO_PRESET: 42}[method]
+
+    def test_mirror_that_differs_in_a_zeros_sign_is_not_shared(self, tmp_path):
+        first, last = _read_cells(tmp_path, [("m", "", "1,0,0"), ("m", "", "-0,0,1")])
+        assert first.w == last.w[::-1] and not _shares(first.w, last.w)
+        assert math.copysign(1.0, last.w[0]) == -1.0
+
+    @pytest.mark.parametrize("cells", ["0.5,0.375,0.125", "0.125,0.375,0.5"])
+    def test_row_that_differs_in_its_middle_is_not_shared(self, tmp_path, cells):
+        first, other = _read_cells(tmp_path, [("m", "", "0.5,0.25,0.125"), ("m", "", cells)])
+        assert not _shares(first.w, other.w)
+
+    def test_rows_of_another_beta_or_method_are_not_shared(self, tmp_path):
+        rows = _read_cells(
+            tmp_path,
+            [("a", "1", "0.5,0.25,0.125"), ("a", "1.25", "0.5,0.25,0.125")]
+            + [("b", "1", "0.5,0.25,0.125"), ("b", "1", "0.125,0.25,0.5")],
+        )
+        assert not any(_shares(a.w, b.w) for a, b in combinations(rows[:3], 2))
+        assert all(map(operator.is_, rows[3].w, rows[2].w[::-1]))
+
+    def test_nan_cells_read_back_as_a_plain_parse(self, tmp_path):
+        back = _read_cells(tmp_path, [("m", "", "nan,nan,nan"), ("m", "", "nan,0.5,nan")] * 2)
+        assert list(map(_bits, back)) == list(map(_bits, _plain_parse(tmp_path / "s.csv")))
+        assert all(math.isnan(r.w[0]) and math.isnan(r.w[2]) for r in back)
+
+    def test_read_holds_no_more_than_the_sweep(self, tmp_path):
+        # The n = 1000 job of the sweep benchmark; its rows held as sweep()
+        # holds them cost about 9.6 MiB, and one float per cell about 15.5.
+        job = (1000, [METHOD_LINEAR, METHOD_EXPONENTIAL, METHOD_EXPONENTIAL_NO_PRESET])
+        path = tmp_path / "s.csv"
+        tracemalloc.start()
+        try:
+            rows = sweep(*job, betas=(1.0, 1.25, 1.5))
+            held, _ = tracemalloc.get_traced_memory()
+            write_sweep_csv(rows, 1000, str(path), "")
+            del rows
+            before, _ = tracemalloc.get_traced_memory()
+            back = read_sweep_csv(str(path))
+            read, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(back) == 505
+        assert read - before <= 1.05 * held
 
 
 def _reference_cell(value):
