@@ -205,19 +205,13 @@ def exponential_weights_no_preset(orness: float, n: int) -> WeightVector:
 # Maximum entropy
 # ---------------------------------------------------------------------------
 
-def _newton_bisection(func, dfunc, lo, hi):
-    """Root of ``func`` bracketed in [lo, hi]; Newton steps when they stay
-    in the bracket and halve it fast enough, bisection otherwise.  ``lo``
-    when the ends show no sign change, as they can after the bracket scan
-    when it rounds ``func`` differently.  Signs and finiteness are read by
-    plain comparisons, so a Python-float ``func`` makes no numpy call.  The
-    caller sets numpy's warning policy for ``func`` and ``dfunc``."""
-    flo = func(lo)
-    fhi = func(hi)
-    if flo == 0.0 or (flo > 0.0 and fhi > 0.0) or (flo < 0.0 and fhi < 0.0):
-        return lo
-    if fhi == 0.0:
-        return hi
+def _newton_bisection(func, dfunc, lo, hi, flo):
+    """Root of ``func`` bracketed in [lo, hi], where ``flo`` is ``func(lo)``,
+    finite, nonzero and of the opposite sign to ``func(hi)``; Newton steps
+    when they stay in the bracket and halve it fast enough, bisection
+    otherwise.  Signs and finiteness are read by plain comparisons, so a
+    Python-float ``func`` makes no numpy call.  The caller sets numpy's
+    warning policy for ``func`` and ``dfunc``."""
     x = 0.5 * (lo + hi)
     dx_old = abs(hi - lo)
     dx = dx_old
@@ -252,27 +246,44 @@ def _newton_bisection(func, dfunc, lo, hi):
     return x
 
 
+def _ipow(x, k: int):
+    """x^k for an integer k >= 1 by binary powering: multiplications only,
+    so a Python float and each cell of a numpy array take the same IEEE
+    operations and round alike on every host."""
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else result * x
+        k >>= 1
+        if not k:
+            return result
+        x = x * x
+
+
 def _maxent_polynomial(A: float, n: int):
     # First-weight equation of the analytic maximum-entropy solution:
     #   w1 * (A + 1 - n*w1)^n = A^(n-1) * ((A - n)*w1 + 1).
     # w1 = 1/n (the uniform solution) is always a root; the interior root
-    # above 1/n is the one wanted for a > 0.5.  A^(n-1) is one Python float.
+    # above 1/n is the one wanted for a > 0.5.  Every power is _ipow's, so
+    # F at a scan point is bit for bit F at that Python float.
     B = A + 1.0
-    power = float(np.exp((n - 1) * np.log(A)))
+    power = _ipow(A, n - 1)
 
     def F(w):
-        return w * (B - n * w) ** n - power * ((A - n) * w + 1.0)
+        return w * _ipow(B - n * w, n) - power * ((A - n) * w + 1.0)
 
     def dF(w):
         base = B - n * w
-        return base**n - n * n * w * base ** (n - 1) - power * (A - n)
+        p = _ipow(base, n - 1)
+        return p * base - n * n * w * p - power * (A - n)
 
     return F, dF
 
 
 def _maxent_bracket(F, lo: float, hi: float):
     # Scan [lo, hi] from the high end for the sign change nearest the
-    # interior root.
+    # interior root: (lo, hi, F(lo)) with both ends finite, nonzero and of
+    # opposite sign.
     ws = np.linspace(lo, hi, _BRACKET_SCAN_POINTS)
     vals = F(ws)
     sgn = np.sign(vals)
@@ -281,7 +292,7 @@ def _maxent_bracket(F, lo: float, hi: float):
     if flips.size == 0:
         return None
     i = flips[-1]
-    return float(ws[i]), float(ws[i + 1])
+    return float(ws[i]), float(ws[i + 1]), float(vals[i])
 
 
 def _rebuild_from_first_weight(w1: float, A: float, n: int):

@@ -44,27 +44,23 @@ LINEAR_ONLY_AT_1000 = (METHOD_LINEAR, METHOD_EXPONENTIAL, METHOD_EXPONENTIAL_NO_
 # ``#`` provenance line, which carries the package version.
 SWEEP_CSV_SHA256 = {
     2: "2d9b5d22c8bb04bc2bd710c219497bd612baab64d3714b344a54fbdda18756d1",
-    3: "fed2acfdb903f8d93f3278ce707df5b9f553be3c32ace79598193c15f0cbcbc3",
-    5: "dd792ed38fb7b21f4d75ef1d1586ca9fc22ad5394337ebe16ba278ee74d84dde",
-    10: "7ab9f47fe5aa0813e855bd50e67b0e6837bef324c57f900c8d1afa401394e69b",
-    100: "eeab884da86ff4cc1bae800179db60d1f2f20e3713ac4bf98c83e0592b044541",
+    3: "74fb09ddef4abff7f87a700e06fef2b8306dce70fd6f21c2d686c5d99b202f7c",
+    5: "fe7f3b4dc0896a0e726bc030d08faa362b4309264ae10a2204d2ba02d2b45bcc",
+    10: "e30715ede368cde53aec88c911cec9325ad48978eb1ae98eb9de4cd1f784a14c",
+    100: "0912f9456cb37666d18c0f929ddf247d5056338607837f6bc335189afbec063a",
     1000: "27e41bc82dbaa498ad9b7309f40e089219bf698d2560916c5f51d2ed600b08ff",
 }
 
 # The same sweeps where numpy runs its float64 exp and log loops on
 # X86_V3 and power on its baseline (no AVX-512), recorded from the same
-# code under NO_AVX512_ENV.  Weight rows are running products, which no
-# SIMD loop rounds; only the maximum-entropy rows found on the bracketed
-# path (n below about 150) still follow the family, through the
-# polynomial's powers, so the sets differ at n = 3 to 100 alone.  No
-# pinned number calls BLAS, so neither set depends on OpenBLAS's core type.
+# code under NO_AVX512_ENV.  Every weight row comes from IEEE arithmetic
+# and libm, which no SIMD loop rounds; what still follows the family is
+# the np.log in the dispersion column, and it moves one pinned cell: at
+# n = 5 the maxent row at orness 0.11 (same weights on both families).
+# No pinned number calls BLAS, so neither set depends on OpenBLAS's core type.
 SWEEP_CSV_SHA256_X86_V3 = {
-    2: "2d9b5d22c8bb04bc2bd710c219497bd612baab64d3714b344a54fbdda18756d1",
-    3: "dbafcdce9e922fe02ea47184962f7161d5eb258af8fdafe7c9fcb0c904df5d69",
-    5: "dbd17d0a4756a40e5e0edced56ffdec7357e95a79410d310cf3074da1a86710c",
-    10: "c09784a5c54b611839c7d800073154697127c54095829d3c510dced641cbd163",
-    100: "1b8cb5594729ea49f5f1ea8ab910e1ba86bfc6c70d0a4a96f1e78d2f9a94fa39",
-    1000: "27e41bc82dbaa498ad9b7309f40e089219bf698d2560916c5f51d2ed600b08ff",
+    **SWEEP_CSV_SHA256,
+    5: "515cfad2fb58c4d9052378ff2f6f8d3dfb1b9bc3dcb9eada542b01cebcc4b887",
 }
 
 # The expected digests by the SIMD target of numpy's exp, log and power.

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -306,46 +307,30 @@ _SIGN_CASES = [0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf"), float("nan")]
 
 
 def _bisection_mismatches():
-    """(flo, fhi, fmid, df, got, expected) for each function on [0, 1] that is
-    ``flo`` at 0, ``fhi`` at 1 and ``fmid`` inside, with a slope ``df`` that
-    allows no Newton step, where ``_newton_bisection`` does not decide as
-    ``np.sign`` does: the low end for ends of one sign, the high end for a
-    root there, the midpoint where ``fmid`` is 0 or not finite, else bisection
-    up (``fmid`` of ``flo``'s sign) or down."""
+    """(flo, fmid, df, got, expected) for each function on [0, 1] whose ends
+    are of opposite nonzero finite sign, ``flo`` at 0, and that is ``fmid``
+    inside, with a slope ``df`` that allows no Newton step, where
+    ``_newton_bisection`` does not decide as ``np.sign`` does: the midpoint
+    where ``fmid`` is 0 or not finite, else bisection up (``fmid`` of
+    ``flo``'s sign) or down."""
     bad = []
-    for flo, fhi, fmid, df in itertools.product(
-        _SIGN_CASES, _SIGN_CASES, _SIGN_CASES, [0.0, float("inf"), float("nan")]
+    for flo, fmid, df in itertools.product(
+        [1.0, -1.0], _SIGN_CASES, [0.0, float("inf"), float("nan")]
     ):
-        got = baselines._newton_bisection(
-            lambda x: flo if x == 0.0 else fhi if x == 1.0 else fmid, lambda x: df, 0.0, 1.0
-        )
-        if flo == 0.0 or np.sign(flo) == np.sign(fhi):
-            expected = "lo"
-        elif fhi == 0.0:
-            expected = "hi"
-        elif fmid == 0.0 or not np.isfinite(fmid):
+        got = baselines._newton_bisection(lambda x: fmid, lambda x: df, 0.0, 1.0, flo)
+        if fmid == 0.0 or not np.isfinite(fmid):
             expected = "mid"
         else:
             expected = "up" if np.sign(fmid) == np.sign(flo) else "down"
-        where = {0.0: "lo", 1.0: "hi", 0.5: "mid"}.get(got, "up" if got > 0.5 else "down")
+        where = "mid" if got == 0.5 else "up" if got > 0.5 else "down"
         if where != expected:
-            bad.append((flo, fhi, fmid, df, got, expected))
+            bad.append((flo, fmid, df, got, expected))
     return bad
 
 
 class TestNewtonBisection:
     def test_decisions_follow_the_signs(self):
         assert _bisection_mismatches() == []
-
-    @pytest.mark.parametrize("root", [0.0, 1.0])
-    def test_exact_root_at_an_end_is_returned(self, root):
-        got = baselines._newton_bisection(lambda x: x - root, lambda x: 1.0, 0.0, 1.0)
-        assert got == root
-
-    def test_same_sign_ends_return_lo(self):
-        # No sign change between the ends: the low end comes back, for the
-        # caller's polish to judge.
-        assert baselines._newton_bisection(lambda x: x, lambda x: 1.0, 1.0, 2.0) == 1.0
 
     def test_returns_after_the_iteration_cap(self):
         # A zero derivative forces bisection, and 120 halvings of a
@@ -356,10 +341,43 @@ class TestNewtonBisection:
             calls.append(x)
             return x
 
-        got = baselines._newton_bisection(f, lambda x: 0.0, -1e300, 3e299)
-        # The two ends, the first midpoint, then one per iteration.
-        assert len(calls) == 3 + baselines._NEWTON_MAX_ITER
+        got = baselines._newton_bisection(f, lambda x: 0.0, -1e300, 3e299, -1e300)
+        # The first midpoint, then one per iteration; never an end.
+        assert len(calls) == 1 + baselines._NEWTON_MAX_ITER
         assert got == calls[-1]
+
+
+class TestMaxentBracket:
+    def test_scan_hands_newton_f_at_its_low_end(self, monkeypatch):
+        # The scan and a Python-float call of the polynomial take the same
+        # IEEE operations, so every bracket's value is F(lo) bit for bit,
+        # and its ends are finite, nonzero and of opposite sign.
+        ends = []
+        scan = baselines._maxent_bracket
+
+        def spied(F, lo, hi):
+            got = scan(F, lo, hi)
+            if got is not None:
+                ends.append((got[2], F(got[0]), F(got[1])))
+            return got
+
+        monkeypatch.setattr(baselines, "_maxent_bracket", spied)
+        for n in range(3, 151):
+            _maxent_rows(np.arange(101) / 100, n)
+        bad = [
+            (flo, f_lo, f_hi)
+            for flo, f_lo, f_hi in ends
+            if not (
+                f_lo.hex() == flo.hex()
+                and math.isfinite(flo)
+                and math.isfinite(f_hi)
+                and flo != 0.0
+                and f_hi != 0.0
+                and (flo > 0.0) != (f_hi > 0.0)
+            )
+        ]
+        assert len(ends) > 1000
+        assert bad == []
 
 
 WEIGHT_CALLS = {

@@ -7,8 +7,9 @@ maximum-entropy polish runs without a bracket, and where the linear
 line is longest: SHA-256 over the float64 bytes of each kernel's output
 on the orness grid k/100.  Every row here comes from IEEE arithmetic and
 libm, which numpy's SIMD dispatch does not reach (maximum entropy's
-polynomial overflows from n of about 150, so its rows come from the
-polish), so one set holds on every numpy SIMD family.
+polynomial takes its powers by multiplication alone, and its polish
+rebuilds rows by running products), so one set holds on every numpy
+SIMD family.
 The calibrated rows that meet ``ORNESS_TOL`` and the rows that miss it
 have separate digests, so a change to one set cannot hide in the other.
 """
@@ -146,3 +147,23 @@ def test_kernel_digests_without_avx512():
     assert dispatch == DISPATCH_X86_V3
     assert digests == KERNEL_SHA256
     assert messages == [_message(*key) for key in MESSAGES]
+
+
+def _maxent_bracketed_digests():
+    """SHA-256 of the maximum-entropy rows on k/100 at each n = 3...150,
+    the sizes where the polynomial's bracket and Newton solve the rows."""
+    return [_sha256(_maxent_rows(K100, n)) for n in range(3, 151)]
+
+
+def test_maxent_rows_without_avx512():
+    # The polynomial's powers are multiplications, which every SIMD family
+    # rounds alike, so the other family solves the same rows bit for bit.
+    if _dispatch() != DISPATCH_AVX512:
+        pytest.skip("numpy has no AVX-512 dispatch here")
+    script = (
+        "import json, test_kernel_pins as t; "
+        "print(json.dumps([t._dispatch(), t._maxent_bracketed_digests()]))"
+    )
+    dispatch, digests = _on_emulated_avx2_host(script)
+    assert dispatch == DISPATCH_X86_V3
+    assert digests == _maxent_bracketed_digests()
