@@ -2,15 +2,18 @@
 
 The exponential family fixes a geometric shape for the weights and needs
 its internal parameter calibrated ("preset") to hit a requested orness;
-calibration here is one dyadic bisection per requested value on the
-monotone parameter-to-orness map.  Each halving is decided by the
-closed-form orness of the geometric series; only where that lies within
-a margin of the target does the midpoint row's ``orness`` decide instead.
+calibration here is a dyadic bisection on the monotone
+parameter-to-orness map, run for a whole grid of requested values at
+once (a few numpy passes per halving), or value by value below a small
+grid size.  Each halving is decided by the closed-form orness of the
+geometric series; only where that lies within a margin of the target
+does the midpoint row's ``orness`` decide instead.
 
 The maximum-entropy method maximizes dispersion subject to the orness
 constraint.  The optimum has geometric structure, which reduces the whole
-problem to one polynomial equation in the first weight, solved by a
-safeguarded Newton/bisection hybrid.  Where the polynomial overflows
+problem to one polynomial equation in the first weight.  One scan of the
+polynomial over all of a grid's values brackets each root, and a
+safeguarded Newton/bisection hybrid solves each value.  Where the polynomial overflows
 (large n) and no root can be bracketed, the first weight is found
 instead by bisection on the achieved orness of the rebuilt geometric
 vector.  Near extreme orness and large n the problem becomes
@@ -44,6 +47,11 @@ _SCREEN_MARGIN = 2e-13
 _NEWTON_XTOL = 1e-15
 _NEWTON_MAX_ITER = 120
 _BRACKET_SCAN_POINTS = 400
+_SCAN_STEPS = np.arange(_BRACKET_SCAN_POINTS, dtype=float)
+# Values per bracket scan: a block's arrays stay about 200 KB, so a long
+# grid costs no more memory than a short one (64 to 128 values per block
+# scanned fastest, about 3.5 us a value at n = 10 and 100).
+_SCAN_BLOCK = 64
 
 
 class UnsupportedOrnessError(ValueError):
@@ -123,10 +131,19 @@ def exponential_raw(a: float, n: int, kind: str = "or-like") -> WeightVector:
     return WeightVector(_exponential_rows(np.array([a], dtype=float), n, and_like)[0])
 
 
-def _or_like_orness(a: float, n: int) -> float:
+def _or_like_orness(a, n: int, lib=math):
     """Orness of the or-like row at parameter ``a`` in (0, 1), from the
-    geometric series: 1 - (1 - a)(1 - (1 - a)^(n-1)) / ((n - 1) a)."""
-    return 1.0 - (1.0 - a) * -math.expm1((n - 1) * math.log1p(-a)) / ((n - 1) * a)
+    geometric series: 1 - (1 - a)(1 - (1 - a)^(n-1)) / ((n - 1) a).  With
+    ``lib=np``, ``a`` is an array and numpy's log1p and expm1 take the
+    place of libm's, a few ulps apart."""
+    return 1.0 - (1.0 - a) * -lib.expm1((n - 1) * lib.log1p(-a)) / ((n - 1) * a)
+
+
+# Below this many targets the bisection runs one target at a time: a
+# grid's numpy passes cost about 350-400 us per call, the loop about
+# 12-16 us per target (measured crossover: 23 to 28 targets at n = 5 to
+# 1000).
+_GRID_BISECTION_MIN = 25
 
 
 def _calibrated_exponential_array(orness: np.ndarray, n: int):
@@ -137,27 +154,55 @@ def _calibrated_exponential_array(orness: np.ndarray, n: int):
     Or-like orness rises 0 -> 1 with a; and-like falls 1 -> 0, and its
     row is the or-like row reversed.  Each halving is decided by
     :func:`_or_like_orness`; within ``_SCREEN_MARGIN`` of the target, by
-    the orness (``core._orness_rows``) of the midpoint's oriented row."""
-    a = np.empty(orness.size)
-    for i, target in enumerate(orness.tolist()):
-        or_like = target > 0.5
-        # The interval starts as [0, 1] and is halved exactly at each
-        # step, so lo + width/2 is the midpoint (lo + hi)/2 bit for bit.
-        lo, width = 0.0, 1.0
-        for _ in range(_HALVINGS):
-            mid = lo + 0.5 * width
-            val = _or_like_orness(mid, n)
-            if not or_like:
-                val = 1.0 - val
-            # Written as "not >" so that a NaN target is measured too.
-            if not abs(val - target) > _SCREEN_MARGIN:
-                row = _exponential_rows(np.array([mid]), n, np.array([not or_like]))
-                (val,) = _orness_rows(row)
-            if (val < target) == or_like:
-                lo = mid
-            width *= 0.5
-        a[i] = lo + 0.5 * width
+    the orness (``core._orness_rows``) of the midpoint's oriented row.
+
+    From ``_GRID_BISECTION_MIN`` targets on, the targets are halved
+    together (:func:`_calibrated_grid`); below it, one at a time in Python
+    floats.  The two give the same bits: their closed forms differ by a
+    few ulps, far inside the margin, so a decision outside it is the same
+    and one inside it is made by the same exact row."""
+    if orness.size >= _GRID_BISECTION_MIN:
+        a = _calibrated_grid(orness, n)
+    else:
+        a = np.empty(orness.size)
+        for i, target in enumerate(orness.tolist()):
+            or_like = target > 0.5
+            # The interval starts as [0, 1] and is halved exactly at each
+            # step, so lo + width/2 is the midpoint (lo + hi)/2 bit for bit.
+            lo, width = 0.0, 1.0
+            for _ in range(_HALVINGS):
+                mid = lo + 0.5 * width
+                val = _or_like_orness(mid, n)
+                if not or_like:
+                    val = 1.0 - val
+                # Written as "not >" so that a NaN target is measured too.
+                if not abs(val - target) > _SCREEN_MARGIN:
+                    row = _exponential_rows(np.array([mid]), n, np.array([not or_like]))
+                    (val,) = _orness_rows(row)
+                if (val < target) == or_like:
+                    lo = mid
+                width *= 0.5
+            a[i] = lo + 0.5 * width
     return _exponential_rows(a, n, ~(orness > 0.5)), a
+
+
+def _calibrated_grid(orness: np.ndarray, n: int) -> np.ndarray:
+    """The parameters of :func:`_calibrated_exponential_array`, every target
+    halved at once: each halving is a few numpy passes over the grid, and
+    one call builds the exact rows of every target within the margin."""
+    or_like = orness > 0.5
+    and_like = ~or_like
+    lo, width = np.zeros(orness.size), 1.0
+    for _ in range(_HALVINGS):
+        mid = lo + 0.5 * width
+        val = _or_like_orness(mid, n, np)
+        val = np.where(or_like, val, 1.0 - val)
+        near = np.flatnonzero(~(np.abs(val - orness) > _SCREEN_MARGIN))
+        if near.size:
+            val[near] = _orness_rows(_exponential_rows(mid[near], n, and_like[near]))
+        lo = np.where((val < orness) == or_like, mid, lo)
+        width *= 0.5
+    return lo + 0.5 * width
 
 
 def exponential_weights(orness: float, n: int):
@@ -260,12 +305,13 @@ def _ipow(x, k: int):
         x = x * x
 
 
-def _maxent_polynomial(A: float, n: int):
+def _maxent_polynomial(A, n: int):
     # First-weight equation of the analytic maximum-entropy solution:
     #   w1 * (A + 1 - n*w1)^n = A^(n-1) * ((A - n)*w1 + 1).
     # w1 = 1/n (the uniform solution) is always a root; the interior root
     # above 1/n is the one wanted for a > 0.5.  Every power is _ipow's, so
-    # F at a scan point is bit for bit F at that Python float.
+    # F at a scan point is bit for bit F at that Python float, also where A
+    # is a column of values and w a row of points per value.
     B = A + 1.0
     power = _ipow(A, n - 1)
 
@@ -280,19 +326,34 @@ def _maxent_polynomial(A: float, n: int):
     return F, dF
 
 
-def _maxent_bracket(F, lo: float, hi: float):
-    # Scan [lo, hi] from the high end for the sign change nearest the
-    # interior root: (lo, hi, F(lo)) with both ends finite, nonzero and of
-    # opposite sign.
-    ws = np.linspace(lo, hi, _BRACKET_SCAN_POINTS)
-    vals = F(ws)
-    sgn = np.sign(vals)
-    ok = np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
-    flips = np.where(ok & (sgn[:-1] * sgn[1:] < 0))[0]
-    if flips.size == 0:
-        return None
-    i = flips[-1]
-    return float(ws[i]), float(ws[i + 1]), float(vals[i])
+def _maxent_brackets(A: list, n: int) -> list:
+    """Per value in the list ``A`` of (n - 1)*a, the sign change of F
+    nearest the interior root among ``_BRACKET_SCAN_POINTS`` points of the
+    admissible interval (1/n, 1/(n - A)): (lo, hi, F(lo)) with both ends
+    finite, nonzero and of opposite sign, or None.  One pass over a
+    (values x points) grid, whose points are np.linspace's, start + i*step
+    with the interval's end last.  A lone value stays a Python float and
+    its points one 1-d row, which keeps a one-value call as fast as a scan
+    of its own.  The caller sets numpy's warning policy."""
+    lo = 1.0 / n
+    grid = len(A) > 1
+    A = np.array(A)[:, np.newaxis] if grid else A[0]
+    hi = 1.0 / (n - A)
+    ws = _SCAN_STEPS * ((hi - lo) / (_BRACKET_SCAN_POINTS - 1))
+    ws += lo
+    ws[..., -1:] = hi
+    vals = _maxent_polynomial(A, n)[0](ws)
+    sgn = np.sign(vals) * np.isfinite(vals)  # 0 where F is not finite
+    flips = sgn[..., :-1] * sgn[..., 1:] < 0
+    # Each row's last sign change, found from the row's end.
+    end = flips.shape[-1] - 1
+    if not grid:
+        i = end - flips[::-1].argmax()
+        return [(ws.item(i), ws.item(i + 1), vals.item(i)) if flips[i] else None]
+    return [
+        (ws.item(r, i), ws.item(r, i + 1), vals.item(r, i)) if flips[r, i] else None
+        for r, i in enumerate((end - flips[:, ::-1].argmax(axis=1)).tolist())
+    ]
 
 
 def _rebuild_from_first_weight(w1: float, A: float, n: int):
@@ -342,22 +403,20 @@ def _polish_first_weight(a: float, A: float, n: int, lo: float, hi: float) -> fl
     return 0.5 * (lo + hi)
 
 
-def _maxent_solve(a: float, n: int):
+def _maxent_solve(a: float, n: int, bracket):
     """Maximum-entropy weights of size ``n`` >= 3 at a folded orness ``a``
     in [0.5, 1), or None where the solve finds no valid root.
 
     With A = (n - 1)*a, the first weight lies in the admissible interval
     (1/n, 1/(n - A)): uniform weights at 1/n, a zero last weight at
-    1/(n - A).  The bracket scan and the polish search that interval."""
+    1/(n - A).  Newton solves the scan's ``bracket`` and the polish
+    searches the whole interval."""
     A = (n - 1) * a
     lo, hi = 1.0 / n, 1.0 / (n - A)
     # At large n the polynomial overflows to inf or NaN, which the scan and
     # the search pass over.  With no sign change, start from the uniform
     # 1/n and let the polish below find the root.
-    with np.errstate(over="ignore", invalid="ignore"):
-        F, dF = _maxent_polynomial(A, n)
-        bracket = _maxent_bracket(F, lo, hi)
-        w1 = lo if bracket is None else _newton_bisection(F, dF, *bracket)
+    w1 = lo if bracket is None else _newton_bisection(*_maxent_polynomial(A, n), *bracket)
     w = _rebuild_from_first_weight(w1, A, n)
     # The last weight's numerator subtracts nearly equal terms at extreme
     # orness; once it sits at rounding scale the rebuilt family is fiction
@@ -375,13 +434,25 @@ def _maxent_rows(orness: np.ndarray, n: int) -> np.ndarray:
     which the entropy objective cannot reach, and wherever the solve finds
     no root.  n = 2 and orness 0.5 have closed forms; below 0.5 the folded
     value 1 - orness is solved and the solution reversed.  Solves are kept
-    by folded value, so a value and its mirror are solved once.  The
-    matrix is not pre-filled: each row is written once it is known, so a
-    one-value call touches none of it during its solve.
+    by folded value, so a value and its mirror are solved once, and one
+    scan (:func:`_maxent_brackets`) brackets each block of up to
+    ``_SCAN_BLOCK`` folded values before each is solved on its own.  The matrix is not pre-filled: each row is
+    written once it is known, so a one-value call touches none of it
+    during its solve.
     """
     w = np.empty((orness.size, n))
-    solved = {}
-    for row, value in zip(w, orness.tolist()):
+    values = orness.tolist()
+    # Each folded value to solve, once; 1 - 0.49999999999999994 rounds to
+    # 0.5: that is solved, not uniform.
+    solved = {1.0 - v if v < 0.5 else v: None for v in values if 0.0 < v < 1.0 and v != 0.5}
+    folded = list(solved) if n > 2 else []
+    for k in range(0, len(folded), _SCAN_BLOCK):
+        block = folded[k : k + _SCAN_BLOCK]
+        with np.errstate(over="ignore", invalid="ignore"):
+            brackets = _maxent_brackets([(n - 1) * a for a in block], n)
+        for a, bracket in zip(block, brackets):
+            solved[a] = _maxent_solve(a, n, bracket)
+    for row, value in zip(w, values):
         if not 0.0 < value < 1.0:
             row[:] = np.nan
         elif n == 2:
@@ -389,10 +460,7 @@ def _maxent_rows(orness: np.ndarray, n: int) -> np.ndarray:
         elif value == 0.5:
             row[:] = 1.0 / n
         else:
-            # 1 - 0.49999999999999994 rounds to 0.5: that is solved, not uniform.
             a = 1.0 - value if value < 0.5 else value
-            if a not in solved:
-                solved[a] = _maxent_solve(a, n)
             if solved[a] is None:
                 row[:] = np.nan
             else:

@@ -111,6 +111,9 @@ STATUS_OK = "ok"
 STATUS_UNSTABLE = "unstable"
 STATUS_UNSUPPORTED = "unsupported"
 
+# A row read back holds these name objects, as sweep() rows do, not its own copies.
+_NAMES = {name: name for name in (*ALL_METHODS, STATUS_OK, STATUS_UNSTABLE, STATUS_UNSUPPORTED)}
+
 
 @dataclass(frozen=True)
 class MethodReport:
@@ -444,7 +447,8 @@ def read_sweep_csv(path: str) -> list:
 
     The rows share repeated floats as :func:`sweep` rows do: in a row, a cell with the text of
     the cell before it is that cell's float, and a row whose packed bytes are those of an earlier
-    row of its method and beta, or of one reversed (its mirror), holds that row's floats.
+    row of its method and beta, or of one reversed (its mirror), holds that row's floats.  A
+    known method or status name is this module's constant; an unknown one is kept as read.
     """
 
     def opt_float(s):
@@ -489,13 +493,14 @@ def read_sweep_csv(path: str) -> list:
             cells = rec[fixed:]
             if "" in cells and any(cells):
                 raise ValueError(f"{where}: weight cells must be all empty or all numbers")
+            method = _NAMES.get(rec[0], rec[0])
             try:
                 beta = opt_float(rec[1])
                 row = MethodReport(
-                    method=rec[0], beta=beta, n=int(rec[2]),
+                    method=method, beta=beta, n=int(rec[2]),
                     requested_orness=float(rec[3]), achieved_orness=opt_float(rec[4]),
-                    dispersion=opt_float(rec[5]), status=rec[6],
-                    w=None if cells[0] == "" else weights(rec[0], beta, cells),
+                    dispersion=opt_float(rec[5]), status=_NAMES.get(rec[6], rec[6]),
+                    w=None if cells[0] == "" else weights(method, beta, cells),
                 )
             except ValueError as exc:
                 raise ValueError(f"{where}: a cell is not a number ({exc})") from None

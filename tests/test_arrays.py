@@ -15,14 +15,23 @@ import numpy as np
 import pytest
 
 from owakit import (
+    MaxentInstabilityError,
     OrnessTarget,
+    UnsupportedOrnessError,
     exponential_weights,
     exponential_weights_no_preset,
     linear_coefficients,
     linear_weights,
+    maxent_weights,
     orness,
 )
-from owakit.baselines import _calibrated_exponential_array, _no_preset_exponential_array
+from owakit.baselines import (
+    ORNESS_TOL,
+    _calibrated_exponential_array,
+    _maxent_rows,
+    _no_preset_exponential_array,
+)
+from owakit.core import _orness_rows, _simplex_rows
 from owakit.linear import _weight_array
 from owakit import reports
 from owakit.reports import (
@@ -205,6 +214,27 @@ class TestRowsAreIndependent:
         for a, row in zip(GRID, w):
             assert row.tobytes() == _no_preset_exponential_array(_one(a), n)[0].tobytes(), a
             assert row.tobytes() == exponential_weights_no_preset(a, n).w.tobytes(), a
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 150])
+    def test_maxent(self, n):
+        # The grid's values share one bracket scan.  Each row is still the
+        # one-value row, and the public call returns it, or all three
+        # refuse: the public call raises and the row is NaN, off the
+        # simplex or off its orness by more than ORNESS_TOL.
+        w = _maxent_rows(GRID, n)
+        for a, row in zip(GRID.tolist(), w):
+            assert row.tobytes() == _maxent_rows(_one(a), n)[0].tobytes(), a
+            try:
+                public = maxent_weights(a, n).w
+            except (UnsupportedOrnessError, MaxentInstabilityError):
+                refused = (
+                    np.isnan(row).all()
+                    or _simplex_rows(row[np.newaxis])[0] is not None
+                    or abs(_orness_rows(row[np.newaxis])[0] - a) > ORNESS_TOL
+                )
+                assert refused, a
+            else:
+                assert public.tobytes() == row.tobytes(), a
 
     @pytest.mark.parametrize("orness, n", FIXUP_POINTS)
     def test_fixup_rows_are_clipped_and_renormalized(self, orness, n):

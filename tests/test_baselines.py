@@ -349,19 +349,23 @@ class TestNewtonBisection:
 
 class TestMaxentBracket:
     def test_scan_hands_newton_f_at_its_low_end(self, monkeypatch):
-        # The scan and a Python-float call of the polynomial take the same
-        # IEEE operations, so every bracket's value is F(lo) bit for bit,
-        # and its ends are finite, nonzero and of opposite sign.
+        # The grid's scan and a Python-float call of the polynomial at each
+        # value take the same IEEE operations, so every bracket's value is
+        # F(lo) bit for bit, and its ends are finite, nonzero and of
+        # opposite sign.
         ends = []
-        scan = baselines._maxent_bracket
+        scan = baselines._maxent_brackets
 
-        def spied(F, lo, hi):
-            got = scan(F, lo, hi)
-            if got is not None:
-                ends.append((got[2], F(got[0]), F(got[1])))
+        def spied(A, n):
+            got = scan(A, n)
+            assert len(got) == len(A)
+            for value, bracket in zip(A, got):
+                if bracket is not None:
+                    F, _ = baselines._maxent_polynomial(value, n)
+                    ends.append((bracket[2], F(bracket[0]), F(bracket[1])))
             return got
 
-        monkeypatch.setattr(baselines, "_maxent_bracket", spied)
+        monkeypatch.setattr(baselines, "_maxent_brackets", spied)
         for n in range(3, 151):
             _maxent_rows(np.arange(101) / 100, n)
         bad = [

@@ -126,7 +126,9 @@ def test_target_at_a_midpoints_row_sum_takes_the_exact_branch(monkeypatch, or_li
 def test_at_most_one_exact_row_per_target(monkeypatch):
     # A halving builds a row only within the margin: a grid of 1001
     # targets at n = 1000 needs 176, where summing every halving built
-    # 40 rows per target.
+    # 40 rows per target.  The grid's halvings build the rows of all its
+    # targets within the margin in one call, and exactly the rows the
+    # targets need one at a time.
     built = []
     rows = baselines._exponential_rows
 
@@ -138,5 +140,12 @@ def test_at_most_one_exact_row_per_target(monkeypatch):
     orness = np.arange(1001) / 1000
     _calibrated_exponential_array(orness, 1000)
     assert built[-1] == orness.size
-    assert all(size == 1 for size in built[:-1])
-    assert len(built) - 1 <= orness.size
+    grid_rows = sum(built[:-1])
+    assert grid_rows <= orness.size
+    one_by_one = 0
+    for target in orness:
+        built.clear()
+        _calibrated_exponential_array(np.array([target]), 1000)
+        assert set(built) <= {1}
+        one_by_one += len(built) - 1
+    assert grid_rows == one_by_one == 176

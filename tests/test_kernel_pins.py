@@ -167,3 +167,25 @@ def test_maxent_rows_without_avx512():
     dispatch, digests = _on_emulated_avx2_host(script)
     assert dispatch == DISPATCH_X86_V3
     assert digests == _maxent_bracketed_digests()
+
+
+def _calibrated_parameter_digests():
+    """SHA-256 of the calibrated exponential parameters on k/1000 at each
+    n, found by the grid's halvings, whose closed form is numpy's."""
+    k1000 = np.arange(1001) / 1000
+    return [_sha256(_calibrated_exponential_array(k1000, n)[1]) for n in (3, 10, 100, 1000, 10**4)]
+
+
+def test_calibrated_parameters_without_avx512():
+    # numpy's log1p and expm1 follow the SIMD family (libm's do not), so the
+    # grid's closed form may move by a few ulps; that is far inside the
+    # screen's margin, so the other family finds the same parameters.
+    if _dispatch() != DISPATCH_AVX512:
+        pytest.skip("numpy has no AVX-512 dispatch here")
+    script = (
+        "import json, test_kernel_pins as t; "
+        "print(json.dumps([t._dispatch(), t._calibrated_parameter_digests()]))"
+    )
+    dispatch, digests = _on_emulated_avx2_host(script)
+    assert dispatch == DISPATCH_X86_V3
+    assert digests == _calibrated_parameter_digests()

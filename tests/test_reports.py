@@ -808,6 +808,23 @@ class TestReadBackSharesFloats:
         assert list(map(_bits, back)) == list(map(_bits, _plain_parse(tmp_path / "s.csv")))
         assert all(math.isnan(r.w[0]) and math.isnan(r.w[2]) for r in back)
 
+    def test_names_are_the_module_constants(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_sweep_csv(sweep(100, list(ALL_METHODS)), 100, str(path), "")
+        rows = read_sweep_csv(str(path))
+        methods = {m: m for m in ALL_METHODS}
+        statuses = {s: s for s in (STATUS_OK, STATUS_UNSTABLE, STATUS_UNSUPPORTED)}
+        assert {r.status for r in rows} == set(statuses)
+        assert all(r.method is methods[r.method] for r in rows)
+        assert all(r.status is statuses[r.status] for r in rows)
+
+    def test_unknown_names_are_kept_as_read(self, tmp_path):
+        path = tmp_path / "s.csv"
+        lines = [",".join(reports.sweep_header(2)), "mine,,2,0.5,0.5,0.5,odd,0.5,0.5"]
+        path.write_text("".join(line + "\n" for line in lines))
+        (r,) = read_sweep_csv(str(path))
+        assert (r.method, r.status) == ("mine", "odd")
+
     def test_read_holds_no_more_than_the_sweep(self, tmp_path):
         # The n = 1000 job of the sweep benchmark; its rows held as sweep()
         # holds them cost about 9.6 MiB, and one float per cell about 15.5.
