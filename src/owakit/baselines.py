@@ -13,10 +13,10 @@ The maximum-entropy method maximizes dispersion subject to the orness
 constraint.  The optimum has geometric structure, which reduces the whole
 problem to one polynomial equation in the first weight.  One scan of the
 polynomial over all of a grid's values brackets each root, and a
-safeguarded Newton/bisection hybrid solves each value.  Where the polynomial overflows
-(large n) and no root can be bracketed, the first weight is found
-instead by bisection on the achieved orness of the rebuilt geometric
-vector.  Near extreme orness and large n the problem becomes
+safeguarded Newton/bisection hybrid solves each value.  Where the
+polynomial overflows (large n) and no root can be bracketed, the first
+weight is found instead by bisection on the achieved orness of the
+rebuilt geometric vector.  Near extreme orness and large n the problem becomes
 ill-conditioned (catastrophic cancellation between terms of order
 A**(n-1)); results that fail validation raise a flagged error instead of
 returning garbage.
@@ -436,9 +436,9 @@ def _maxent_rows(orness: np.ndarray, n: int) -> np.ndarray:
     value 1 - orness is solved and the solution reversed.  Solves are kept
     by folded value, so a value and its mirror are solved once, and one
     scan (:func:`_maxent_brackets`) brackets each block of up to
-    ``_SCAN_BLOCK`` folded values before each is solved on its own.  The matrix is not pre-filled: each row is
-    written once it is known, so a one-value call touches none of it
-    during its solve.
+    ``_SCAN_BLOCK`` folded values before each is solved on its own.  The
+    matrix is not pre-filled: each row is written once it is known, so a
+    one-value call touches none of it during its solve.
     """
     w = np.empty((orness.size, n))
     values = orness.tolist()

@@ -237,12 +237,13 @@ class TestMaxent:
         assert np.isnan(w[[0, 2]]).all()
         np.testing.assert_array_equal(w[1], maxent_weights(0.3, 5).w)
 
-    @pytest.mark.parametrize("steps", [7, 101])
+    @pytest.mark.parametrize("steps", [7, 101, 1001])
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 100])
     def test_rows_equal_one_solve_per_value(self, n, steps):
         # Mirror rows reuse one solve reversed.  1 - k/6 is often not
         # (6 - k)/6; 1 - 0.49999999999999994 rounds to 0.5, which is not
-        # the uniform row that orness 0.5 itself gets.
+        # the uniform row that orness 0.5 itself gets.  1001 steps fold to
+        # more values than one bracket scan takes.
         a = np.concatenate(
             [np.linspace(0.0, 1.0, steps), [0.5, 0.49999999999999994, 1 - 1 / 6, 1 / 6]]
         )
@@ -382,6 +383,26 @@ class TestMaxentBracket:
         ]
         assert len(ends) > 1000
         assert bad == []
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 100])
+    def test_grid_scan_is_the_one_value_scan_on_linspace_points(self, n):
+        # A bracket's ends are consecutive points of np.linspace over the
+        # admissible interval, its last point that interval's end, whether
+        # the value is scanned alone or in a grid.  At these n some
+        # brackets end at that last point.
+        folded = [(n - 1) * (1 - k / 100 if k < 50 else k / 100) for k in range(1, 100)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = baselines._maxent_brackets(folded, n)
+            alone = [baselines._maxent_brackets([A], n)[0] for A in folded]
+        assert grid == alone
+        ends = 0
+        for A, bracket in zip(folded, grid):
+            if bracket is not None:
+                points = np.linspace(1.0 / n, 1.0 / (n - A), 400).tolist()
+                i = points.index(bracket[0])
+                assert points[i + 1] == bracket[1]
+                ends += i + 1 == len(points) - 1
+        assert ends > 0
 
 
 WEIGHT_CALLS = {

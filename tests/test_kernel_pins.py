@@ -23,6 +23,7 @@ from owakit import exponential_weights, maxent_weights
 from owakit.baselines import (
     ORNESS_TOL,
     _calibrated_exponential_array,
+    _calibrated_grid,
     _maxent_rows,
     _no_preset_exponential_array,
 )
@@ -173,7 +174,7 @@ def _calibrated_parameter_digests():
     """SHA-256 of the calibrated exponential parameters on k/1000 at each
     n, found by the grid's halvings, whose closed form is numpy's."""
     k1000 = np.arange(1001) / 1000
-    return [_sha256(_calibrated_exponential_array(k1000, n)[1]) for n in (3, 10, 100, 1000, 10**4)]
+    return [_sha256(_calibrated_grid(k1000, n)) for n in (3, 10, 100, 1000, 10**4)]
 
 
 def test_calibrated_parameters_without_avx512():
