@@ -359,13 +359,13 @@ def _maxent_brackets(A: list, n: int) -> list:
 def _rebuild_from_first_weight(w1: float, A: float, n: int):
     """Weights implied by a candidate first weight: the last weight wn from
     the two constraints, then the geometric row of ratio q = (wn/w1)^(1/(n-1))
-    normalised by its sum; q is one Python float, rounded by libm, not numpy."""
+    divided in place by its sum; q is a Python float from libm, not numpy."""
     num = (A - n) * w1 + 1.0
     den = A + 1.0 - n * w1
     if w1 <= 0.0 or num <= 0.0 or den <= 0.0:
         return None
     (w,) = _geometric_rows([(num / den / w1) ** (1.0 / (n - 1))], n)
-    return w / w.sum()
+    return np.divide(w, w.sum(), out=w)
 
 
 def _constraint_residual(w1: float, a: float, A: float, n: int):
@@ -430,16 +430,14 @@ def _maxent_solve(a: float, n: int, bracket):
 
 def _maxent_rows(orness: np.ndarray, n: int) -> np.ndarray:
     """Maximum-entropy weights of size ``n``, one row per value of the 1-d
-    array ``orness`` (no validation).  A row is NaN at orness 0 and 1,
-    which the entropy objective cannot reach, and wherever the solve finds
-    no root.  n = 2 and orness 0.5 have closed forms; below 0.5 the folded
-    value 1 - orness is solved and the solution reversed.  Solves are kept
-    by folded value, so a value and its mirror are solved once, and one
-    scan (:func:`_maxent_brackets`) brackets each block of up to
-    ``_SCAN_BLOCK`` folded values before each is solved on its own.  The
-    matrix is not pre-filled: each row is written once it is known, so a
-    one-value call touches none of it during its solve.
-    """
+    array ``orness`` (no validation).  n = 2 and orness 0.5 have closed
+    forms.  Every other row is one lookup of the solve of its folded value
+    (1 - orness below 0.5, the solution then reversed), NaN at orness 0 and
+    1, which the entropy objective cannot reach, and wherever the solve
+    finds no root.  A value and its mirror are solved once, and one scan
+    (:func:`_maxent_brackets`) brackets each block of up to ``_SCAN_BLOCK``
+    folded values before each is solved on its own.  Each row is written
+    once known, so a one-value call touches none of the matrix in its solve."""
     w = np.empty((orness.size, n))
     values = orness.tolist()
     # Each folded value to solve, once; 1 - 0.49999999999999994 rounds to
@@ -453,18 +451,17 @@ def _maxent_rows(orness: np.ndarray, n: int) -> np.ndarray:
         for a, bracket in zip(block, brackets):
             solved[a] = _maxent_solve(a, n, bracket)
     for row, value in zip(w, values):
-        if not 0.0 < value < 1.0:
-            row[:] = np.nan
-        elif n == 2:
+        inside = 0.0 < value < 1.0
+        # 1 - 1e-300 folds to 1.0 too: orness 0 and 1 look nothing up.
+        x = solved.get(1.0 - value if value < 0.5 else value) if inside else None
+        if n == 2 and inside:
             row[:] = value, 1.0 - value
         elif value == 0.5:
             row[:] = 1.0 / n
+        elif x is None:
+            row[:] = np.nan
         else:
-            a = 1.0 - value if value < 0.5 else value
-            if solved[a] is None:
-                row[:] = np.nan
-            else:
-                row[:] = solved[a][::-1] if value < 0.5 else solved[a]
+            row[:] = x[::-1] if value < 0.5 else x
     return w
 
 

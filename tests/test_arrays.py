@@ -215,11 +215,12 @@ class TestRowsAreIndependent:
             assert row.tobytes() == _no_preset_exponential_array(_one(a), n)[0].tobytes(), a
             assert row.tobytes() == exponential_weights_no_preset(a, n).w.tobytes(), a
 
-    @pytest.mark.parametrize("n", [2, 3, 10, 100, 150])
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 150, 200])
     def test_maxent(self, n):
-        # The grid's values share one bracket scan.  Each row is still the
-        # one-value row, and the public call returns it, or all three
-        # refuse: the public call raises and the row is NaN, off the
+        # The grid's values share one bracket scan; at n = 200 it brackets
+        # none of them, so every row comes from the polish.  Each row is
+        # still the one-value row, and the public call returns it, or all
+        # three refuse: the public call raises and the row is NaN, off the
         # simplex or off its orness by more than ORNESS_TOL.
         w = _maxent_rows(GRID, n)
         for a, row in zip(GRID.tolist(), w):

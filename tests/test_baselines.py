@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -233,9 +234,27 @@ class TestMaxent:
             maxent_weights(0.99, 100)
 
     def test_rows_are_nan_outside_the_domain(self):
-        w = _maxent_rows(np.array([0.0, 0.3, 1.0]), 5)
-        assert np.isnan(w[[0, 2]]).all()
-        np.testing.assert_array_equal(w[1], maxent_weights(0.3, 5).w)
+        for n in (2, 5):
+            w = _maxent_rows(np.array([0.0, 0.3, 1.0, 1e-300]), n)
+            assert np.isnan(w[[0, 2]]).all()
+            np.testing.assert_array_equal(w[1], maxent_weights(0.3, n).w)
+            # 1 - 1e-300 rounds to 1.0, the folded value of orness 0 and 1
+            # too: 1e-300 is solved there, and they still get NaN.
+            assert not np.isnan(w[3]).any()
+            assert w[3].tobytes() == _maxent_rows(np.array([1e-300]), n)[0].tobytes()
+
+    def test_a_rebuild_holds_one_row(self):
+        # The geometric row is divided by its sum in place, so the traced
+        # peak is one row of n doubles, not the row and a normalised copy.
+        n = 10**6
+        tracemalloc.start()
+        try:
+            w = baselines._rebuild_from_first_weight(1.5e-6, 0.7 * (n - 1), n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.shape == (n,)
+        assert peak < 1.25 * w.nbytes
 
     @pytest.mark.parametrize("steps", [7, 101, 1001])
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 100])
