@@ -405,7 +405,8 @@ def _polish_first_weight(a: float, A: float, n: int, lo: float, hi: float) -> fl
 
 def _maxent_solve(a: float, n: int, bracket):
     """Maximum-entropy weights of size ``n`` >= 3 at a folded orness ``a``
-    in [0.5, 1), or None where the solve finds no valid root.
+    in [0.5, 1) (true by construction of :func:`_maxent_rows`' solve set),
+    or None where the solve finds no valid root.
 
     With A = (n - 1)*a, the first weight lies in the admissible interval
     (1/n, 1/(n - A)): uniform weights at 1/n, a zero last weight at
@@ -430,31 +431,28 @@ def _maxent_solve(a: float, n: int, bracket):
 
 def _maxent_rows(orness: np.ndarray, n: int) -> np.ndarray:
     """Maximum-entropy weights of size ``n``, one row per value of the 1-d
-    array ``orness`` (no validation).  n = 2 and orness 0.5 have closed
-    forms.  Every other row is one lookup of the solve of its folded value
-    (1 - orness below 0.5, the solution then reversed), NaN at orness 0 and
-    1, which the entropy objective cannot reach, and wherever the solve
-    finds no root.  A value and its mirror are solved once, and one scan
-    (:func:`_maxent_brackets`) brackets each block of up to ``_SCAN_BLOCK``
-    folded values before each is solved on its own.  Each row is written
-    once known, so a one-value call touches none of the matrix in its solve."""
+    array ``orness`` (no validation).  Orness 0.5, and 0 < orness < 1 at
+    n = 2, have closed forms.  Every other row is the solve of its folded
+    value a (1 - orness below 0.5, the row then reversed), NaN where that
+    finds no root or a is 1.0 (orness 0, 1 and <= 2^-54), outside the
+    solver's [0.5, 1).  Each a is solved once, after one scan
+    (:func:`_maxent_brackets`) per block of ``_SCAN_BLOCK`` values.  A
+    one-value call touches none of the matrix in its solve."""
     w = np.empty((orness.size, n))
     values = orness.tolist()
-    # Each folded value to solve, once; 1 - 0.49999999999999994 rounds to
-    # 0.5: that is solved, not uniform.
-    solved = {1.0 - v if v < 0.5 else v: None for v in values if 0.0 < v < 1.0 and v != 0.5}
-    folded = list(solved) if n > 2 else []
-    for k in range(0, len(folded), _SCAN_BLOCK):
-        block = folded[k : k + _SCAN_BLOCK]
+    folded = [1.0 - v if v < 0.5 else v for v in values]
+    # 1 - 0.49999999999999994 rounds to 0.5: that is solved, not uniform.
+    solved = {a: None for v, a in zip(values, folded) if v != 0.5 and a < 1.0}
+    todo = list(solved) if n > 2 else []
+    for k in range(0, len(todo), _SCAN_BLOCK):
+        block = todo[k : k + _SCAN_BLOCK]
         with np.errstate(over="ignore", invalid="ignore"):
             brackets = _maxent_brackets([(n - 1) * a for a in block], n)
         for a, bracket in zip(block, brackets):
             solved[a] = _maxent_solve(a, n, bracket)
-    for row, value in zip(w, values):
-        inside = 0.0 < value < 1.0
-        # 1 - 1e-300 folds to 1.0 too: orness 0 and 1 look nothing up.
-        x = solved.get(1.0 - value if value < 0.5 else value) if inside else None
-        if n == 2 and inside:
+    for row, value, a in zip(w, values, folded):
+        x = solved.get(a)
+        if n == 2 and 0.0 < value < 1.0:
             row[:] = value, 1.0 - value
         elif value == 0.5:
             row[:] = 1.0 / n
@@ -471,8 +469,9 @@ def maxent_weights(orness: float, n: int) -> WeightVector:
 
     Raises :class:`UnsupportedOrnessError` for orness 0 or 1 and
     :class:`MaxentInstabilityError` whenever the solve cannot certify the
-    result (no root found, achieved orness off by more than ``ORNESS_TOL``
-    or weights outside [0, 1]); an invalid vector is never returned silently.
+    result: no root found (as for every orness <= 2^-54 at n >= 3, which
+    folds to 1.0), achieved orness off by more than ``ORNESS_TOL`` or
+    weights outside [0, 1].  An invalid vector is never returned silently.
     """
     orness, n = _check_orness(orness), _check_n(n, 2)
     if orness in (0.0, 1.0):

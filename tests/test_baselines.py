@@ -239,9 +239,39 @@ class TestMaxent:
             assert np.isnan(w[[0, 2]]).all()
             np.testing.assert_array_equal(w[1], maxent_weights(0.3, n).w)
             # 1 - 1e-300 rounds to 1.0, the folded value of orness 0 and 1
-            # too: 1e-300 is solved there, and they still get NaN.
-            assert not np.isnan(w[3]).any()
+            # too, outside the solver's domain: NaN, but for n = 2's closed form.
+            assert np.isnan(w[3]).all() == (n > 2)
             assert w[3].tobytes() == _maxent_rows(np.array([1e-300]), n)[0].tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5, 100])
+    def test_the_solver_sees_only_its_domain(self, monkeypatch, n):
+        # Orness 0, 1 and every orness <= 2^-54 fold to 1.0 and are not
+        # solved; orness 0.5 has its closed form.  What is left folds into
+        # [0.5, 1), in a grid or alone.
+        seen = []
+        solve = baselines._maxent_solve
+
+        def spied(a, n, bracket):
+            seen.append(a)
+            return solve(a, n, bracket)
+
+        monkeypatch.setattr(baselines, "_maxent_solve", spied)
+        values = [0.0, 1e-300, 1e-17, 2**-54, 2**-53, 0.49999999999999994, 0.5, 1 - 2**-53, 1.0]
+        _maxent_rows(np.array(values), n)
+        for value in values:
+            _maxent_rows(np.array([value]), n)
+        assert all(0.5 <= a < 1.0 for a in seen)
+        assert sorted(set(seen)) == [0.5, 1 - 2**-53]
+
+    @pytest.mark.parametrize("n", [3, 5, 100])
+    @pytest.mark.parametrize("value", [1e-300, 1e-17, 2**-54])
+    def test_tiny_orness_is_refused_as_no_root(self, value, n):
+        with pytest.raises(MaxentInstabilityError, match="no valid root of the first-weight"):
+            maxent_weights(value, n)
+
+    def test_tiny_orness_at_n2_keeps_its_closed_form(self):
+        for value in (1e-300, 1e-17, 2**-54):
+            assert maxent_weights(value, 2).w.tolist() == [value, 1.0]
 
     def test_a_rebuild_holds_one_row(self):
         # The geometric row is divided by its sum in place, so the traced

@@ -44,6 +44,13 @@ class TestGen:
         assert code == EXIT_METHOD_DOMAIN
         assert "orness" in err
 
+    def test_maxent_tiny_orness_exit3(self, capsys):
+        # 1 - 1e-17 rounds to 1.0, outside the maxent solver's domain.
+        assert evaluate_method("maxent", 1e-17, 5).status == "unstable"
+        code, _, err = run(["gen", "--n", "5", "--orness", "1e-17", "--method", "maxent"], capsys)
+        assert code == EXIT_METHOD_DOMAIN
+        assert "status unstable" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             ["gen", "--n", "3", "--orness", "0.7", "--method", "maxent", "--format", "json"],
