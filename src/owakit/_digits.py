@@ -5,6 +5,11 @@ decade from :func:`decimal` by exact integer arithmetic; ``"%.17g" % v`` is spli
 for each other cell alone (-0, NaN, +-inf, a negative cell or one above 1) and for each
 cell whose rounding the digits leave too close to call.  A cell's text is a function of
 its float64 bytes alone.
+
+A block's cells go onto one canvas of 29 bytes a cell, where each byte a cell's layout does
+not write is NUL: the bytes around its digits come from tables by decade, its digits from a
+table of four-digit chunks whose second half has the trailing zeros NUL.  One
+``bytes.translate`` deletes every NUL of the block.
 """
 
 from itertools import accumulate
@@ -33,70 +38,92 @@ _P128 = np.frombuffer(
 ).reshape(-1, 4).astype(np.uint64)
 _P128_SHIFT = np.array([p.bit_length() - 128 for p in _FIVES])
 
-# By i < 10**4: f"{i:04d}" as bytes and its trailing zeros ("0000": 4); uint16 spares import RSS.
-_FOUR = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
-_FOUR = (_FOUR % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-_TZ = sum(np.arange(10000) % 10**k == 0 for k in range(1, 5)).astype(np.uint8)
-# By -E = 0..324: "-" and the decade's three digits.
-_DECADES = np.frombuffer(("-%03d" * 325 % tuple(range(325))).encode(), np.uint32)
-# One cell's canvas: "0.000" for the fixed layout, then the 17 digits with a
-# point after the first, "e-" and a three-digit decade, then the separator;
-# as _FIELDS, d is its 16 digits after the point and e is "-" and the decade.
-_CANVAS = np.frombuffer(b"0.000d.0000000000000000e-000,", np.uint8)
-_FIELDS = np.dtype(dict(names=["d", "e"], formats=["V16", "V4"], offsets=[7, 24], itemsize=29))
+
+def _chunk_table():
+    """By i < 10**4: f"{i:04d}" as bytes, then (at 10**4 + i) the same with its
+    trailing zeros NUL, the form a chunk takes when every later chunk is 0."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # i's digits, highest first
+    kept = digits > 0
+    for j in (2, 1, 0):
+        kept[:, j] |= kept[:, j + 1]  # a digit is kept if it or a later one is not 0
+    text = digits + np.uint8(ord("0"))
+    return np.ascontiguousarray(np.vstack([text, text * kept])).view(np.uint32).ravel()
 
 
-def _keep_masks():
-    """The canvas bytes each layout keeps: row 0 for a cell of 0 or 1,
-    then one row per decade E = -1..-324 and digit count L = 1..17."""
-    col = np.arange(len(_CANVAS))
-    E = np.array([-1, -2, -3, -4, -5, -100])[:, None, None]  # the decades' six layouts
-    L = np.arange(1, 18)[None, :, None]
-    digits = (col == 5) | ((col >= 7) & (col <= 5 + L))
-    fixed = digits | (col < 1 - E)  # "0." and -E-1 zeros
-    decade = (col == 23) | (col == 24) | ((col >= 26 - (E <= -100)) & (col <= 27))
-    scientific = digits | ((col == 6) & (L > 1)) | decade
-    keep = np.repeat(np.where(E >= -4, fixed, scientific), [1, 1, 1, 1, 95, 225], axis=0)
-    keep = keep.reshape(-1, len(col))
-    return np.vstack([col == 0, keep]) | (col == len(col) - 1)
+def _decade_tables():
+    """By decade E = -324..-1 as a negative index, and by 0 and 1 for a cell of 0 and 1:
+    the canvas's 8 bytes at "p" and at "e" (:data:`_FIELDS`), NUL where the layout has no
+    byte.  "p" is the fixed layout's (E >= -4) "0." and -E-1 zeros, the scientific's point,
+    or the cell "0" or "1"; "e" is the scientific's "e-" and decade, then the separator."""
+    prefix, suffix = np.zeros((2, 326, 8), np.uint8)
+    prefix[:2, 0] = np.frombuffer(b"01", np.uint8)
+    zeros = np.arange(5) < np.arange(5, 1, -1)[:, None]  # E = -4..-1 keep 5..2 bytes
+    prefix[-4:, :5] = zeros * np.frombuffer(b"0.000", np.uint8)
+    prefix[-324:-4, 6] = ord(".")
+    suffix[:, 7] = ord(",")
+    decades = ("e-%03d" * 320 % tuple(range(324, 4, -1))).encode()
+    suffix[-324:-4, 2:7] = np.frombuffer(decades, np.uint8).reshape(320, 5)
+    suffix[-99:-4, 4] = 0  # %g writes a decade above -100 in two digits
+    return prefix.view(np.uint64).ravel(), suffix.view(np.uint64).ravel()
 
 
-_KEEP = _keep_masks()
+_FOUR = _chunk_table()
+_PREFIX, _SUFFIX = _decade_tables()
+# One cell's canvas, 29 bytes: "p" the 5 bytes before the first digit, then 3 bytes, the
+# point "q" among them, that "f" and "d" overwrite and "q" keeps; the first digit "f"; the
+# 16 digits after the point "d"; and "e", its first 2 bytes under "d", then "e-" and the
+# decade and the separator "s".
+_FIELDS = np.dtype(
+    dict(
+        names=["p", "f", "q", "d", "e", "s"],
+        formats=["<u8", "u1", "u1", "V16", "<u8", "u1"],
+        offsets=[0, 5, 6, 7, 21, 28],
+        itemsize=29,
+    )
+)
 
 
 def cells(x: np.ndarray) -> list:
     """``",".join("%.17g" % v for v in row)`` for each row of the float64
-    matrix ``x``.  The digits D of each cell go onto a canvas four at a
-    time, and the layout ``%g`` picks (fixed for decades E >= -4,
-    scientific below) keeps the bytes it needs, without trailing zeros.
+    matrix ``x``.  Each cell goes onto the canvas in the layout ``%g`` picks
+    (fixed for decades E >= -4, scientific below): the bytes before and after
+    its digits from ``_PREFIX`` and ``_SUFFIX`` by decade, its 16 digits after
+    the first from ``_FOUR``, four at a time, a chunk after which every chunk
+    is 0 in its form with the trailing zeros NUL.  The point goes with the
+    digits after it.  One ``translate`` of the canvas keeps the bytes that
+    are not NUL.
     """
     n = x.shape[1]
     v = x.ravel()
     inner = (v > 0.0) & (v < 1.0)
-    D, E, splice = decimal(np.where(inner, v, 0.5))  # the ends take their own layout
-    splice |= ~(inner | (v == 1.0) | ((v == 0.0) & ~np.signbit(v)))
+    one = v == 1.0
+    D, E, splice = decimal(np.where(inner, v, 0.5))  # the ends take their own table rows
+    splice |= ~(inner | one | ((v == 0.0) & ~np.signbit(v)))
     # Quotient, then the remainder by multiply-subtract: numpy's divmod is several times slower.
     first = D // np.uint64(10**16)
-    rest = D - first * np.uint64(10**16)
+    rest = D - first * np.uint64(10**16)  # 0 for 0.5, so for the ends
     eights = np.empty((len(D), 2), np.uint32)
     eights[:, 0] = high = rest // np.uint64(10**8)
     eights[:, 1] = rest - high * np.uint64(10**8)
     fours = np.empty((len(D), 4), np.uint32)
     fours[:, 0::2] = high = eights // np.uint32(10**4)
     fours[:, 1::2] = eights - high * np.uint32(10**4)
-    canvas = np.frombuffer(bytearray(_CANVAS.tobytes() * len(D)), np.uint8).reshape(len(D), -1)
-    canvas[:, 0] += v == 1.0
-    canvas[:, 5] = first + ord("0")
-    fields = canvas.reshape(-1).view(_FIELDS)
+    zero = fours == 0
+    tail = np.empty(fours.shape, bool)  # tail[:, j]: every chunk after chunk j is 0
+    tail[:, 3] = True
+    tail[:, 2] = zero[:, 3]
+    np.logical_and(zero[:, 2], tail[:, 2], out=tail[:, 1])
+    np.logical_and(zero[:, 1], tail[:, 1], out=tail[:, 0])
+    fours += tail * np.uint32(10**4)
+    fields = np.empty(len(D), _FIELDS)
+    at = np.where(inner, E, one)
+    fields["p"] = np.take(_PREFIX, at)
+    fields["e"] = np.take(_SUFFIX, at)
+    np.multiply(first + ord("0"), inner, out=fields["f"], casting="unsafe")
+    fields["q"] *= rest != 0  # no point before no digits
     fields["d"] = np.take(_FOUR, fours).view("V16").ravel()
-    fields["e"] = np.take(_DECADES, -E).view("V4")
-    canvas[n - 1 :: n, -1] = ord("\n")
-    # Digits kept: 17 less the trailing zeros, a chunk's counted if those after it are all 0.
-    t = np.take(_TZ, fours)
-    z = t == 4
-    zeros = t[:, 3] + z[:, 3] * (t[:, 2] + z[:, 2] * (t[:, 1] + z[:, 1] * t[:, 0]))
-    layout = np.where(inner, -17 * E - zeros, 0)
-    lines = canvas[np.take(_KEEP, layout, axis=0)].tobytes().decode("ascii").split("\n")
+    fields["s"][n - 1 :: n] = ord("\n")
+    lines = fields.tobytes().translate(None, b"\0").decode("ascii").split("\n")
     return _splice(lines[:-1], x, splice.reshape(x.shape))
 
 

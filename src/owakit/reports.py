@@ -18,8 +18,9 @@ deterministically: no timestamps, numbers at 17 significant digits so
 parsing them back is lossless.  The families are mirror-symmetric (the
 vector at orness 1 - a is the one at a reversed), so a :func:`sweep` row,
 like a row read back, holds the floats of its mirror, and the writer
-reuses the weight cells of a repeated or mirrored row;
-:mod:`owakit._digits` formats the others, byte for byte as ``%.17g``.
+reuses the weight cells of a repeated or mirrored row and writes a long row
+of few runs of equal bits from its run heads; :mod:`owakit._digits` formats
+the others, byte for byte as ``%.17g``.
 """
 
 import dataclasses
@@ -340,7 +341,11 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
     function of its value's bytes alone, so the output is the same as
     formatting every row.
 
-    The rows that need formatting are formatted a block of about
+    A row that needs formatting, has at least ``_RUN_ROW_CELLS`` cells and
+    at most n // 32 runs of neighbouring cells with the same float64 bits
+    (the flat beta = 1 linear rows, a one-hot row) is written from the
+    ``%.17g`` of its run heads as it is taken.  It is kept for its mirror as
+    any other row.  The other rows are formatted a block of about
     ``_BLOCK_CELLS`` cells at a time, as the lines are reached, by
     :func:`owakit._digits.cells`.
     """
@@ -348,6 +353,7 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
     no_weights = ["," * (n - 1)]  # the cells of a row without weights, already text
     pack = struct.Struct(f"{n}d").pack
     per_block = max(1, _BLOCK_CELLS // n)
+    most = n // 32 if n >= _RUN_ROW_CELLS else 0  # the most runs of a row written from its heads
     yield ",".join(sweep_header(n)) + end
     method, kept = None, {}  # row bytes -> the cells of a kept row
     lines, new = [], []  # the lines since the last block; its rows to format
@@ -373,8 +379,12 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
             cells = kept.get(np.frombuffer(key)[::-1].tobytes())  # a kept row's mirror
             flip = cells is not None
         if cells is None:
-            cells = [key]  # becomes [text] once its block is formatted
-            new.append(cells)
+            text = _run_line(key, most) if most else None
+            if text is None:
+                cells = [key]  # becomes [text] once its block is formatted
+                new.append(cells)
+            else:
+                cells = [text]
             if r.requested_orness <= 0.5:
                 kept[key] = cells
         lines.append((head, cells, flip))
@@ -382,6 +392,19 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
             yield from _block_lines(lines, new, n, end)
             lines, new = [], []
     yield from _block_lines(lines, new, n, end)
+
+
+def _run_line(key: bytes, most: int):
+    """The weight cells of the row packed in ``key`` if it has at most ``most`` runs of
+    neighbouring cells with the same float64 bits, each cell its run head's ``%.17g``;
+    else None."""
+    bits = np.frombuffer(key, np.uint64)
+    same = bits[1:] == bits[:-1]
+    if len(same) - np.count_nonzero(same) >= most:
+        return None
+    starts = [0, *(np.flatnonzero(~same) + 1).tolist(), len(bits)]
+    heads = np.frombuffer(key)[starts[:-1]].tolist()
+    return "".join([("%.17g," % v) * (b - a) for v, a, b in zip(heads, starts, starts[1:])])[:-1]
 
 
 def _block_lines(lines, new, n: int, end: str):
@@ -400,6 +423,10 @@ def _block_lines(lines, new, n: int, end: str):
 
 # Rows are formatted a block of about this many cells at a time.
 _BLOCK_CELLS = 8192
+# Rows of at least this many cells are checked for runs.  Below it the check, about 1 us
+# a row, costs more than the run rows save: checking made the write of a three-beta,
+# 101-step sweep of every method at n = 100 0.35 ms slower (7.6 ms, 2-vCPU x86-64 host).
+_RUN_ROW_CELLS = 256
 
 
 def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:

@@ -1121,14 +1121,40 @@ class TestExactCells:
 
 
 def _table_mismatches():
-    """The entries of ``_digits._FOUR`` and ``_digits._TZ`` that are not
-    f"{i:04d}" and its number of trailing zeros, as (table, i)."""
-    four = [f"{i:04d}" for i in range(10000)]
-    got = _digits._FOUR.view("S4").tolist()
-    bad = [("_FOUR", i) for i in range(10000) if got[i] != four[i].encode()]
-    tz = _digits._TZ.tolist()
-    bad += [("_TZ", i) for i in range(10000) if tz[i] != len(four[i]) - len(four[i].rstrip("0"))]
-    return bad + [(t.dtype.name, len(t)) for t in (_digits._FOUR, _digits._TZ) if len(t) != 10000]
+    """The entries of the formatter's tables that are not what ``%.17g`` writes,
+    as (table, index).  ``_digits._FOUR`` holds f"{i:04d}" for each i < 10**4,
+    then, at 10**4 + i, the same with its trailing zeros NUL.  By decade
+    E = -324..-1 (a negative index), ``_digits._PREFIX`` holds the bytes before
+    a cell's first digit and its point, ``_digits._SUFFIX`` the bytes after its
+    last digit: the fixed layout (E >= -4) "0." and -E-1 zeros, then nothing;
+    the scientific its point, then "e", the decade as ``%.17g`` writes it and
+    the separator.  Rows 0 and 1 are the cells 0 and 1.  Each byte the
+    layout does not write is NUL.  A decade's entries that are not so come as
+    ("decade", E, entries)."""
+    bad = [(t, len(a)) for t, a, size in [
+        ("_FOUR", _digits._FOUR, 20000),
+        ("_PREFIX", _digits._PREFIX, 326),
+        ("_SUFFIX", _digits._SUFFIX, 326),
+    ] if len(a) != size]
+    four = _digits._FOUR.tobytes()
+    for i in range(10000):
+        text = f"{i:04d}".encode()
+        if four[4 * i : 4 * i + 4] != text:
+            bad.append(("_FOUR", i))
+        if four[4 * (10000 + i) : 4 * (10001 + i)] != text.rstrip(b"0").ljust(4, b"\0"):
+            bad.append(("_FOUR", 10000 + i))
+    for E in range(-326, 0):
+        got = (_digits._PREFIX[E].tobytes(), _digits._SUFFIX[E].tobytes())
+        if E < -324:  # the cells 0 and 1
+            want = (str(E + 326).encode().ljust(8, b"\0"), b"\0" * 7 + b",")
+        elif E >= -4:
+            want = (("0." + "0" * (-E - 1)).encode().ljust(8, b"\0"), b"\0" * 7 + b",")
+        else:
+            digits = ("%.17g" % float(f"5e{E}")).split("e-")[1].encode()
+            want = (b"\0" * 6 + b".\0", b"\0\0e-" + digits.rjust(3, b"\0") + b",")
+        if got != want:
+            bad.append(("decade", E, got))
+    return bad
 
 
 def _digit_count_cells():
@@ -1222,7 +1248,7 @@ def _dispersion_mismatches():
 
 
 class TestChunksAndDispersions:
-    """The formatter's four-digit chunks and trailing-zero table, and the
+    """The formatter's four-digit chunks and decade tables, and the
     dispersion pass over a grid's weight matrix."""
 
     def test_tables_are_their_f_strings(self):
@@ -1414,6 +1440,63 @@ class TestBlocks:
         rows = sweep(1000, [METHOD_LINEAR, METHOD_EXPONENTIAL], steps=21)
         assert _first_mismatch(rows, 1000, given=iter(rows)) is None
         assert exact_rows
+
+
+def _runs(*runs, n=reports._RUN_ROW_CELLS):
+    """A row of ``n`` cells: each (value, length) of ``runs`` in turn, then
+    the last value to the end."""
+    w = [v for v, length in runs for _ in range(length)]
+    return tuple(w + [runs[-1][0]] * (n - len(w)))
+
+
+class TestRunRows:
+    """A row of at least ``_RUN_ROW_CELLS`` cells with at most n // 32 runs
+    of equal float64 bits is written from its run heads, not by
+    ``_digits.cells``; every line must still be the per-cell ``%.17g`` line."""
+
+    def test_signed_zeros_nan_and_ends(self, exact_rows):
+        n = reports._RUN_ROW_CELLS
+        nan = float("nan")
+        w = _runs((0.0, 3), (-0.0, 1), (0.0, 2), (nan, 40), (5e-324, 1), (1.0, 9), (0.25, 1), n=n)
+        assert len({struct.pack("<d", v) for v in w}) == 6  # 7 runs, 6 distinct bit patterns
+        rows = [_row(METHOD_MAXENT, 0.1, w, n=n), _row(METHOD_MAXENT, 0.2, w[::-1], n=n)]
+        assert _first_mismatch(rows, n) is None
+        assert exact_rows == []
+
+    def test_at_most_n_over_32_runs(self, exact_rows):
+        n = 2 * reports._RUN_ROW_CELLS
+        most = n // 32
+        cells = np.random.default_rng(8).uniform(0.0, 1.0, most + 1).tolist()
+        at_most = _runs(*((v, 5) for v in cells[:most]), n=n)
+        one_more = _runs(*((v, 5) for v in cells), n=n)
+        flat = _runs((cells[0], n), n=n)
+        rows = [_row(METHOD_MAXENT, a, w, n=n) for a, w in [(0.1, at_most), (0.2, one_more), (0.3, flat)]]
+        assert _first_mismatch(rows, n) is None
+        assert exact_rows == [",".join("%.17g" % v for v in one_more)]
+
+    def test_short_rows_are_not_checked(self, exact_rows):
+        n = reports._RUN_ROW_CELLS - 1
+        w = _runs((0.5, n), n=n)
+        assert _first_mismatch([_row(METHOD_MAXENT, 0.1, w, n=n)], n) is None
+        assert exact_rows == [",".join(["0.5"] * n)]
+
+    def test_kept_run_row_is_flipped_for_its_mirror(self, monkeypatch, exact_rows):
+        n = reports._RUN_ROW_CELLS
+        written, run_line = [], reports._run_line
+        monkeypatch.setattr(
+            reports, "_run_line", lambda key, most: written.append(key) or run_line(key, most)
+        )
+        w = _runs((0.125, 7), (-0.0, 1), (2.0**-1074, 30), (0.75, 1), n=n)
+        rows = [
+            _row(METHOD_LINEAR, 0.3, w, n=n),
+            _row(METHOD_LINEAR, 0.5, _runs((1.0 / n, n), n=n), n=n),
+            _row(METHOD_LINEAR, 0.7, w[::-1], n=n),
+            _row(METHOD_LINEAR, 0.8, w, n=n),
+        ]
+        assert _first_mismatch(rows, n) is None
+        # Only the rows at 0.3 and 0.5 are written; 0.7 flips 0.3's cells, 0.8 repeats them.
+        assert written == [struct.pack(f"{n}d", *rows[k].w) for k in (0, 1)]
+        assert exact_rows == []
 
 
 class TestBench:
