@@ -70,9 +70,10 @@ class Method:
       others ignore it).
     - ``endpoints``: whether orness 0 and 1 are in its domain.
     - ``min_n``: the smallest size it accepts.
-    - ``calibrated``: whether its weights come from a numerical search, so
-      a row whose orness misses the request by more than ``ORNESS_TOL``
-      is unstable.
+    - ``claims_orness``: whether it promises the requested orness, so a
+      row at n >= 2 that misses it by more than ``ORNESS_TOL`` is unstable
+      (at n = 1 orness is 0.5 by convention).  Only the no-preset
+      exponential, whose drift is documented, makes no such claim.
     """
 
     name: str
@@ -81,7 +82,7 @@ class Method:
     takes_beta: bool = False
     endpoints: bool = True
     min_n: int = 2
-    calibrated: bool = False
+    claims_orness: bool = True
 
 
 METHODS = (
@@ -90,19 +91,18 @@ METHODS = (
         METHOD_EXPONENTIAL,
         "exp",
         kernel=lambda a, n, beta: _calibrated_exponential_array(a, n)[0],
-        calibrated=True,
     ),
     Method(
         METHOD_EXPONENTIAL_NO_PRESET,
         "exp-nopreset",
         kernel=lambda a, n, beta: _no_preset_exponential_array(a, n),
+        claims_orness=False,
     ),
     Method(
         METHOD_MAXENT,
         "maxent",
         kernel=lambda a, n, beta: _maxent_rows(a, n),
         endpoints=False,
-        calibrated=True,
     ),
 )
 
@@ -238,8 +238,8 @@ def _rows(m: Method, grid: list, n: int, beta: Optional[float], mirrors: bool = 
     checked, yielded in grid order: one kernel call, one read-only check of the weight
     matrix, whose rows need no clip, and one pass each for every row's orness and dispersion,
     their scratch freed before the first row.  A row is unsupported at orness 0 and 1 for a
-    method without ``endpoints``, and unstable when it fails the simplex check or, for a
-    calibrated method, misses its orness by more than ``ORNESS_TOL``.
+    method without ``endpoints``, and unstable when it fails the simplex check or, at n >= 2
+    for a method that ``claims_orness``, misses its orness by more than ``ORNESS_TOL``.
 
     An ``ok`` row's ``w`` holds one float object per run of neighbouring weights with the
     same float64 bits.  With ``mirrors``, the row at index last - k whose bits are row k's
@@ -249,6 +249,7 @@ def _rows(m: Method, grid: list, n: int, beta: Optional[float], mirrors: bool = 
     problems, achieved, dispersions = _simplex_rows(w), _orness_rows(w), _dispersion_rows(w)
     edges, cuts, hold = _repeats(w, mirrors)
     last, held = len(grid) - 1, {}  # row last - k -> row k's tuple, held until that row
+    claims = m.claims_orness and n > 1  # orness at n = 1 is 0.5 by convention
 
     def failed(requested, status):
         return MethodReport(m.name, beta, n, requested, None, None, None, status)
@@ -259,7 +260,7 @@ def _rows(m: Method, grid: list, n: int, beta: Optional[float], mirrors: bool = 
         mirror = held.pop(k, None)
         if not m.endpoints and requested in (0.0, 1.0):
             yield failed(requested, STATUS_UNSUPPORTED)
-        elif problem is not None or (m.calibrated and abs(got - requested) > ORNESS_TOL):
+        elif problem is not None or (claims and abs(got - requested) > ORNESS_TOL):
             yield failed(requested, STATUS_UNSTABLE)
         else:
             if mirror is not None:
@@ -541,9 +542,8 @@ def read_sweep_csv(path: str) -> list:
 
 def report_to_dict(r: MethodReport) -> dict:
     """``r`` as a JSON-ready dict, its fields in order but ``w`` last, as a list."""
-    d = dataclasses.asdict(r)
-    w = d.pop("w")
-    d["w"] = None if w is None else list(w)
+    d = {f.name: getattr(r, f.name) for f in dataclasses.fields(r) if f.name != "w"}
+    d["w"] = None if r.w is None else list(r.w)
     return d
 
 

@@ -128,6 +128,19 @@ class TestEvaluateMethod:
         r = evaluate_method(METHOD_LINEAR, 1, 5)
         assert type(r.requested_orness) is float and r.requested_orness == 1.0
 
+    @pytest.mark.parametrize(
+        "method, requested",
+        [(m.name, 0.3) for m in METHODS] + [(METHOD_MAXENT, 0.0)],
+        ids=[m.name for m in METHODS] + ["maxent-unsupported"],
+    )
+    def test_report_to_dict_is_asdict_with_w_a_list(self, method, requested):
+        r = evaluate_method(method, requested, 5)
+        expected = dataclasses.asdict(r)
+        w = expected.pop("w")
+        expected["w"] = None if w is None else list(w)
+        d = report_to_dict(r)
+        assert list(d.items()) == list(expected.items())  # [1.0] != (1.0,), so w is a list
+
 
 def _public_call(method, requested, n, beta):
     """The public validated call for ``method``, returning a WeightVector."""
@@ -424,8 +437,11 @@ class TestStreaming:
 
 
 def _fixed_method(matrix):
-    """A method whose kernel returns a copy of ``matrix`` for any grid."""
-    return reports.Method("fixed", "fixed", kernel=lambda a, n, beta: np.array(matrix, float))
+    """A method whose kernel returns a copy of ``matrix`` for any grid, and which,
+    its rows being at any orness, claims none."""
+    return reports.Method(
+        "fixed", "fixed", kernel=lambda a, n, beta: np.array(matrix, float), claims_orness=False
+    )
 
 
 class TestSharedFloats:
@@ -1589,7 +1605,7 @@ class TestMethodTable:
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(reports.Method)] == [
-            "name", "flag", "kernel", "takes_beta", "endpoints", "min_n", "calibrated",
+            "name", "flag", "kernel", "takes_beta", "endpoints", "min_n", "claims_orness",
         ]
 
     @pytest.mark.parametrize("n", [3, 10, 100, 150, 300])
@@ -1635,3 +1651,36 @@ class TestMethodTable:
             METHOD_LINEAR, DEFAULT_BETA, 5, 0.5, None, None, None, STATUS_UNSTABLE
         )
         assert rows[::2] == expected[::2]
+
+    def test_kernel_row_off_its_orness_is_unstable(self, monkeypatch):
+        # The orness-0 row reversed is still on the simplex, but its orness is 1.
+        linear = reports._method(METHOD_LINEAR)
+
+        def kernel(a, n, beta):
+            w = linear.kernel(a, n, beta)
+            w[0] = w[0, ::-1].copy()
+            return w
+
+        expected = sweep(5, [METHOD_LINEAR], steps=3)
+        broken = dataclasses.replace(linear, kernel=kernel)
+        monkeypatch.setattr(reports, "METHODS", (broken,) + reports.METHODS[1:])
+        rows = sweep(5, [METHOD_LINEAR], steps=3)
+        assert rows[0] == MethodReport(
+            METHOD_LINEAR, DEFAULT_BETA, 5, 0.0, None, None, None, STATUS_UNSTABLE
+        )
+        assert rows[1:] == expected[1:]
+
+    def test_length_one_rows_are_exempt_from_the_orness_check(self):
+        # At n = 1 orness is 0.5 by convention, whatever was requested.
+        with pytest.warns(UserWarning, match="degenerate"):
+            rows = sweep(1, [METHOD_LINEAR], steps=3)
+        assert [(r.status, r.achieved_orness) for r in rows] == [(STATUS_OK, 0.5)] * 3
+        with pytest.warns(UserWarning, match="degenerate"):
+            r = evaluate_method(METHOD_LINEAR, 0.3, 1)
+        assert (r.status, r.achieved_orness, r.w) == (STATUS_OK, 0.5, (1.0,))
+
+    @pytest.mark.parametrize("n", [7, 999, 4096])
+    def test_linear_rows_meet_their_orness(self, n):
+        rows = sweep(n, [METHOD_LINEAR], betas=(1.0, 1.25, 1.5), steps=101)
+        assert len(rows) == 303
+        assert all(r.status == STATUS_OK for r in rows)
