@@ -5,7 +5,8 @@ one place that lists the methods, plus ``all``.
 
 Exit codes: 0 success, 2 usage error (including any ``ValueError`` the
 library raises for an invalid request), 3 method-domain error (e.g.
-maximum entropy at orness 0 or 1), 4 I/O error (also a closed stdout).
+maximum entropy at orness 0 or 1), 4 I/O error: any ``OSError``, which
+:func:`main` alone maps to exit 4 (a full or closed stdout too).
 """
 
 import argparse
@@ -120,11 +121,7 @@ def _cmd_sweep(args) -> int:
         f"sweep --n {args.n} --method {args.method} "
         f"--steps {args.steps} betas={','.join(format(b, '.17g') for b in betas)}"
     )
-    try:
-        write_sweep_csv(rows, args.n, args.out, provenance)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_sweep_csv(rows, args.n, args.out, provenance)
     return EXIT_OK
 
 
@@ -158,25 +155,27 @@ _COMMANDS = {"gen": _cmd_gen, "sweep": _cmd_sweep, "bench": _cmd_bench}
 
 
 def main(argv=None) -> int:
+    args = None
     try:
+        if sys.stdout is None:  # fd 1 was closed at start
+            raise OSError("fd 1 is closed")
         try:
-            args = _build_parser().parse_args(argv)
-        except SystemExit:
-            sys.stdout.flush()  # --help and --version print, then exit here
-            raise
-        with warnings.catch_warnings():
-            # The orness of an n = 1 vector is the documented 0.5
-            # convention; the library's warning about it is noise here.
-            warnings.filterwarnings("ignore", "orness of a length-1", UserWarning)
-            code = _COMMANDS[args.command](args)
-        sys.stdout.flush()  # a closed stdout fails here, not at exit
-        return code
+            args = _build_parser().parse_args(argv)  # --help and --version exit here
+            with warnings.catch_warnings():
+                # n = 1 has the documented orness 0.5: the library's warning is noise here.
+                warnings.filterwarnings("ignore", "orness of a length-1", UserWarning)
+                return _COMMANDS[args.command](args)
+        finally:
+            sys.stdout.flush()  # a closed or full stdout fails here, not at exit
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:
-        # E.g. ``| head``; devnull keeps the interpreter's last flush quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # the one place a failed write becomes exit 4
+        target = getattr(args, "out", "stdout")  # sweep writes its --out, the others stdout
+        if target == "stdout" and sys.stdout:  # devnull quiets the interpreter's last flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader gone, e.g. ``| head``: no message
+            print(f"cannot write {target}: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

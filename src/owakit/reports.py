@@ -24,7 +24,9 @@ the others, byte for byte as ``%.17g``.
 """
 
 import dataclasses
+import errno
 import os
+import stat
 import struct
 import time
 from dataclasses import dataclass
@@ -439,20 +441,24 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
     below it end in ``\\r\\n``.  The file is UTF-8 whatever the locale, so
     it never varies between identical runs.  Before any file is made or row
     taken: ValueError for a provenance with a line break or an ``n`` that is
-    not an integer >= 1, and the OSError ``open(path, "w")`` raises, naming
-    ``path``, if it is empty, ends in a separator or is a directory.
+    not an integer >= 1, and an OSError naming ``path`` if it is empty, ends
+    in a separator or is no regular file after symlinks (a FIFO is kept).
     """
     if "\r" in provenance or "\n" in provenance:
         raise ValueError(f"provenance must be one line; got {provenance!r}")
     n = _check_n(n, 1)
-    if not os.path.basename(path) or os.path.isdir(path):
-        open(path, "w").close()  # no file can be made at such a path: this raises its error
-    # O_EXCL on a random name, as in tempfile.mkstemp, whose files are always 0600.
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
-        fd = os.open(tmp, flags, 0o666)
+        mode = os.stat(path).st_mode
+    except OSError:
+        mode = stat.S_IFREG  # nothing there yet: a new file
+    if not os.path.basename(path) or stat.S_ISDIR(mode):
+        open(path, "w").close()  # no file can be made at such a path: this raises its error
+    if not stat.S_ISREG(mode):  # a FIFO, a device or a socket is left as it is
+        raise OSError(errno.EEXIST, "exists and is not a regular file", path)
+    # O_EXCL on a random name, as in tempfile.mkstemp, whose files are always 0600.
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     except OSError as exc:  # name the path given, not the temp file
         raise OSError(exc.errno, exc.strerror, path) from None
     try:

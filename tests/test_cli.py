@@ -364,3 +364,71 @@ def test_sweep_csv_gets_the_mode_open_gives_a_new_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "new22.csv", "new77.csv", "same.csv", "touched22", "touched77",
     ]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "--n", "5", "--orness", "0.3"],
+        ["gen", "--n", "5", "--orness", "0.3", "--format", "json"],
+        ["gen", "--n", "5", "--orness", "0.3", "--format", "csv"],
+        ["bench", "--n", "5", "--reps", "1"],
+    ],
+    ids=" ".join,
+)
+def test_full_stdout_exits_4_with_one_line(args):
+    # Like `owakit gen ... > /dev/full`: every write to stdout fails with ENOSPC.
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "owakit.cli", *args],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=_fresh_env(),
+            timeout=120,
+            check=False,
+        )
+    stderr = proc.stderr.decode()
+    assert proc.returncode == EXIT_IO, stderr
+    assert stderr == "cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 with a POSIX shell")
+@pytest.mark.parametrize("command", ["gen", "sweep", "bench"])
+def test_closed_fd_1_exits_4_before_any_work(command, tmp_path):
+    # Like `owakit sweep ... >&-`: Python starts with sys.stdout None.
+    args = {
+        "gen": ["gen", "--n", "5", "--orness", "0.3"],
+        "sweep": ["sweep", "--n", "5", "--steps", "3", "--out", str(tmp_path / "s.csv")],
+        "bench": ["bench", "--n", "5", "--reps", "1"],
+    }[command]
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" "$@" >&-', sys.executable, "-m", "owakit.cli", *args],
+        stderr=subprocess.PIPE,
+        env=_fresh_env(),
+        timeout=120,
+        check=False,
+    )
+    stderr = proc.stderr.decode()
+    assert proc.returncode == EXIT_IO, stderr
+    assert stderr.startswith("cannot write stdout:") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fifo", [False, True], ids=["missing-dir", "fifo"])
+def test_unwritable_out_leaves_fd_1_alone(fifo, tmp_path, capsys):
+    # A failed --out write is not a failed stdout: fd 1 keeps its file.
+    if fifo and not hasattr(os, "mkfifo"):
+        pytest.skip("needs os.mkfifo")
+    out = tmp_path / "s.csv" if fifo else tmp_path / "missing" / "s.csv"
+    if fifo:
+        os.mkfifo(out)
+    before = os.fstat(1)
+    code, _, err = run(
+        ["sweep", "--n", "3", "--method", "linear", "--steps", "3", "--out", str(out)], capsys
+    )
+    after = os.fstat(1)
+    assert code == EXIT_IO
+    assert err.startswith(f"cannot write {out}: ")
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)

@@ -6,6 +6,7 @@ import math
 import operator
 import os
 import re
+import stat
 import struct
 import subprocess
 import sys
@@ -434,6 +435,40 @@ class TestStreaming:
         assert drawn == []
         assert [p.name for p in tmp_path.iterdir()] == ["work"]
         assert list(work.iterdir()) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_out_is_refused_and_kept(self, kernel_calls, tmp_path, monkeypatch, capsys):
+        # Only a regular file (or a symlink to one) is replaced: a FIFO, a device or a
+        # socket at --out is refused before a row is drawn or a temp file made.
+        fifo = tmp_path / "s.csv"
+        os.mkfifo(fifo)
+        drawn = []
+
+        def counted(*args):
+            return (drawn.append(r) or r for r in reports._sweep_rows(*args))
+
+        with pytest.raises(OSError) as got:
+            write_sweep_csv(counted(6, [METHOD_LINEAR], [1.0], 11), 6, str(fifo))
+        assert got.value.filename == str(fifo)
+        monkeypatch.setattr(cli, "_sweep_rows", counted)
+        assert main(self.ARGS + ["--out", str(fifo)]) == 4
+        assert capsys.readouterr().err == f"cannot write {fifo}: {got.value}\n"
+        assert (drawn, kernel_calls) == ([], [])
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_regular_file_and_symlink_to_one_are_replaced(self, tmp_path):
+        rows = sweep(6, [METHOD_LINEAR], [1.0], 11)
+        ref = tmp_path / "ref.csv"
+        write_sweep_csv(rows, 6, str(ref))
+        old = tmp_path / "old.csv"
+        old.write_text("old")
+        link = tmp_path / "link.csv"
+        link.symlink_to(old)
+        for out in (old, link):
+            write_sweep_csv(rows, 6, str(out))
+            assert out.read_bytes() == ref.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "old.csv", "ref.csv"]
 
 
 def _fixed_method(matrix):
