@@ -38,8 +38,19 @@ EXIT_IO = 4
 _FLAG_METHODS = {m.flag: [m.name] for m in METHODS} | {"all": [m.name for m in METHODS]}
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse swallows a failed write; this one lets stdout's (``--help``,
+    ``--version``) raise, for :func:`main` to map to exit 4."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="owakit",
         description="OWA operator weight determination for a desired orness",
     )

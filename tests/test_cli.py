@@ -374,6 +374,10 @@ def test_sweep_csv_gets_the_mode_open_gives_a_new_file(tmp_path):
         ["gen", "--n", "5", "--orness", "0.3", "--format", "json"],
         ["gen", "--n", "5", "--orness", "0.3", "--format", "csv"],
         ["bench", "--n", "5", "--reps", "1"],
+        ["--help"],
+        ["--version"],
+        ["gen", "--help"],
+        ["sweep", "--help"],
     ],
     ids=" ".join,
 )
@@ -391,6 +395,23 @@ def test_full_stdout_exits_4_with_one_line(args):
     stderr = proc.stderr.decode()
     assert proc.returncode == EXIT_IO, stderr
     assert stderr == "cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_usage_error_with_full_stderr_exits_2():
+    # Like `owakit gen --n x 2> /dev/full`: the usage message is lost, the
+    # exit status is not, and a traceback (exit 1) would show as the status.
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "owakit.cli", "gen", "--n", "x"],
+            stdout=subprocess.PIPE,
+            stderr=full,
+            env=_fresh_env(),
+            timeout=60,
+            check=False,
+        )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == b""
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 with a POSIX shell")

@@ -410,6 +410,11 @@ def _outcome(call, x):
     return np.float64(result).view(np.uint64)
 
 
+def _unchained(exc):
+    """Whether ``exc`` shows no other exception in its traceback."""
+    return exc.__cause__ is None and (exc.__context__ is None or exc.__suppress_context__)
+
+
 class TestInputForms:
     # Every form of the same values takes either the fast path of
     # _real_array or the general one; both must give what the list gives.
@@ -419,6 +424,24 @@ class TestInputForms:
         w = linear_weights(OrnessTarget(0.7), len(FORM_VALUES))
         for call in (lambda x: aggregate(w, x), InputVector):
             assert _outcome(call, make(values)) == _outcome(call, values)
+
+    @pytest.mark.parametrize("form", INPUT_FORMS, ids=str)
+    def test_length_mismatch_matches_the_list(self, form):
+        # The dot product refuses another length: every form must raise what
+        # the list raises, with no numpy error chained onto it.
+        values, make = INPUT_FORMS[form]
+        w = linear_weights(OrnessTarget(0.7), len(FORM_VALUES) + 1)
+        x = make(values)
+        call = lambda v: aggregate(w, v)
+        assert _outcome(call, x) == _outcome(call, values)
+        with pytest.raises(ValueError) as raised:
+            aggregate(w, x)
+        if isinstance(raised.value, DimensionMismatchError):
+            with pytest.raises(DimensionMismatchError) as as_vector:
+                aggregate(w, InputVector(x))
+            assert str(as_vector.value) == "weight vector has length 7 but input vector has length 6"
+            assert _unchained(as_vector.value)
+        assert _unchained(raised.value)
 
     @pytest.mark.parametrize("form", ["float64", "reversed view", "step-2 view"])
     def test_exact_float64_array_is_returned_as_is(self, form):
