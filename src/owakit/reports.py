@@ -350,14 +350,25 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
     ``%.17g`` of its run heads as it is taken.  It is kept for its mirror as
     any other row.  The other rows are formatted a block of about
     ``_BLOCK_CELLS`` cells at a time, as the lines are reached, by
-    :func:`owakit._digits.cells`.
+    :func:`owakit._digits.cells`.  The lines are the bytes of
+    :func:`_sweep_parts`, which :func:`write_sweep_csv` writes, decoded.
     """
+    for parts in _sweep_parts(rows, n, b""):
+        for k in range(0, len(parts), 3):  # head, cells, b""
+            yield parts[k].decode() + parts[k + 1].decode("ascii") + end
+        del parts  # not held while the next batch is made
+
+
+def _sweep_parts(rows, n: int, end: bytes):
+    """:func:`sweep_lines`' lines as bytes, in lists of at most ``_BLOCK_CELLS // n``
+    lines (at least one): each line's UTF-8 head (up to its first weight cell; a row
+    read back keeps the names it read), its ASCII weight cells and ``end``."""
     n = _check_n(n, 1)
-    no_weights = ["," * (n - 1)]  # the cells of a row without weights, already text
+    no_weights = [b"," * (n - 1)]  # the cells of a row without weights, already text
     pack = struct.Struct(f"{n}d").pack
     per_block = max(1, _BLOCK_CELLS // n)
     most = n // 32 if n >= _RUN_ROW_CELLS else 0  # the most runs of a row written from its heads
-    yield ",".join(sweep_header(n)) + end
+    yield [b"", ",".join(sweep_header(n)).encode(), end]  # the header, as cells without a head
     method, kept = None, {}  # row bytes -> the cells of a kept row
     lines, new = [], []  # the lines since the last block; its rows to format
     for r in rows:
@@ -366,7 +377,7 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
         head = (
             f"{r.method},{_fmt(r.beta)},{r.n},{_fmt(r.requested_orness)},"
             f"{_fmt(r.achieved_orness)},{_fmt(r.dispersion)},{r.status},"
-        )
+        ).encode()
         if r.w is None:
             lines.append((head, no_weights, False))
             continue
@@ -392,36 +403,35 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
                 kept[key] = cells
         lines.append((head, cells, flip))
         if len(new) == per_block:
-            yield from _block_lines(lines, new, n, end)
+            yield from _block_parts(lines, new, n, end, per_block)
             lines, new = [], []
-    yield from _block_lines(lines, new, n, end)
+    yield from _block_parts(lines, new, n, end, per_block)
 
 
 def _run_line(key: bytes, most: int):
-    """The weight cells of the row packed in ``key`` if it has at most ``most`` runs of
-    neighbouring cells with the same float64 bits, each cell its run head's ``%.17g``;
-    else None."""
+    """The weight cells, as bytes, of the row packed in ``key`` if it has at most ``most`` runs
+    of neighbouring cells with the same float64 bits, each its run head's ``%.17g``; else None."""
     bits = np.frombuffer(key, np.uint64)
     same = bits[1:] == bits[:-1]
     if len(same) - np.count_nonzero(same) >= most:
         return None
     starts = [0, *(np.flatnonzero(~same) + 1).tolist(), len(bits)]
     heads = np.frombuffer(key)[starts[:-1]].tolist()
-    return "".join([("%.17g," % v) * (b - a) for v, a, b in zip(heads, starts, starts[1:])])[:-1]
+    return b"".join([(b"%.17g," % v) * (b - a) for v, a, b in zip(heads, starts, starts[1:])])[:-1]
 
 
-def _block_lines(lines, new, n: int, end: str):
-    """Format the ``[key]`` cells of each row in ``new`` in place, as
-    ``[text]``, then yield ``lines`` ending in ``end``."""
+def _block_parts(lines, new, n: int, end: bytes, per_block: int):
+    """Format the ``[key]`` cells of each row in ``new`` in place, as ``[text]``, then
+    yield the parts of ``lines``, ``per_block`` lines at a time, flipping each mirror's."""
     if new:
         x = np.frombuffer(b"".join(cells[0] for cells in new)).reshape(-1, n)
         for cells, text in zip(new, _digits.cells(x)):
             cells[0] = text
-    for head, cells, flip in lines:
-        if flip:
-            yield head + ",".join(reversed(cells[0].split(","))) + end
-        else:
-            yield head + cells[0] + end
+    for k in range(0, len(lines), per_block):
+        parts = []
+        for head, cells, flip in lines[k : k + per_block]:
+            parts += (head, b",".join(reversed(cells[0].split(b","))) if flip else cells[0], end)
+        yield parts
 
 
 # Rows are formatted a block of about this many cells at a time.
@@ -438,8 +448,9 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
 
     The first line is a ``#`` comment carrying the tool version and the
     flags that produced the file, ending in ``\\n``; the header and rows
-    below it end in ``\\r\\n``.  The file is UTF-8 whatever the locale, so
-    it never varies between identical runs.  Before any file is made or row
+    below it end in ``\\r\\n``, their bytes written a batch of lines at a time
+    (:func:`_sweep_parts`).  The file is UTF-8 whatever the locale, so it
+    never varies between identical runs.  Before any file is made or row
     taken: ValueError for a provenance with a line break or an ``n`` that is
     not an integer >= 1, and an OSError naming ``path`` if it is empty, ends
     in a separator or is no regular file after symlinks (a FIFO is kept).
@@ -462,9 +473,9 @@ def write_sweep_csv(rows, n: int, path: str, provenance: str = "") -> None:
     except OSError as exc:  # name the path given, not the temp file
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# owakit {__version__} {provenance}".rstrip() + "\n")
-            fh.writelines(sweep_lines(rows, n))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(f"# owakit {__version__} {provenance}".rstrip().encode() + b"\n")
+            fh.writelines(map(b"".join, _sweep_parts(rows, n, b"\r\n")))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -895,6 +895,30 @@ class TestReadBackSharesFloats:
         assert len(back) == 505
         assert read - before <= 1.05 * held
 
+    def test_write_holds_a_bounded_batch(self, tmp_path):
+        # The same job's write, above the rows it is given.  Its traced peak read 6.04 MiB
+        # with str lines through a text file, and 6.04 MiB with batches of bytes, each freed
+        # before the next is made.  Holding the last batch while the next one was made read
+        # 6.21 MiB, and with batches of a whole formatting block (above orness 0.5, up to
+        # half a grid of flipped rows) 6.69 MiB.
+        job = (1000, [METHOD_LINEAR, METHOD_EXPONENTIAL, METHOD_EXPONENTIAL_NO_PRESET])
+        path = tmp_path / "s.csv"
+        rows = sweep(*job, betas=(1.0, 1.25, 1.5))
+        per_block = reports._BLOCK_CELLS // 1000
+        batches = [len(parts) // 3 for parts in reports._sweep_parts(rows, 1000, b"\r\n")]
+        assert sum(batches) == 1 + len(rows) and max(batches) == per_block
+        write_sweep_csv(rows, 1000, str(path), "")  # lazy set-up is not the write's
+        tracemalloc.start()
+        try:
+            rows = sweep(*job, betas=(1.0, 1.25, 1.5))
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            write_sweep_csv(rows, 1000, str(path), "")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 6.15 * 2**20
+
 
 def _reference_cell(value):
     return "" if value is None else format(value, ".17g")
@@ -920,6 +944,45 @@ def _reference_csv(rows, n, provenance, newline="\r\n"):
             + [_reference_cell(v) for v in weights]
         )
     return buf.getvalue()
+
+
+def _text_rows(n):
+    """A sweep at ``n``, then rows whose lines take every path of the writer: a
+    kept row, its repeat and its flipped mirror, each with the spliced cell -0.0
+    and a tie at the 17th digit, and a row with a non-ASCII method and status."""
+    rows = sweep(n, [METHOD_LINEAR, METHOD_EXPONENTIAL], betas=(1.0, 1.5), steps=11)
+    w = (10 ** np.random.default_rng(n).uniform(-11, 0, n)).tolist()
+    w[0], w[-1] = -0.0, _EXACT_CASES["ties at the 17th digit"][0]
+    w = tuple(w)
+    return rows + [
+        _row(METHOD_MAXENT, 0.2, w, n=n),
+        _row(METHOD_MAXENT, 0.4, w, n=n),
+        _row(METHOD_MAXENT, 0.8, w[::-1], n=n),
+        _row(METHOD_MAXENT, 0.9, None, n=n),
+        MethodReport("méthode-π", None, n, 0.3, 0.3, 0.5, w, "état-ü"),
+    ]
+
+
+class TestOneGenerator:
+    """``sweep_lines`` and ``write_sweep_csv`` take their text from one generator
+    of bytes: the lines are the file below its comment line, and the reference."""
+
+    @pytest.mark.parametrize("n", [10, 63, 64, 100, 1000])
+    def test_lines_are_the_file(self, tmp_path, n):
+        rows = _text_rows(n)
+        if n >= reports._RUN_ROW_CELLS:  # the flat beta = 1 linear rows are written from their runs
+            flat = [r.w for r in rows if r.method == METHOD_LINEAR and r.beta == 1.0 and r.w]
+            assert any(reports._run_line(struct.pack(f"{n}d", *w), n // 32) for w in flat)
+        path = tmp_path / "s.csv"
+        write_sweep_csv(rows, n, str(path), "π")
+        data = path.read_bytes()
+        assert data == _reference_csv(rows, n, "π").encode()
+        comment, text = data.decode().split("\n", 1)
+        assert "".join(reports.sweep_lines(rows, n)) == text
+        assert "".join(reports.sweep_lines(rows, n, "\n")) == text.replace("\r\n", "\n")
+        assert read_sweep_csv(str(path)) == rows
+        head = "méthode-π,,{},0.29999999999999999,0.29999999999999999,0.5,état-ü,".format(n)
+        assert data.split(b"\r\n")[-2].startswith(head.encode("utf-8"))
 
 
 class TestCsvMatchesReference:
@@ -1075,14 +1138,14 @@ def _exact_cell_mismatches():
     bad = []
     for case, values in _EXACT_CASES.items():
         for v, got in zip(values, _digits.cells(np.array(values)[:, None])):
-            if got != "%.17g" % v:
+            if got != b"%.17g" % v:
                 bad.append((case, v, got))
     for v in _FALLBACK_CELLS:
         x = np.array(
             [[0.25, v, 0.5, 1e-300, 0.0], [0.25, 0.25, 0.5, 5e-324, 1.0], [v, 1e-11, v, 1e-100, 0.75]]
         )
         rows = _digits.cells(x)
-        if rows != [",".join("%.17g" % c for c in row) for row in x.tolist()]:
+        if rows != [b",".join(b"%.17g" % c for c in row) for row in x.tolist()]:
             bad.append(("fallback", v, rows))
     return bad
 
@@ -1116,7 +1179,7 @@ class TestExactCells:
         x = np.array(_EXACT_CASES["log-uniform"]).reshape(-1, 10)
         x[::7, 3] = 0.0
         x[::5, 0] = 1.0
-        expected = [",".join("%.17g" % v for v in row) for row in x.tolist()]
+        expected = [b",".join(b"%.17g" % v for v in row) for row in x.tolist()]
         assert _digits.cells(x) == expected
 
     def test_decade_tables_are_exact(self):
@@ -1140,7 +1203,7 @@ class TestExactCells:
                 cells += [math.ldexp(k, b - 52) for k in (m, m - 1, power, power - 1)]
         # Each binade but the ten-free ones holds one of 10**-1..10**-323.
         assert len(cells) == 2 * 1074 + 4 * 323 and sum(above) == 10
-        assert _digits.cells(np.array(cells)[:, None]) == ["%.17g" % v for v in cells]
+        assert _digits.cells(np.array(cells)[:, None]) == [b"%.17g" % v for v in cells]
 
     def test_cells_without_avx512(self):
         # No decade depends on log10 any more, but the digits still come from
@@ -1240,7 +1303,7 @@ def _digit_count_mismatches():
     format as ``%.17g``, as (value, got)."""
     cells = _digit_count_cells()
     got = _digits.cells(np.array(cells)[:, None])
-    return [(v, g) for v, g in zip(cells, got) if g != "%.17g" % v]
+    return [(v, g) for v, g in zip(cells, got) if g != b"%.17g" % v]
 
 
 # Rows of the last two sizes take more than one column chunk of the row sums.
@@ -1485,7 +1548,7 @@ class TestBlocks:
             _row(METHOD_MAXENT, 0.9, low, n=n),
         ]
         assert _first_mismatch(rows, n) is None
-        assert exact_rows == [",".join("%.17g" % v for v in w) for w in (high, high, low, other)]
+        assert exact_rows == [b",".join(b"%.17g" % v for v in w) for w in (high, high, low, other)]
 
     def test_rows_may_be_a_generator(self, exact_rows):
         rows = sweep(1000, [METHOD_LINEAR, METHOD_EXPONENTIAL], steps=21)
@@ -1523,13 +1586,13 @@ class TestRunRows:
         flat = _runs((cells[0], n), n=n)
         rows = [_row(METHOD_MAXENT, a, w, n=n) for a, w in [(0.1, at_most), (0.2, one_more), (0.3, flat)]]
         assert _first_mismatch(rows, n) is None
-        assert exact_rows == [",".join("%.17g" % v for v in one_more)]
+        assert exact_rows == [b",".join(b"%.17g" % v for v in one_more)]
 
     def test_short_rows_are_not_checked(self, exact_rows):
         n = reports._RUN_ROW_CELLS - 1
         w = _runs((0.5, n), n=n)
         assert _first_mismatch([_row(METHOD_MAXENT, 0.1, w, n=n)], n) is None
-        assert exact_rows == [",".join(["0.5"] * n)]
+        assert exact_rows == [b",".join([b"0.5"] * n)]
 
     def test_kept_run_row_is_flipped_for_its_mirror(self, monkeypatch, exact_rows):
         n = reports._RUN_ROW_CELLS
