@@ -131,8 +131,7 @@ def cells(x: np.ndarray) -> list:
         lines = fields.tobytes().translate(None, b"\0").split(b"\n")[:-1]
     else:
         fields["s"][n - 1 :: n] = 0
-        canvas, size = fields.tobytes(), _FIELDS.itemsize * n
-        lines = [canvas[k : k + size].translate(None, b"\0") for k in range(0, len(canvas), size)]
+        lines = [row.tobytes().translate(None, b"\0") for row in fields.reshape(-1, n)]
     return _splice(lines, x, splice.reshape(x.shape))
 
 
@@ -158,7 +157,7 @@ def decimal(v: np.ndarray):
     """
     frac, exp = np.frexp(v)
     m, b = (frac * 2.0**53).astype(np.uint64), exp - 1
-    E = np.take(_FLOOR_LOG10, b) + (m >= np.take(_NEXT_DECADE, b))
+    E = _FLOOR_LOG10[b] + (m >= _NEXT_DECADE[b])
     s, wide, near = 36 - b + E, E < -11, np.zeros(len(v), bool)
     if not wide.any():
         return _scaled_digits(m, s, 16 - E), E, near

@@ -899,15 +899,12 @@ class TestReadBackSharesFloats:
         # The same job's write, above the rows it is given.  Its traced peak read 6.04 MiB
         # with str lines through a text file, and 6.04 MiB with batches of bytes, each freed
         # before the next is made.  Holding the last batch while the next one was made read
-        # 6.21 MiB, and with batches of a whole formatting block (above orness 0.5, up to
-        # half a grid of flipped rows) 6.69 MiB.
+        # 6.21 MiB, and holding batches of a whole formatting block (above orness 0.5, up to
+        # half a grid of flipped rows) 6.69 MiB.  Such batches, each freed in time, read
+        # 6.04 MiB: the batch count below refuses them.
         job = (1000, [METHOD_LINEAR, METHOD_EXPONENTIAL, METHOD_EXPONENTIAL_NO_PRESET])
         path = tmp_path / "s.csv"
-        rows = sweep(*job, betas=(1.0, 1.25, 1.5))
-        per_block = reports._BLOCK_CELLS // 1000
-        batches = [len(parts) // 3 for parts in reports._sweep_parts(rows, 1000, b"\r\n")]
-        assert sum(batches) == 1 + len(rows) and max(batches) == per_block
-        write_sweep_csv(rows, 1000, str(path), "")  # lazy set-up is not the write's
+        write_sweep_csv(sweep(*job, betas=(1.0, 1.25, 1.5)), 1000, str(path), "")  # lazy set-up
         tracemalloc.start()
         try:
             rows = sweep(*job, betas=(1.0, 1.25, 1.5))
@@ -918,6 +915,8 @@ class TestReadBackSharesFloats:
         finally:
             tracemalloc.stop()
         assert peak - held < 6.15 * 2**20
+        batches = [len(parts) // 3 for parts in reports._sweep_parts(rows, 1000, b"\r\n")]
+        assert sum(batches) == 1 + len(rows) and max(batches) == reports._BLOCK_CELLS // 1000
 
 
 def _reference_cell(value):
