@@ -9,7 +9,7 @@ its float64 bytes alone.
 A block's cells go onto one canvas of 29 bytes a cell, where each byte a cell's layout does
 not write is NUL: the bytes around its digits come from tables by decade, its digits from a
 table of four-digit chunks whose second half has the trailing zeros NUL.  ``bytes.translate``
-deletes the NULs of a block, or of each long row, and leaves each row's text ASCII bytes.
+deletes the NULs of each row's slice of the canvas and leaves the row's text ASCII bytes.
 """
 
 from itertools import accumulate
@@ -17,18 +17,21 @@ from operator import mul
 
 import numpy as np
 
+
+def _floor_log10(b):
+    """floor(log10 2**b) for b = -1074..-1, as 78913 / 2**18 is log10 2 closely enough."""
+    return -((-b * 78913 >> 18) + 1)  # -b * 78913 < 2**27 fits int32
+
+
 _LOW32 = np.uint64(0xFFFFFFFF)
 _FIVES = list(accumulate([5] * 341, mul, initial=1))
 _POW5 = np.array(_FIVES[:28], dtype=np.uint64)
-# By the exponent b = -1074..-1 of a cell's binade [2**b, 2**(b+1)), as a negative index:
-# F = floor(log10 2**b) (78913 / 2**18 is log10 2 closely enough for these b), as 10**-F is
-# the least power of ten >= 2**-b; and, from Python integers, the least m for which
-# m * 2**(b-52) >= 10**(F+1) - 5 * 10**(F-17), so rounds to 10**(F+1) at 17 digits (a tie
-# rounds to even: up).
-_FLOOR_LOG10 = -((np.arange(1074, 0, -1) * 78913 >> 18) + 1)
+# By b = -1074..-1 as a negative index, from Python integers: with F = _floor_log10(b), as
+# 10**-F is the least power of ten >= 2**-b, the least m for which m * 2**(b-52) >=
+# 10**(F+1) - 5 * 10**(F-17), so rounds to 10**(F+1) at 17 digits (a tie rounds to even: up).
 _NEXT_DECADE = np.array(
     [-((5 - 10**18 << 35 - b + f) // _FIVES[17 - f])
-     for b, f in enumerate(_FLOOR_LOG10.tolist(), -1074)],
+     for b in range(-1074, 0) for f in [_floor_log10(b)]],
     np.uint64,
 )
 # P_k, the top 128 bits of 5**k in 32-bit limbs from the lowest, and t_k, for which
@@ -69,10 +72,6 @@ def _decade_tables():
 
 _FOUR = _chunk_table()
 _PREFIX, _SUFFIX = _decade_tables()
-# Rows of at least this many cells are cut one at a time from the canvas, shorter ones by one
-# split of the block: on blocks of about 8,192 cells, per-row cuts took 1.04x the block's time
-# at n = 10, 1.00x at n = 32 to 48, 0.97x at 64 and 0.95x at 100 (2-vCPU x86-64 host).
-_ROW_CELLS = 64
 # One cell's canvas, 29 bytes: "p" the 5 bytes before the first digit, then 3 bytes, the
 # point "q" among them, that "f" and "d" overwrite and "q" keeps; the first digit "f"; the
 # 16 digits after the point "d"; and "e", its first 2 bytes under "d", then "e-" and the
@@ -94,8 +93,8 @@ def cells(x: np.ndarray) -> list:
     its digits from ``_PREFIX`` and ``_SUFFIX`` by decade, its 16 digits after
     the first from ``_FOUR``, four at a time, a chunk after which every chunk
     is 0 in its form with the trailing zeros NUL.  The point goes with the
-    digits after it.  ``translate`` keeps the bytes that are not NUL: of the
-    canvas, split at line breaks, or of each row of ``_ROW_CELLS`` cells or more.
+    digits after it.  ``translate`` keeps the bytes that are not NUL of each
+    row's own slice of the canvas (29 bytes a cell), its last separator NUL.
     """
     n = x.shape[1]
     v = x.ravel()
@@ -126,12 +125,8 @@ def cells(x: np.ndarray) -> list:
     np.multiply(first + ord("0"), inner, out=fields["f"], casting="unsafe")
     fields["q"] *= rest != 0  # no point before no digits
     fields["d"] = np.take(_FOUR, fours).view("V16").ravel()
-    if n < _ROW_CELLS:
-        fields["s"][n - 1 :: n] = ord("\n")
-        lines = fields.tobytes().translate(None, b"\0").split(b"\n")[:-1]
-    else:
-        fields["s"][n - 1 :: n] = 0
-        lines = [row.tobytes().translate(None, b"\0") for row in fields.reshape(-1, n)]
+    fields["s"][n - 1 :: n] = 0
+    lines = [row.tobytes().translate(None, b"\0") for row in fields.reshape(-1, n)]
     return _splice(lines, x, splice.reshape(x.shape))
 
 
@@ -150,14 +145,14 @@ def decimal(v: np.ndarray):
     17 significant digits is D * 10**(E-16), but for the cells ``near`` (:func:`_wide_digits`).
 
     A cell v = m * 2**(b-52), 2**52 <= m < 2**53 (a subnormal's m shifted up to 53 bits),
-    has its decade E in [-324, -1], read from b and m by two tables and one comparison as
-    its binade holds at most one power of ten, and its digits
+    has its decade E in [-324, -1], read from b and m by :func:`_floor_log10`, one table and
+    one comparison as its binade holds at most one power of ten, and its digits
     D = round-half-even(m * 5**k / 2**s), k = 16 - E, s = 36 - b + E.  For E >= -11, 5**k
     fits in 64 bits; below that the 128-bit P_k stands in for it.
     """
     frac, exp = np.frexp(v)
-    m, b = (frac * 2.0**53).astype(np.uint64), exp - 1
-    E = _FLOOR_LOG10[b] + (m >= _NEXT_DECADE[b])
+    m, b = (frac * 2.0**53).astype(np.uint64), exp.astype(np.int64) - 1
+    E = _floor_log10(b) + (m >= _NEXT_DECADE[b])
     s, wide, near = 36 - b + E, E < -11, np.zeros(len(v), bool)
     if not wide.any():
         return _scaled_digits(m, s, 16 - E), E, near
@@ -168,20 +163,22 @@ def decimal(v: np.ndarray):
 
 
 def _scaled_digits(m, s, k):
-    """m * 5**k / 2**s rounded to an integer, half to even, for
-    uint64 ``m`` < 2**53, ``k`` <= 27 and 1 <= ``s`` <= 63."""
+    """m * 5**k / 2**s rounded to an integer, half to even, for uint64 ``m`` < 2**53, ``k`` <= 27
+    and 1 <= ``s`` <= 63.  In 32-bit halves of m and p = 5**k < 2**63, m0 * p1 < 2**63 and
+    m1 * p0 < 2**53: their sum fits in 64 bits.  rem + (q & 1) + 2**(s-1) - 1 < 2**(s+1) reaches
+    2**s just when the remainder rem of the quotient q is above the half, or at it with q odd."""
     p = np.take(_POW5, k)
     s = s.astype(np.uint64)
     one, b32 = np.uint64(1), np.uint64(32)
     m0, m1 = m & _LOW32, m >> b32
     p0, p1 = p & _LOW32, p >> b32
-    low, cross, cross2 = m0 * p0, m0 * p1, m1 * p0
-    carry = (cross & _LOW32) + (cross2 & _LOW32) + (low >> b32)
+    low, cross = m0 * p0, m0 * p1 + m1 * p0
+    carry = (cross & _LOW32) + (low >> b32)
     mid = (carry << b32) | (low & _LOW32)  # bits 0..63 of the product
-    high = m1 * p1 + (cross >> b32) + (cross2 >> b32) + (carry >> b32)  # bits 64..
+    high = m1 * p1 + (cross >> b32) + (carry >> b32)  # bits 64..
     q = (high << (np.uint64(64) - s)) | (mid >> s)
     rem, half = mid & ((one << s) - one), one << (s - one)
-    return q + ((rem > half) | ((rem == half) & (q & one == one)))
+    return q + ((rem + (q & one) + half - one) >> s)
 
 
 def _wide_digits(m, s, k):

@@ -344,14 +344,13 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
     function of its value's bytes alone, so the output is the same as
     formatting every row.
 
-    A row that needs formatting, has at least ``_RUN_ROW_CELLS`` cells and
-    at most n // 32 runs of neighbouring cells with the same float64 bits
-    (the flat beta = 1 linear rows, a one-hot row) is written from the
-    ``%.17g`` of its run heads as it is taken.  It is kept for its mirror as
-    any other row.  The other rows are formatted a block of about
-    ``_BLOCK_CELLS`` cells at a time, as the lines are reached, by
-    :func:`owakit._digits.cells`.  The lines are the bytes of
-    :func:`_sweep_parts`, which :func:`write_sweep_csv` writes, decoded.
+    A row to format with at least ``_RUN_ROW_CELLS`` cells and at most n // 32 runs of
+    neighbouring cells with the same float64 bits (the flat beta = 1 linear rows, a
+    one-hot row) is written from its run heads' ``%.17g`` as it is taken, and kept for its
+    mirror as any other row.  The others are formatted as the lines are reached by
+    :func:`owakit._digits.cells`, at most ``_BLOCK_CELLS`` cells a call (a block of rows
+    or a column chunk of one).  The lines are the bytes of :func:`_sweep_parts`, which
+    :func:`write_sweep_csv` writes, decoded.
     """
     for parts in _sweep_parts(rows, n, b""):
         for k in range(0, len(parts), 3):  # head, cells, b""
@@ -421,12 +420,14 @@ def _run_line(key: bytes, most: int):
 
 
 def _block_parts(lines, new, n: int, end: bytes, per_block: int):
-    """Format the ``[key]`` cells of each row in ``new`` in place, as ``[text]``, then
-    yield the parts of ``lines``, ``per_block`` lines at a time, flipping each mirror's."""
+    """Format the ``[key]`` cells of each row in ``new`` in place, as ``[text]``, in column
+    chunks of at most ``_BLOCK_CELLS`` cells joined by commas, then yield the parts of
+    ``lines``, ``per_block`` lines at a time, flipping each mirror's."""
     if new:
         x = np.frombuffer(b"".join(cells[0] for cells in new)).reshape(-1, n)
-        for cells, text in zip(new, _digits.cells(x)):
-            cells[0] = text
+        chunks = [_digits.cells(x[:, k : k + _BLOCK_CELLS]) for k in range(0, n, _BLOCK_CELLS)]
+        for cells, *texts in zip(new, *chunks):
+            cells[0] = b",".join(texts)
     for k in range(0, len(lines), per_block):
         parts = []
         for head, cells, flip in lines[k : k + per_block]:
@@ -434,7 +435,7 @@ def _block_parts(lines, new, n: int, end: bytes, per_block: int):
         yield parts
 
 
-# Rows are formatted a block of about this many cells at a time.
+# Rows are formatted at most this many cells a call: a block of rows or a column chunk.
 _BLOCK_CELLS = 8192
 # Rows of at least this many cells are checked for runs.  Below it the check, about 1 us
 # a row, costs more than the run rows save: checking made the write of a three-beta,

@@ -1183,10 +1183,13 @@ class TestExactCells:
 
     def test_decade_tables_are_exact(self):
         # The cells in (0, 1) lie in the binades [2**b, 2**(b+1)), b = -1074..-1.
-        assert 2.0**-1074 == 5e-324 and len(_digits._FLOOR_LOG10) == 1074
+        assert 2.0**-1074 == 5e-324 and len(_digits._NEXT_DECADE) == 1074
+        floors = _digits._floor_log10(np.arange(-1074, 0))
         cells, above = [], []
         for b in range(-1074, 0):
-            f, m = int(_digits._FLOOR_LOG10[b]), int(_digits._NEXT_DECADE[b])
+            f, m = _digits._floor_log10(b), int(_digits._NEXT_DECADE[b])
+            # The formula on Python integers and on the int64 exponents decimal() passes.
+            assert f == floors[b]
             assert Fraction(10) ** f <= Fraction(2) ** b < Fraction(10) ** (f + 1)
             # The least m with m * 2**(b-52) at or above 10**(f+1) less half a
             # unit in its 17th digit.
@@ -1473,7 +1476,47 @@ class TestBlocks:
         n = reports._BLOCK_CELLS + 100
         rows = _random_rows(3, n, 3) + [_row(METHOD_MAXENT, 0.5, None, n=n)]
         assert _first_mismatch(rows, n) is None
-        assert len(exact_rows) == 3
+        # Each long row is formatted in column chunks of at most _BLOCK_CELLS cells.
+        assert len(exact_rows) == 3 * math.ceil(n / reports._BLOCK_CELLS) == 6
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 8191, 8192, 8193, 30000])
+    def test_every_row_length_takes_one_path(self, monkeypatch, tmp_path, n):
+        # -0.0, NaN and a tie at the 17th digit sit on both sides of each chunk
+        # edge: a row's ends (a block ends with a row) and, inside a long row,
+        # each multiple of _BLOCK_CELLS.  No call formats more than a block.
+        sizes, cells = [], _digits.cells
+        monkeypatch.setattr(_digits, "cells", lambda x: sizes.append(x.size) or cells(x))
+        block = reports._BLOCK_CELLS
+        x = 10 ** np.random.default_rng(n).uniform(-11, 0, (max(3, 2 * block // n + 1), n))
+        edges = sorted({0, n - 1} | {c for k in range(block, n, block) for c in (k - 1, k)})
+        specials = [-0.0, float("nan"), _EXACT_CASES["ties at the 17th digit"][0]]
+        for i, row in enumerate(x):
+            row[edges] = [specials[(i + j) % 3] for j in range(len(edges))]
+        # At orness above 0.5 no row is kept for reuse, so each is formatted.
+        rows = [_row(METHOD_MAXENT, 0.9, tuple(w), n=n) for w in x.tolist()]
+        path = tmp_path / "s.csv"
+        write_sweep_csv(rows, n, str(path), "")
+        text = "".join(reports.sweep_lines(rows, n))
+        assert path.read_bytes().decode() == f"# owakit {owakit.__version__}\n" + text
+        percent = [",".join("%.17g" % v for v in w) for w in x.tolist()]
+        assert [line.split(",", 7)[7] for line in text.split("\r\n")[1:-1]] == percent
+        assert max(sizes) <= block and sum(sizes) == 2 * x.size  # the file, then the lines
+
+    def test_a_long_row_is_formatted_in_bounded_memory(self):
+        # The traced peak of one 10**6-cell row's line was 198.3 MiB when the
+        # row was formatted as one block, 101.4 MiB in column chunks.
+        n = 10**6
+        w = tuple((10 ** np.random.default_rng(8).uniform(-11, 0, n)).tolist())
+        rows = [_row(METHOD_MAXENT, 0.1, w, n=n)]
+        tracemalloc.start()
+        try:
+            for line in reports.sweep_lines(rows, n):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(line) > 22 * n
+        assert peak < 150 * 2**20
 
     @pytest.mark.parametrize("fallback", _FALLBACK_CELLS, ids=repr)
     def test_exact_and_fallback_rows_interleave(self, exact_rows, spliced_cells, fallback):
