@@ -392,14 +392,15 @@ def _polish_first_weight(a: float, A: float, n: int, lo: float, hi: float) -> fl
             # lo and hi are adjacent floats: no step can narrow them.
             break
         r = _constraint_residual(mid, a, A, n)
+        # Within 1e-17, stop at a midpoint that meets the tolerance; a miss or None halves on.
+        if r is not None and hi - lo <= 1e-17 and abs(r) <= ORNESS_TOL:
+            return mid
         if r is None or r > 0.0:
             hi = mid
         elif r < 0.0:
             lo = mid
         else:
             return mid
-        if hi - lo <= 1e-17:
-            break
     return 0.5 * (lo + hi)
 
 

@@ -94,7 +94,7 @@ KERNEL_SHA256 = {
     "no-preset 1000": "4583783a0b6e3947a4d2e4a10c73fb70ea43f571f7b040eebe0ea621f55d642c",
     "no-preset 10000": "2896007e757fe0546b3ed9a5d9876d45576820b3c7d698a6029df614ed218c33",
     "maxent 1000": "bd35290c4e1f202933567e780ebf412458c7ee5422f1e114be77065fe5d1172e",
-    "maxent 10000": "31a87df4beb5638d6905a70f98487d8f15e48fcb4eab4ea374215790231226f0",
+    "maxent 10000": "5152fef57c4bcb558f79cef4a8e5d1f7f81988f1e034bd34b83c6b9e5b327c43",
     "linear 100000": "6de521939b67f63c3d073d7dc218043d7aa2a56d4d13e73b289990d8ec8062ab",
 }
 

@@ -7,6 +7,8 @@ at the orness it achieved.  Results may instead be flagged with
 MaxentInstabilityError; they may not come back wrong.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,48 @@ def test_polish_stops_once_the_bracket_cannot_shrink(monkeypatch):
     monkeypatch.setattr(baselines, "_constraint_residual", counted)
     assert weights_problem(maxent_weights(0.97, 50).w, 0.97) is None
     assert 0 < len(calls) <= 64
+
+
+# Without a bracket, the polish used to stop once its ends were within 1e-17,
+# whatever the residual there, and these rows were refused.  It halves on until a
+# midpoint meets ORNESS_TOL, so they are solved and must be the optimum.
+@pytest.mark.parametrize("n, orness", [(10**4, 0.04), (10**5, 0.04), (10**5, 0.05), (10**6, 0.05)])
+def test_polish_halves_on_to_the_tolerance(n, orness):
+    assert weights_problem(maxent_weights(orness, n).w, orness) is None
+
+
+def test_polish_passes_over_failed_rebuilds(monkeypatch):
+    # A step whose rebuild fails (residual None) moves the upper end down: it
+    # neither stops the loop nor raises, also within 1e-17.
+    calls, residuals = [], iter([-1.0])  # the lower end undershoots; then every rebuild fails
+
+    def residual(*args):
+        calls.append(args)
+        return next(residuals, None)
+
+    monkeypatch.setattr(baselines, "_constraint_residual", residual)
+    lo = 0.01 * (1.0 + 1e-15)
+    assert lo <= baselines._polish_first_weight(0.9, 0.9 * 99, 100, 0.01, 0.02) <= np.nextafter(lo, 1)
+    assert len(calls) < 200
+
+
+# By n, the k of the orness values (2k + 1)/200 that maximum entropy refused
+# when the polish stopped at 1e-17 whatever the residual, and the SHA-256 of the
+# other rows: a row that met ORNESS_TOL then keeps its bits.
+OK_ROWS = {
+    300: ([0, 1, 2, 3, 96, 97, 98, 99], "5601950e9a4943504757316d06093b3a3c18b0b7e8198ee962a316f965ae982b"),
+    1000: ([0, 1, 2, 97, 98, 99], "fd0af0f76a83de9b78b4cd1068ab481e457f1a5570184271139a6da05fec7c7d"),
+    10**4: ([0, 1, 2, 3, 96, 97, 98, 99], "4984998318d983e8890fd6efa9e0cc8a298c1d2b390ba245d1e4d14092adda6b"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(OK_ROWS))
+def test_rows_that_met_the_tolerance_keep_their_bits(n):
+    refused, digest = OK_ROWS[n]
+    ok = np.ones(100, bool)
+    ok[refused] = False
+    w = baselines._maxent_rows((2 * np.arange(100) + 1) / 200, n)[ok]
+    assert hashlib.sha256(w.tobytes()).hexdigest() == digest
 
 
 # Points near 0.5, where the polynomial's interior root nearly meets the
