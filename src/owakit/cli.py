@@ -22,8 +22,8 @@ from .reports import (
     METHODS,
     STATUS_OK,
     bench,
-    evaluate_method,
     report_to_dict,
+    _point,
     _sweep_rows,
     sweep_lines,
     write_sweep_csv,
@@ -99,15 +99,12 @@ def _cmd_gen(args) -> int:
     reports = []
     for method in _FLAG_METHODS[args.method]:
         try:
-            report = evaluate_method(method, args.orness, args.n, args.beta)
+            report = _point(method, args.orness, args.n, args.beta, arrays=True)
         except ValueError as exc:
             raise ValueError(f"{method}: {exc}") from exc
         if report.status != STATUS_OK:
-            print(
-                f"{method}: no valid weights at orness {args.orness} "
-                f"(status {report.status})",
-                file=sys.stderr,
-            )
+            why = f"no valid weights at orness {args.orness} (status {report.status})"
+            print(f"{method}: {why}", file=sys.stderr)
             return EXIT_METHOD_DOMAIN
         reports.append(report)
 
@@ -119,7 +116,7 @@ def _cmd_gen(args) -> int:
     else:
         for r in reports:
             print(f"method: {r.method}" + (f" (beta={r.beta})" if r.beta is not None else ""))
-            print("weights: " + " ".join(format(v, ".10g") for v in r.w))
+            print("weights: " + " ".join(format(v, ".10g") for v in r.w.tolist()))
             print(f"orness: {r.achieved_orness:.10g}")
             print(f"dispersion: {r.dispersion:.10g}")
     return EXIT_OK
@@ -127,7 +124,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_sweep(args) -> int:
     betas = args.beta if args.beta else [DEFAULT_BETA]
-    rows = _sweep_rows(args.n, _FLAG_METHODS[args.method], betas, args.steps)
+    rows = _sweep_rows(args.n, _FLAG_METHODS[args.method], betas, args.steps, True)  # arrays
     provenance = (
         f"sweep --n {args.n} --method {args.method} "
         f"--steps {args.steps} betas={','.join(format(b, '.17g') for b in betas)}"

@@ -17,10 +17,11 @@ rather than dropped.  CSV files are written atomically and
 deterministically: no timestamps, numbers at 17 significant digits so
 parsing them back is lossless.  The families are mirror-symmetric (the
 vector at orness 1 - a is the one at a reversed), so a :func:`sweep` row,
-like a row read back, holds the floats of its mirror, and the writer
-reuses the weight cells of a repeated or mirrored row and writes a long row
-of few runs of equal bits from its run heads; :mod:`owakit._digits` formats
-the others, byte for byte as ``%.17g``.
+like a row read back, holds the floats of its mirror.  ``owakit sweep`` and
+``owakit gen`` hand the writer the kernel's rows instead, as read-only
+arrays.  The writer reuses the weight cells of a repeated or mirrored row
+and writes a long row of few runs of equal bits from its run heads;
+:mod:`owakit._digits` formats the others, byte for byte as ``%.17g``.
 """
 
 import dataclasses
@@ -161,20 +162,21 @@ def _method(name: str) -> Method:
 def evaluate_method(
     method: str, requested: float, n: int, beta: Optional[float] = None
 ) -> MethodReport:
-    """Run one method at one grid point, capturing failures as statuses:
-    a sweep of one point.  ``beta`` (default ``DEFAULT_BETA``) is dropped
-    for methods that do not take it."""
+    """Run one method at one grid point, capturing failures as statuses: a sweep of one
+    point.  ``beta`` (default ``DEFAULT_BETA``) is dropped for methods that do not take it."""
+    return _point(method, requested, n, beta)
+
+
+def _point(method: str, requested, n, beta, arrays: bool = False) -> MethodReport:
+    """:func:`evaluate_method`'s report; with ``arrays``, ``w`` is a kernel row (:func:`_rows`)."""
     m = _method(method)
     grid = [_check_orness(requested)]
     beta = _check_beta(DEFAULT_BETA if beta is None else beta) if m.takes_beta else None
-    return next(_rows(m, grid, _check_n(n, m.min_n), beta))
+    return next(_rows(m, grid, _check_n(n, m.min_n), beta, arrays))
 
 
 def sweep(
-    n: int,
-    methods: Sequence[str],
-    betas: Sequence[float] = (DEFAULT_BETA,),
-    steps: int = 101,
+    n: int, methods: Sequence[str], betas: Sequence[float] = (DEFAULT_BETA,), steps: int = 101
 ) -> list:
     """Evaluate ``methods`` on the grid orness = k/(steps-1), k = 0..steps-1.
 
@@ -182,21 +184,22 @@ def sweep(
     Methods that take beta produce rows once per beta; the others ignore
     betas, whose items go unchecked when no listed method takes them.
     Every argument is checked before the first kernel runs.  Rows are made in
-    (method, requested_orness, beta) order, so ``owakit sweep`` writes each as it
-    is made: it holds one method's kernel matrices and the kept rows of the writer.
+    (method, requested_orness, beta) order, so ``owakit sweep`` writes each as it is made,
+    as a row of the kernel matrix (:func:`_sweep_rows`): it holds one method's kernel
+    matrices and the kept rows of the writer.
 
     The rows share repeated floats: a run of equal neighbouring weights is one
     float object, and a row whose weights are those of the row at orness
     1 - a reversed holds that row's floats, reversed (:func:`_rows`).
     """
-    return list(_sweep_rows(n, methods, betas, steps, True))
+    return list(_sweep_rows(n, methods, betas, steps))
 
 
-def _sweep_rows(n, methods, betas, steps, mirrors=False):
+def _sweep_rows(n, methods, betas, steps, arrays=False):
     """:func:`sweep`'s rows as they are taken, its arguments checked first.  zip takes
     a point's row of every beta, so all of a method's kernels run at its first row.
-    ``mirrors`` is :func:`_rows`' own; a stream leaves it off, as a held row's tuple
-    would stay alive until its mirror, half a grid later."""
+    ``arrays`` is :func:`_rows`' own: ``owakit sweep`` streams rows of the kernel
+    matrices to the writer, and makes no tuple."""
     grid = _grid(steps)
     ms = _checked_list(methods, "methods", "method names", "method", _method)
     takes_beta = any(m.takes_beta for m in ms)
@@ -205,7 +208,7 @@ def _sweep_rows(n, methods, betas, steps, mirrors=False):
     ms.sort(key=lambda m: m.name)
     runs = [(m, sorted(betas) if m.takes_beta else [None]) for m in ms]
     return (
-        r for m, bs in runs for p in zip(*(_rows(m, grid, n, b, mirrors) for b in bs)) for r in p
+        r for m, bs in runs for p in zip(*(_rows(m, grid, n, b, arrays) for b in bs)) for r in p
     )
 
 
@@ -235,7 +238,7 @@ def _checked_list(seq, name: str, what: str, item: str, check: Optional[Callable
     return checked
 
 
-def _rows(m: Method, grid: list, n: int, beta: Optional[float], mirrors: bool = False):
+def _rows(m: Method, grid: list, n: int, beta: Optional[float], arrays: bool = False):
     """One report per orness in ``grid``, all in [0, 1], for ``n`` and ``beta`` already
     checked, yielded in grid order: one kernel call, one read-only check of the weight
     matrix, whose rows need no clip, and one pass each for every row's orness and dispersion,
@@ -244,12 +247,14 @@ def _rows(m: Method, grid: list, n: int, beta: Optional[float], mirrors: bool = 
     for a method that ``claims_orness``, misses its orness by more than ``ORNESS_TOL``.
 
     An ``ok`` row's ``w`` holds one float object per run of neighbouring weights with the
-    same float64 bits.  With ``mirrors``, the row at index last - k whose bits are row k's
-    reversed, for an earlier ``ok`` row k, is row k's tuple reversed: the same floats, held
-    only until then.  Bits, not values, decide both, so -0.0 and +0.0 are not shared."""
+    same float64 bits, and the row at index last - k whose bits are row k's reversed, for an
+    earlier ``ok`` row k, is row k's tuple reversed: the same floats, held only until then.
+    Bits, not values, decide both, so -0.0 and +0.0 are not shared.  With ``arrays``, ``w``
+    is the row's view of the weight matrix, made read-only, and no tuple is made."""
     w = m.kernel(np.array(grid, dtype=float), n, beta)
+    w.flags.writeable = False  # an ``arrays`` row is a view of it
     problems, achieved, dispersions = _simplex_rows(w), _orness_rows(w), _dispersion_rows(w)
-    edges, cuts, hold = _repeats(w, mirrors)
+    edges, cuts, hold = (None, None, ()) if arrays else _repeats(w)
     last, held = len(grid) - 1, {}  # row last - k -> row k's tuple, held until that row
     claims = m.claims_orness and n > 1  # orness at n = 1 is 0.5 by convention
 
@@ -265,7 +270,9 @@ def _rows(m: Method, grid: list, n: int, beta: Optional[float], mirrors: bool = 
         elif problem is not None or (claims and abs(got - requested) > ORNESS_TOL):
             yield failed(requested, STATUS_UNSTABLE)
         else:
-            if mirror is not None:
+            if arrays:
+                values = row
+            elif mirror is not None:
                 values = mirror[::-1]
             elif cuts[k] < cuts[k + 1]:
                 values = _shared_runs(row, edges[cuts[k] : cuts[k + 1]].tolist())
@@ -276,12 +283,12 @@ def _rows(m: Method, grid: list, n: int, beta: Optional[float], mirrors: bool = 
             yield MethodReport(m.name, beta, n, requested, got, disp, values, STATUS_OK)
 
 
-def _repeats(w: np.ndarray, mirrors: bool):
+def _repeats(w: np.ndarray):
     """What the rows of the weight matrix ``w`` repeat, by float64 bits, in numpy passes
     whose scratch is freed on return.  ``edges[cuts[k]:cuts[k + 1]]`` holds the first and
     last cell of each run of neighbouring cells with the same bits in row k, an array as a
-    row can hold up to n of them; ``hold`` is, if ``mirrors``, the set of rows k in the
-    first half whose bits are those of row last - k reversed."""
+    row can hold up to n of them; ``hold`` is the set of rows k in the first half whose
+    bits are those of row last - k reversed."""
     bits = w.view(np.uint64)
     rows, n = bits.shape
     same = np.zeros((rows, n + 1), bool)  # same[k, j]: cell j of row k has cell j - 1's bits
@@ -289,10 +296,8 @@ def _repeats(w: np.ndarray, mirrors: bool):
     at, edges = np.nonzero(same[:, 1:] != same[:, :-1])
     del same
     cuts = np.searchsorted(at, np.arange(rows + 1)).tolist()
-    hold = set()
-    if mirrors:
-        half = rows // 2
-        hold = set(np.flatnonzero((bits[:half] == bits[::-1, ::-1][:half]).all(axis=1)).tolist())
+    half = rows // 2
+    hold = set(np.flatnonzero((bits[:half] == bits[::-1, ::-1][:half]).all(axis=1)).tolist())
     return edges, cuts, hold
 
 
@@ -361,7 +366,8 @@ def sweep_lines(rows, n: int, end: str = "\r\n"):
 def _sweep_parts(rows, n: int, end: bytes):
     """:func:`sweep_lines`' lines as bytes, in lists of at most ``_BLOCK_CELLS // n``
     lines (at least one): each line's UTF-8 head (up to its first weight cell; a row
-    read back keeps the names it read), its ASCII weight cells and ``end``."""
+    read back keeps the names it read), its ASCII weight cells and ``end``.  A row's
+    key is its weights' float64 bytes: a float64 array's own (the CLI's rows), else packed."""
     n = _check_n(n, 1)
     no_weights = [b"," * (n - 1)]  # the cells of a row without weights, already text
     pack = struct.Struct(f"{n}d").pack
@@ -384,7 +390,8 @@ def _sweep_parts(rows, n: int, end: bytes):
             method, kept = r.method, {}
         try:
             # Bytes, not floats: 0.0 == -0.0, but they print differently.
-            key = pack(*r.w)
+            array = isinstance(r.w, np.ndarray) and r.w.dtype == float and r.w.shape == (n,)
+            key = r.w.tobytes() if array else pack(*r.w)  # a float64 row is its own bytes
         except struct.error as exc:
             raise TypeError(f"row weights are not {n} numbers: {exc}") from None
         cells, flip = kept.get(key), False

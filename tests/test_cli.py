@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -96,6 +98,37 @@ class TestGen:
         path.write_text(out, newline="")
         assert b"\r" not in path.read_bytes()
         assert read_sweep_csv(str(path)) == [evaluate_method(m.name, 0.3, 5, 1.5)]
+
+    # SHA-256 of `gen --n 20000 --orness 0.3` on stdout, by --method and --format; the
+    # same on both numpy dispatch families that test_arrays pins.
+    GEN_SHA256 = {
+        ("linear", "plain"): "d495b94efb752e25cbdfd630a42682c037d39b775c7acaccd546aa9adff4e7d2",
+        ("linear", "json"): "9674293e7757696f60b152bff38481e57abe4a7c6c0ab53025062acf63bc189a",
+        ("linear", "csv"): "951e54088bc07e8a84fe50998161de344515bf080bbcc90f8c035e41e9b6ed40",
+        ("exp-nopreset", "plain"): "21a681596ad793afeb2643431bade0e9b9505f156676cef2d64cb08c015d059a",
+        ("exp-nopreset", "json"): "67640c58052373c776e5fd72a0c187bd67e2bd2f7a769ad74af45024e77ef742",
+        ("exp-nopreset", "csv"): "3c576e1db6b31d440f8302b51e24e477bc05ba0557ee3bc56bc68e91a80044bc",
+    }
+
+    @pytest.mark.parametrize("flag, fmt", sorted(GEN_SHA256))
+    def test_output_at_n_20000_is_pinned(self, flag, fmt, capsys):
+        args = ["gen", "--n", "20000", "--orness", "0.3", "--method", flag, "--format", fmt]
+        code, out, err = run(args, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GEN_SHA256[flag, fmt]
+
+    def test_csv_makes_no_float_per_weight(self, capsys):
+        # The row goes from the kernel matrix to the writer as its bytes, with no tuple
+        # of Python floats: at n = 10^5 the traced peak reads 13.2 MiB so and 15.5 MiB
+        # through a tuple, the captured text included.
+        tracemalloc.start()
+        try:
+            code = main(["gen", "--n", "100000", "--orness", "0.3", "--format", "csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and capsys.readouterr().out.count("\n") == 2
+        assert peak < 14.4 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -471,6 +471,42 @@ class TestStreaming:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "old.csv", "ref.csv"]
 
 
+class TestArrayStream:
+    # owakit sweep streams rows of the kernel matrices to the writer, which keys them
+    # by their bytes: no row becomes a tuple of floats.
+    ARGS = ["sweep", "--n", "300", "--method", "all", "--beta", "1", "--beta", "1.5"]
+
+    def test_cli_makes_no_tuple(self, monkeypatch, tmp_path):
+        # At n >= 256 the flat beta = 1 linear rows are runs, which a tuple row shares.
+        def refused(*args):
+            raise AssertionError("a tuple row was made")
+
+        monkeypatch.setattr(reports, "_repeats", refused)
+        monkeypatch.setattr(reports, "_shared_runs", refused)
+        assert main(self.ARGS + ["--steps", "21", "--out", str(tmp_path / "s.csv")]) == 0
+
+    def test_cli_writes_the_bytes_of_sweep(self, monkeypatch, tmp_path):
+        runs, flips = [], []
+        run_line, block_parts = reports._run_line, reports._block_parts
+
+        def spied_run_line(key, most):
+            runs.append(run_line(key, most))
+            return runs[-1]
+
+        def spied_block_parts(lines, *args):
+            flips.extend(flip for _, _, flip in lines)
+            return block_parts(lines, *args)
+
+        monkeypatch.setattr(reports, "_run_line", spied_run_line)
+        monkeypatch.setattr(reports, "_block_parts", spied_block_parts)
+        out, ref = tmp_path / "cli.csv", tmp_path / "ref.csv"
+        assert main(self.ARGS + ["--steps", "21", "--out", str(out)]) == 0
+        # The file has run rows (the flat beta = 1 linear rows) and mirror flips.
+        assert any(text is not None for text in runs) and any(flips)
+        write_sweep_csv(sweep(300, ALL_METHODS, [1.0, 1.5], 21), 300, str(ref))
+        assert out.read_bytes().split(b"\n", 1)[1] == ref.read_bytes().split(b"\n", 1)[1]
+
+
 def _fixed_method(matrix):
     """A method whose kernel returns a copy of ``matrix`` for any grid, and which,
     its rows being at any orness, claims none."""
@@ -512,7 +548,7 @@ class TestSharedFloats:
 
     def test_mirror_that_differs_in_a_zeros_sign_is_not_shared(self):
         m = _fixed_method([[1.0, 0.0, 0.0], [0.25, 0.5, 0.25], [-0.0, 0.0, 1.0]])
-        first, middle, last = reports._rows(m, [0.0, 0.5, 1.0], 3, None, True)
+        first, middle, last = reports._rows(m, [0.0, 0.5, 1.0], 3, None)
         assert first.w == last.w[::-1]
         assert not any(map(operator.is_, first.w, last.w[::-1]))
         assert math.copysign(1.0, last.w[0]) == -1.0
@@ -520,10 +556,12 @@ class TestSharedFloats:
 
     def test_mirror_is_shared_within_one_grid(self):
         m = _fixed_method([[0.75, 0.25, 0.0], [0.25, 0.5, 0.25], [0.0, 0.25, 0.75]])
-        first, middle, last = reports._rows(m, [0.0, 0.5, 1.0], 3, None, True)
-        assert all(map(operator.is_, first.w, last.w[::-1]))
         first, middle, last = reports._rows(m, [0.0, 0.5, 1.0], 3, None)
-        assert not any(map(operator.is_, first.w, last.w[::-1]))
+        assert all(map(operator.is_, first.w, last.w[::-1]))
+        # With arrays, each row is its own read-only view of the one matrix.
+        first, middle, last = reports._rows(m, [0.0, 0.5, 1.0], 3, None, True)
+        assert first.w.base is last.w.base and not last.w.flags.writeable
+        assert first.w.tobytes() == last.w[::-1].tobytes()
 
     def test_each_run_of_equal_bits_is_one_float(self):
         row = [0.0, 0.0, 0.125, 0.125, 0.25, 0.25, 0.25, 0.0, -0.0]
@@ -536,11 +574,17 @@ class TestSharedFloats:
         assert {len(set(map(id, r.w))) for r in rows} == {2}
 
     def test_stream_keeps_no_earlier_rows_weights(self):
-        # Every row of these is ok.  zip keeps the tuple of one point's rows of
-        # both betas for reuse, up to two points, so a row four places back is
-        # referenced from here alone.
+        # owakit sweep's stream: every row of these is ok, and its w is a read-only
+        # view of its row of the kernel matrix, not a tuple.  zip keeps the tuple of
+        # one point's rows of both betas for reuse, up to two points, so a row four
+        # places back is referenced from here alone.
+        grid, kernel = np.array(reports._grid(101)), reports._method(METHOD_LINEAR).kernel
+        expected = {b: kernel(grid, 10, b) for b in (1.0, 1.25)}
         behind = []
-        for r in reports._sweep_rows(10, [METHOD_LINEAR], [1.0, 1.25], 101):
+        for k, r in enumerate(reports._sweep_rows(10, [METHOD_LINEAR], [1.0, 1.25], 101, True)):
+            assert r.status == STATUS_OK and isinstance(r.w, np.ndarray)
+            assert r.w.base.shape == (101, 10) and not r.w.base.flags.writeable
+            assert r.w.tobytes() == expected[r.beta][k // 2].tobytes()
             behind.append(r.w)
             del r
             if len(behind) > 4:
