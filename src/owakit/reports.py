@@ -17,11 +17,12 @@ rather than dropped.  CSV files are written atomically and
 deterministically: no timestamps, numbers at 17 significant digits so
 parsing them back is lossless.  The families are mirror-symmetric (the
 vector at orness 1 - a is the one at a reversed), so a :func:`sweep` row,
-like a row read back, holds the floats of its mirror.  ``owakit sweep`` and
-``owakit gen`` hand the writer the kernel's rows instead, as read-only
-arrays.  The writer reuses the weight cells of a repeated or mirrored row
-and writes a long row of few runs of equal bits from its run heads;
-:mod:`owakit._digits` formats the others, byte for byte as ``%.17g``.
+like a row read back, holds the floats of its mirror (:func:`_tuples`).
+``owakit sweep`` and ``owakit gen`` hand the writer the kernel's rows
+instead, as read-only arrays.  The writer reuses the weight cells of a
+repeated or mirrored row and writes a long row of few runs of equal bits
+from its run heads; :mod:`owakit._digits` formats the others, byte for
+byte as ``%.17g``.
 """
 
 import dataclasses
@@ -190,7 +191,7 @@ def sweep(
 
     The rows share repeated floats: a run of equal neighbouring weights is one
     float object, and a row whose weights are those of the row at orness
-    1 - a reversed holds that row's floats, reversed (:func:`_rows`).
+    1 - a reversed holds that row's floats, reversed (:func:`_tuples`).
     """
     return list(_sweep_rows(n, methods, betas, steps))
 
@@ -246,71 +247,57 @@ def _rows(m: Method, grid: list, n: int, beta: Optional[float], arrays: bool = F
     method without ``endpoints``, and unstable when it fails the simplex check or, at n >= 2
     for a method that ``claims_orness``, misses its orness by more than ``ORNESS_TOL``.
 
-    An ``ok`` row's ``w`` holds one float object per run of neighbouring weights with the
-    same float64 bits, and the row at index last - k whose bits are row k's reversed, for an
-    earlier ``ok`` row k, is row k's tuple reversed: the same floats, held only until then.
-    Bits, not values, decide both, so -0.0 and +0.0 are not shared.  With ``arrays``, ``w``
-    is the row's view of the weight matrix, made read-only, and no tuple is made."""
+    An ``ok`` row's ``w`` is its row of the weight matrix as a tuple that shares floats
+    (:func:`_tuples` makes one for every row), or with ``arrays`` the row's view of the
+    matrix, made read-only, and no tuple is made."""
     w = m.kernel(np.array(grid, dtype=float), n, beta)
     w.flags.writeable = False  # an ``arrays`` row is a view of it
     problems, achieved, dispersions = _simplex_rows(w), _orness_rows(w), _dispersion_rows(w)
-    edges, cuts, hold = (None, None, ()) if arrays else _repeats(w)
-    last, held = len(grid) - 1, {}  # row last - k -> row k's tuple, held until that row
+    weights = w if arrays else _tuples(w)
     claims = m.claims_orness and n > 1  # orness at n = 1 is 0.5 by convention
-
-    def failed(requested, status):
-        return MethodReport(m.name, beta, n, requested, None, None, None, status)
-
-    for k, (requested, got, row, problem, disp) in enumerate(
-        zip(grid, achieved, w, problems, dispersions)
-    ):
-        mirror = held.pop(k, None)
+    for requested, got, row, problem, disp in zip(grid, achieved, weights, problems, dispersions):
         if not m.endpoints and requested in (0.0, 1.0):
-            yield failed(requested, STATUS_UNSUPPORTED)
+            yield MethodReport(m.name, beta, n, requested, None, None, None, STATUS_UNSUPPORTED)
         elif problem is not None or (claims and abs(got - requested) > ORNESS_TOL):
-            yield failed(requested, STATUS_UNSTABLE)
+            yield MethodReport(m.name, beta, n, requested, None, None, None, STATUS_UNSTABLE)
         else:
-            if arrays:
-                values = row
-            elif mirror is not None:
-                values = mirror[::-1]
-            elif cuts[k] < cuts[k + 1]:
-                values = _shared_runs(row, edges[cuts[k] : cuts[k + 1]].tolist())
-            else:
-                values = tuple(row.tolist())
-            if k in hold:
-                held[last - k] = values
-            yield MethodReport(m.name, beta, n, requested, got, disp, values, STATUS_OK)
+            yield MethodReport(m.name, beta, n, requested, got, disp, row, STATUS_OK)
 
 
-def _repeats(w: np.ndarray):
-    """What the rows of the weight matrix ``w`` repeat, by float64 bits, in numpy passes
-    whose scratch is freed on return.  ``edges[cuts[k]:cuts[k + 1]]`` holds the first and
-    last cell of each run of neighbouring cells with the same bits in row k, an array as a
-    row can hold up to n of them; ``hold`` is the set of rows k in the first half whose
-    bits are those of row last - k reversed."""
+def _tuples(w: np.ndarray):
+    """Each row of the weight matrix ``w`` as a tuple of floats, in order, sharing floats
+    by float64 bits: a run of neighbouring cells with the same bits is one float object,
+    and row last - k, whose bits are row k's reversed, is row k's tuple reversed, held only
+    until then.  Bits, not values, decide both, so -0.0 and +0.0 are not shared.  The
+    numpy scratch that finds the runs and mirrors is freed before the first tuple."""
     bits = w.view(np.uint64)
     rows, n = bits.shape
     same = np.zeros((rows, n + 1), bool)  # same[k, j]: cell j of row k has cell j - 1's bits
     np.equal(bits[:, 1:], bits[:, :-1], out=same[:, 1:-1])
+    # edges[cuts[k]:cuts[k + 1]]: the first and last cell of each run of row k, an array
+    # as a row can hold up to n of them.
     at, edges = np.nonzero(same[:, 1:] != same[:, :-1])
-    del same
     cuts = np.searchsorted(at, np.arange(rows + 1)).tolist()
     half = rows // 2
     hold = set(np.flatnonzero((bits[:half] == bits[::-1, ::-1][:half]).all(axis=1)).tolist())
-    return edges, cuts, hold
-
-
-def _shared_runs(row: np.ndarray, edges: list) -> tuple:
-    """``tuple(row.tolist())`` for a row whose runs of cells with the same bits go from
-    cell ``edges[2i]`` to cell ``edges[2i + 1]``, each run one float object."""
-    values, start = [], 0
-    for first, last in zip(edges[::2], edges[1::2]):
-        values += row[start : first + 1].tolist()
-        values += repeat(values[-1], last - first)
-        start = last + 1
-    values += row[start:].tolist()
-    return tuple(values)
+    del same, at
+    held = {}  # row last - k -> row k's tuple
+    for k, row in enumerate(w):
+        if k in held:
+            values = held.pop(k)[::-1]
+        elif cuts[k] == cuts[k + 1]:
+            values = tuple(row.tolist())  # no run: faster than the loop below
+        else:
+            values, start, run = [], 0, edges[cuts[k] : cuts[k + 1]].tolist()
+            for first, last in zip(run[::2], run[1::2]):
+                values += row[start : first + 1].tolist()
+                values += repeat(values[-1], last - first)
+                start = last + 1
+            values += row[start:].tolist()  # in place: values + a tail would copy the list
+            values = tuple(values)
+        if k in hold:
+            held[rows - 1 - k] = values
+        yield values
 
 
 def _grid(steps) -> list:

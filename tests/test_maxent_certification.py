@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from owakit import MaxentInstabilityError, baselines, maxent_weights
 from owakit.baselines import ORNESS_TOL
+from owakit.reports import METHOD_MAXENT, STATUS_OK, STATUS_UNSTABLE, sweep
 from oracle import maxent_geometric_oracle, maxent_oracle
 
 GEOMETRIC_TOL = 1e-9
@@ -133,6 +134,42 @@ def test_polish_passes_over_failed_rebuilds(monkeypatch):
     lo = 0.01 * (1.0 + 1e-15)
     assert lo <= baselines._polish_first_weight(0.9, 0.9 * 99, 100, 0.01, 0.02) <= np.nextafter(lo, 1)
     assert len(calls) < 200
+
+
+# Above the admissible interval's end 1/(n - A) the last weight's numerator is negative, so
+# the real rebuild fails and the residual is None: from an upper end of 2/(n - A) the polish
+# must halve down past those steps to the root.
+@pytest.mark.parametrize("n", [10, 100, 1000])
+@pytest.mark.parametrize("a", [0.55, 0.7, 0.9])
+def test_polish_halves_down_past_real_failed_rebuilds(monkeypatch, a, n):
+    residuals, residual = [], baselines._constraint_residual
+
+    def recorded(*args):
+        residuals.append(residual(*args))
+        return residuals[-1]
+
+    monkeypatch.setattr(baselines, "_constraint_residual", recorded)
+    A = (n - 1) * a
+    w1 = baselines._polish_first_weight(a, A, n, 1 / n, 2 / (n - A))
+    assert None in residuals
+    assert 1 / n < w1 < 1 / (n - A)
+    assert abs(residual(w1, a, A, n)) <= ORNESS_TOL
+
+
+# On k/1000, the k below 500 whose orness maximum entropy refuses, by n; above 500 it
+# refuses their mirrors 1000 - k.  The refused region is not an interval: 0.035 is solved
+# between refused 0.034 and 0.036.
+REFUSED_ON_K_1000 = {150: [*range(1, 35), 36], 1000: [*range(1, 35), 36, 37, 38]}
+
+
+@pytest.mark.parametrize("n", sorted(REFUSED_ON_K_1000))
+def test_refused_region_on_k_1000(n):
+    rows = sweep(n, [METHOD_MAXENT], steps=1001)
+    assert {r.status for r in rows[1:-1]} == {STATUS_OK, STATUS_UNSTABLE}
+    refused = {k for k, r in enumerate(rows[1:-1], 1) if r.status != STATUS_OK}
+    low = REFUSED_ON_K_1000[n]
+    assert refused == {*low, *(1000 - k for k in low)}
+    assert 35 not in refused and {34, 36} <= refused
 
 
 # By n, the k of the orness values (2k + 1)/200 that maximum entropy refused

@@ -481,8 +481,7 @@ class TestArrayStream:
         def refused(*args):
             raise AssertionError("a tuple row was made")
 
-        monkeypatch.setattr(reports, "_repeats", refused)
-        monkeypatch.setattr(reports, "_shared_runs", refused)
+        monkeypatch.setattr(reports, "_tuples", refused)
         assert main(self.ARGS + ["--steps", "21", "--out", str(tmp_path / "s.csv")]) == 0
 
     def test_cli_writes_the_bytes_of_sweep(self, monkeypatch, tmp_path):
@@ -591,6 +590,76 @@ class TestSharedFloats:
                 w = behind.pop(0)
                 assert sys.getrefcount(w) == 2  # w and the argument
         assert len(behind) == 4
+
+
+def _reference_tuples(w):
+    """The rows of ``w`` as tuples, shared by a plain rule: row last - k, for k in the first
+    half, is row k's tuple reversed if its bytes are row k's reversed; in any other row a
+    cell with the bytes of the cell before it is that cell's float."""
+    tuples, last = [], len(w) - 1
+    for k, row in enumerate(w):
+        if last - k < k and row.tobytes() == w[last - k][::-1].tobytes():
+            tuples.append(tuples[last - k][::-1])
+            continue
+        cells = []
+        for j, x in enumerate(row.tolist()):
+            same = j > 0 and row[j : j + 1].tobytes() == row[j - 1 : j].tobytes()
+            cells.append(cells[-1] if same else x)
+        tuples.append(tuple(cells))
+    return tuples
+
+
+def _objects(tuples):
+    """Each cell of ``tuples`` as the index of the first cell that holds its float object."""
+    first = {}
+    return [[first.setdefault(id(x), len(first)) for x in t] for t in tuples]
+
+
+def _planted(rows, n, seed):
+    """A random float64 matrix with runs of equal cells, rows that are an earlier row
+    reversed, all-NaN rows, and a reversed row that differs from its partner only in the
+    sign of a zero."""
+    rng = np.random.default_rng(seed)
+    w = rng.random((rows, n))
+    for row in w:
+        for _ in range(rng.integers(0, 3)):
+            start = rng.integers(0, n)
+            row[start : start + rng.integers(1, n + 1)] = rng.choice([0.0, -0.0, 0.5, row[start]])
+    last = rows - 1
+    for k in range(rows // 2):
+        if rng.random() < 0.5:
+            w[last - k] = w[k][::-1]
+    if rows > 2:
+        w[1] = w[last - 1] = np.nan
+        w[0, 0], w[last] = 0.0, w[0][::-1]
+        w[last, -1] = -0.0  # the mirror of row 0 but for the sign of one zero
+    return w
+
+
+class TestTuples:
+    # _tuples gives every row of the weight matrix as a tuple with its bits, and shares
+    # float objects exactly as _reference_tuples does.
+    SHAPES = [(1, 1), (1, 6), (2, 1), (5, 1), (7, 3), (11, 9), (40, 30), (101, 64)]
+
+    @pytest.mark.parametrize("seed, shape", enumerate(SHAPES))
+    def test_sharing_matches_the_reference(self, seed, shape):
+        w = _planted(*shape, seed)
+        pack = struct.Struct(f"{shape[1]}d").pack
+        got = list(reports._tuples(w))
+        assert len(got) == len(w)
+        for t, row in zip(got, w):
+            assert type(t) is tuple and pack(*t) == pack(*row.tolist())
+        assert _objects(got) == _objects(_reference_tuples(w))
+        if len(w) > 2:  # the mirror of row 0 but for a zero's sign shares none of its floats
+            assert not set(map(id, got[0])) & set(map(id, got[-1]))
+
+    def test_the_planted_cases_are_there(self):
+        w = _planted(101, 64, 7)
+        expected = _reference_tuples(w)
+        shares = [all(map(operator.is_, expected[k], expected[-1 - k][::-1])) for k in range(2, 50)]
+        assert any(shares)  # a planted mirror
+        assert np.isnan(w[1]).all() and len(set(map(id, expected[1] + expected[99]))) == 1
+        assert any(len(set(map(id, t))) < 64 for t in expected[2:99])
 
 
 class TestCsv:
