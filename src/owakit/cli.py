@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import warnings
+from itertools import chain
 
 from . import __version__
 from .core import DEFAULT_BETA
@@ -24,8 +25,8 @@ from .reports import (
     bench,
     report_to_dict,
     _point,
+    _sweep_parts,
     _sweep_rows,
-    sweep_lines,
     write_sweep_csv,
 )
 
@@ -112,7 +113,9 @@ def _cmd_gen(args) -> int:
         payload = [report_to_dict(r) for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
     elif args.format == "csv":
-        sys.stdout.writelines(sweep_lines(reports, args.n, "\n"))
+        sys.stdout.flush()  # anything in the text layer goes first
+        # The writer's bytes, with no str copy, each part let go once written.
+        sys.stdout.buffer.writelines(chain.from_iterable(_sweep_parts(reports, args.n, b"\n")))
     else:
         for r in reports:
             print(f"method: {r.method}" + (f" (beta={r.beta})" if r.beta is not None else ""))

@@ -312,11 +312,12 @@ def _fmt(value) -> str:
     return format(value, ".17g")
 
 
+# The names of a sweep header's cells before its weights' w1..wn.
+_HEAD_NAMES = ["method", "beta", "n", "requested_orness", "achieved_orness", "dispersion", "status"]
+
+
 def sweep_header(n: int) -> list:
-    return (
-        ["method", "beta", "n", "requested_orness", "achieved_orness", "dispersion", "status"]
-        + [f"w{i}" for i in range(1, n + 1)]
-    )
+    return _HEAD_NAMES + [f"w{i}" for i in range(1, n + 1)]
 
 
 def sweep_lines(rows, n: int, end: str = "\r\n"):
@@ -360,7 +361,12 @@ def _sweep_parts(rows, n: int, end: bytes):
     pack = struct.Struct(f"{n}d").pack
     per_block = max(1, _BLOCK_CELLS // n)
     most = n // 32 if n >= _RUN_ROW_CELLS else 0  # the most runs of a row written from its heads
-    yield [b"", ",".join(sweep_header(n)).encode(), end]  # the header, as cells without a head
+    # The header: its fixed names as the head, w1..wn as its cells, named a block at a time
+    # (one str a name, as sweep_header(n) makes them, holds about 640 MB at n = 10^7).
+    w = range(1, n + 1)
+    blocks = (w[k : k + _BLOCK_CELLS] for k in range(0, n, _BLOCK_CELLS))
+    names = (b",".join([b"w%d" % i for i in block]) for block in blocks)
+    yield [(",".join(_HEAD_NAMES) + ",").encode(), b",".join(names), end]
     method, kept = None, {}  # row bytes -> the cells of a kept row
     lines, new = [], []  # the lines since the last block; its rows to format
     for r in rows:

@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 
 from owakit import (
     MaxentInstabilityError,
@@ -49,32 +50,26 @@ from owakit.reports import (
 
 LINEAR_ONLY_AT_1000 = (METHOD_LINEAR, METHOD_EXPONENTIAL, METHOD_EXPONENTIAL_NO_PRESET)
 
-# SHA-256 of each sweep CSV (betas 1, 1.25, 1.5; 101 steps) below its
-# ``#`` provenance line, which carries the package version.
+# SHA-256 of each sweep CSV (betas 1, 1.25, 1.5; 101 steps) below its ``#`` line, which carries
+# the package version, with the dispersion cell cut from every line.  The weights come from IEEE
+# arithmetic and libm, which no SIMD loop rounds, and only dispersion takes a log: one set.
 SWEEP_CSV_SHA256 = {
-    2: "2d9b5d22c8bb04bc2bd710c219497bd612baab64d3714b344a54fbdda18756d1",
-    3: "74fb09ddef4abff7f87a700e06fef2b8306dce70fd6f21c2d686c5d99b202f7c",
-    5: "fe7f3b4dc0896a0e726bc030d08faa362b4309264ae10a2204d2ba02d2b45bcc",
-    10: "e30715ede368cde53aec88c911cec9325ad48978eb1ae98eb9de4cd1f784a14c",
-    100: "0912f9456cb37666d18c0f929ddf247d5056338607837f6bc335189afbec063a",
-    1000: "27e41bc82dbaa498ad9b7309f40e089219bf698d2560916c5f51d2ed600b08ff",
+    2: "d9e28d6a6b0c14d4e63d50e9d6a7f78848911c73c71cf6e228f60622186c5ab1",
+    3: "c14a8e9cf5aec157873498ab5f327f58021cd80185be8cae0fa25be9dff82974",
+    5: "780c5586b12dda227475babf724951827ee3c7a16688fa09547bcfb4a03c43b8",
+    10: "b19f0685a144ab5b0f07d92ef675b7f446cf34acf463e70d5770a8ad3dd125eb",
+    100: "8f8471bb0140b74d990f3b50015b8194c3b35647c33420d90256a4f3f5885aa5",
+    1000: "01dd74b4a71463f1f28213194179da13d675ca2df2f0b7faf1fe47c7a575ac28",
 }
 
-# The same sweeps where numpy runs its float64 exp and log loops on
-# X86_V3 and power on its baseline (no AVX-512), recorded from the same
-# code under NO_AVX512_ENV.  Every weight row comes from IEEE arithmetic
-# and libm, which no SIMD loop rounds; what still follows the family is
-# the np.log in the dispersion column, and it moves one pinned cell: at
-# n = 5 the maxent row at orness 0.11 (same weights on both families).
-# No pinned number calls BLAS, so neither set depends on OpenBLAS's core type.
-SWEEP_CSV_SHA256_X86_V3 = {
-    **SWEEP_CSV_SHA256,
-    5: "515cfad2fb58c4d9052378ff2f6f8d3dfb1b9bc3dcb9eada542b01cebcc4b887",
+# SHA-256 of the cut cells, in n order and one a line, by the SIMD target of numpy's
+# float64 log, which they follow: X86_V4 differs from the others at n = 5, in the maxent
+# row at orness 0.11.  No pinned number calls BLAS or depends on its core type.
+DISPERSION_SHA256 = {
+    "X86_V4": "27fc59534245e1150ce3c11d3e01742dd1cd90d993394de76b9bbdc50ef5452d",
+    "X86_V3": "4ee143c3976e1a474a6a8235ee5659f8eb1e8c39e9a48e18cb06fb11804b099b",
+    "baseline(X86_V2)": "4ee143c3976e1a474a6a8235ee5659f8eb1e8c39e9a48e18cb06fb11804b099b",
 }
-
-# The expected digests by the SIMD target of numpy's exp, log and power.
-DISPATCH_AVX512 = {"exp": "X86_V4", "log": "X86_V4", "power": "X86_V4"}
-DISPATCH_X86_V3 = {"exp": "X86_V3", "log": "X86_V3", "power": "baseline(X86_V2)"}
 NO_AVX512_ENV = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 
@@ -94,32 +89,33 @@ def _on_emulated_avx2_host(script, *args):
     return json.loads(proc.stdout)
 
 
-def _dispatch():
-    """The SIMD target numpy runs its float64 exp, log and power loops on."""
-    from numpy.lib.introspect import opt_func_info
-
-    info = opt_func_info(func_name="^(exp|log|power)$", signature="float64")
-    return {f: t["current"] for f, sigs in info.items() for t in sigs.values()}
-
-
-def _expected_sweep_digests():
-    dispatch = _dispatch()
-    if dispatch == DISPATCH_AVX512:
-        return SWEEP_CSV_SHA256
-    if dispatch == DISPATCH_X86_V3:
-        return SWEEP_CSV_SHA256_X86_V3
-    pytest.fail(f"no sweep digests are recorded for the numpy dispatch {dispatch}")
+def _log_loop():
+    """The SIMD target numpy runs its float64 log loop on."""
+    (loop,) = opt_func_info(func_name="^log$", signature="float64")["log"].values()
+    return loop["current"]
 
 
 def _sweep_csv_digest(n, directory):
-    """SHA-256 of the pinned sweep at size ``n`` below its ``#`` line."""
+    """SHA-256 of sweep ``n`` below its ``#`` line with its dispersion cells cut, and the cells."""
     methods = LINEAR_ONLY_AT_1000 if n == 1000 else ALL_METHODS
     rows = sweep(n, methods, betas=(1.0, 1.25, 1.5), steps=101)
     path = os.path.join(directory, f"s{n}.csv")
     write_sweep_csv(rows, n, path, f"sweep --n {n}")
     with open(path, "rb") as fh:
-        body = fh.read().split(b"\n", 1)[1]
-    return hashlib.sha256(body).hexdigest()
+        lines = [line.split(b",", 6) for line in fh.read().split(b"\n", 1)[1].split(b"\r\n")]
+    cut = b"\r\n".join(b",".join(c[:5] + c[6:]) for c in lines)
+    return hashlib.sha256(cut).hexdigest(), [c[5] for c in lines if len(c) > 5]
+
+
+def _check_sweeps(log_loop, directory):
+    """Check every host-free sweep digest, then the dispersion digest for ``log_loop``."""
+    cells = []
+    for n in sorted(SWEEP_CSV_SHA256):
+        digest, dispersions = _sweep_csv_digest(n, directory)
+        assert digest == SWEEP_CSV_SHA256[n], n
+        cells += dispersions
+    assert log_loop in DISPERSION_SHA256, f"no dispersion digest for numpy's np.log on {log_loop}"
+    assert hashlib.sha256(b"\n".join(cells)).hexdigest() == DISPERSION_SHA256[log_loop]
 
 
 # float.hex of the calibrated exponential parameter, by (orness, n).
@@ -142,20 +138,24 @@ EXPONENTIAL_PARAMETER_HEX = {
 class TestPinned:
     @pytest.mark.parametrize("n", sorted(SWEEP_CSV_SHA256))
     def test_sweep_csv_digest(self, tmp_path, n):
-        assert _sweep_csv_digest(n, str(tmp_path)) == _expected_sweep_digests()[n]
+        assert _sweep_csv_digest(n, str(tmp_path))[0] == SWEEP_CSV_SHA256[n]
+
+    def test_dispersion_digest(self, tmp_path):
+        _check_sweeps(_log_loop(), str(tmp_path))
+
+    def test_unknown_log_loop_fails_after_the_host_free_digests(self, tmp_path, monkeypatch):
+        with pytest.raises(AssertionError, match=r"np\.log on NEON\n"):
+            _check_sweeps("NEON", str(tmp_path))
+        monkeypatch.setitem(SWEEP_CSV_SHA256, 1000, "0" * 64)
+        with pytest.raises(AssertionError, match=r"^1000\n"):
+            _check_sweeps("NEON", str(tmp_path))
 
     def test_sweep_csv_digest_without_avx512(self, tmp_path):
-        # An AVX-512 host checks the other family's pins too.
-        if _dispatch() != DISPATCH_AVX512:
+        # An AVX-512 host checks the other log loop's pins too, which differ from its own.
+        if _log_loop() != "X86_V4":
             pytest.skip("numpy has no AVX-512 dispatch here")
-        script = (
-            "import json, sys, test_arrays as t; "
-            "print(json.dumps([t._dispatch(), "
-            "{n: t._sweep_csv_digest(n, sys.argv[1]) for n in t.SWEEP_CSV_SHA256_X86_V3}]))"
-        )
-        dispatch, digests = _on_emulated_avx2_host(script, str(tmp_path))
-        assert dispatch == DISPATCH_X86_V3
-        assert {int(n): d for n, d in digests.items()} == SWEEP_CSV_SHA256_X86_V3
+        script = "import sys, test_arrays as t; t._check_sweeps('X86_V3', sys.argv[1]); print(1)"
+        assert _on_emulated_avx2_host(script, str(tmp_path)) == 1
 
     @pytest.mark.parametrize("orness, n", sorted(EXPONENTIAL_PARAMETER_HEX))
     def test_exponential_parameter(self, orness, n):

@@ -29,7 +29,7 @@ from owakit.baselines import (
 )
 from owakit.core import _orness_rows
 from owakit.linear import _weight_array
-from test_arrays import DISPATCH_AVX512, DISPATCH_X86_V3, _dispatch, _on_emulated_avx2_host
+from test_arrays import _log_loop, _on_emulated_avx2_host
 
 K100 = np.arange(101) / 100
 # The floats either side of 0.5, where the maximum-entropy row is nearly uniform.
@@ -137,15 +137,15 @@ def test_refusal_message(key):
 
 def test_kernel_digests_without_avx512():
     # An AVX-512 host checks that the other family gives the same pins and messages.
-    if _dispatch() != DISPATCH_AVX512:
+    if _log_loop() != "X86_V4":
         pytest.skip("numpy has no AVX-512 dispatch here")
     script = (
         "import json, test_kernel_pins as t; "
-        "print(json.dumps([t._dispatch(), {k: f() for k, f in t.PINS.items()}, "
+        "print(json.dumps([t._log_loop(), {k: f() for k, f in t.PINS.items()}, "
         "[t._message(*key) for key in t.MESSAGES]]))"
     )
     dispatch, digests, messages = _on_emulated_avx2_host(script)
-    assert dispatch == DISPATCH_X86_V3
+    assert dispatch == "X86_V3"
     assert digests == KERNEL_SHA256
     assert messages == [_message(*key) for key in MESSAGES]
 
@@ -159,14 +159,14 @@ def _maxent_bracketed_digests():
 def test_maxent_rows_without_avx512():
     # The polynomial's powers are multiplications, which every SIMD family
     # rounds alike, so the other family solves the same rows bit for bit.
-    if _dispatch() != DISPATCH_AVX512:
+    if _log_loop() != "X86_V4":
         pytest.skip("numpy has no AVX-512 dispatch here")
     script = (
         "import json, test_kernel_pins as t; "
-        "print(json.dumps([t._dispatch(), t._maxent_bracketed_digests()]))"
+        "print(json.dumps([t._log_loop(), t._maxent_bracketed_digests()]))"
     )
     dispatch, digests = _on_emulated_avx2_host(script)
-    assert dispatch == DISPATCH_X86_V3
+    assert dispatch == "X86_V3"
     assert digests == _maxent_bracketed_digests()
 
 
@@ -181,12 +181,12 @@ def test_calibrated_parameters_without_avx512():
     # numpy's log1p and expm1 follow the SIMD family (libm's do not), so the
     # grid's closed form may move by a few ulps; that is far inside the
     # screen's margin, so the other family finds the same parameters.
-    if _dispatch() != DISPATCH_AVX512:
+    if _log_loop() != "X86_V4":
         pytest.skip("numpy has no AVX-512 dispatch here")
     script = (
         "import json, test_kernel_pins as t; "
-        "print(json.dumps([t._dispatch(), t._calibrated_parameter_digests()]))"
+        "print(json.dumps([t._log_loop(), t._calibrated_parameter_digests()]))"
     )
     dispatch, digests = _on_emulated_avx2_host(script)
-    assert dispatch == DISPATCH_X86_V3
+    assert dispatch == "X86_V3"
     assert digests == _calibrated_parameter_digests()

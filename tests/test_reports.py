@@ -51,11 +51,9 @@ from owakit.reports import (
     write_sweep_csv,
 )
 from test_arrays import (
-    DISPATCH_AVX512,
-    DISPATCH_X86_V3,
     LINEAR_ONLY_AT_1000,
     SWEEP_CSV_SHA256,
-    _dispatch,
+    _log_loop,
     _on_emulated_avx2_host,
 )
 
@@ -1262,13 +1260,13 @@ def _exact_cell_mismatches():
     return bad
 
 
-def _near_half_cells(family):
-    """By size, the weight cells in (0, 1) of the sweeps behind ``family``'s
-    ``SWEEP_CSV_SHA256`` set (the ``perfbench`` sweep jobs among them) whose
+def _near_half_cells():
+    """By size, the weight cells in (0, 1) of the sweeps behind
+    ``SWEEP_CSV_SHA256`` (the ``perfbench`` sweep jobs among them) whose
     digits ``_digits.decimal`` leaves to ``%.17g``, and the cells below 1e-39,
     whose P_k is not 5**k."""
     counts = {}
-    for n in sorted(family):
+    for n in sorted(SWEEP_CSV_SHA256):
         methods = LINEAR_ONLY_AT_1000 if n == 1000 else ALL_METHODS
         rows = sweep(n, methods, betas=(1.0, 1.25, 1.5), steps=101)
         v = np.array([c for r in rows if r.w is not None for c in r.w])
@@ -1323,28 +1321,28 @@ class TestExactCells:
     def test_cells_without_avx512(self):
         # No decade depends on log10 any more, but the digits still come from
         # numpy loops that dispatch on the SIMD target: check another target.
-        if _dispatch() != DISPATCH_AVX512:
+        if _log_loop() != "X86_V4":
             pytest.skip("numpy has no AVX-512 dispatch here")
         script = (
             "import json, test_arrays as a, test_reports as t; "
-            "print(json.dumps([a._dispatch(), repr(t._exact_cell_mismatches())]))"
+            "print(json.dumps([a._log_loop(), repr(t._exact_cell_mismatches())]))"
         )
-        assert _on_emulated_avx2_host(script) == [DISPATCH_X86_V3, "[]"]
+        assert _on_emulated_avx2_host(script) == ["X86_V3", "[]"]
 
     def test_no_sweep_cell_is_near_a_half(self):
         # Sweep cells go down to subnormals, and none is left to "%.17g" by the
         # P_k bound, on either SIMD family.
-        counts = _near_half_cells(SWEEP_CSV_SHA256)
+        counts = _near_half_cells()
         assert [near for near, _ in counts.values()] == [0] * 6
         assert counts[1000][1] > 40000
-        if _dispatch() != DISPATCH_AVX512:
+        if _log_loop() != "X86_V4":
             return
         script = (
             "import json, test_arrays as a, test_reports as t; "
-            "print(json.dumps([a._dispatch(), t._near_half_cells(a.SWEEP_CSV_SHA256_X86_V3)]))"
+            "print(json.dumps([a._log_loop(), t._near_half_cells()]))"
         )
         dispatch, other = _on_emulated_avx2_host(script)
-        assert dispatch == DISPATCH_X86_V3
+        assert dispatch == "X86_V3"
         assert [near for near, _ in other.values()] == [0] * 6
         assert other["1000"][1] > 40000
 
@@ -1510,15 +1508,15 @@ class TestChunksAndDispersions:
     def test_without_avx512(self):
         # The log in the dispersion pass dispatches on the SIMD target: check
         # the other one, with the tables, the digit counts and the bisection.
-        if _dispatch() != DISPATCH_AVX512:
+        if _log_loop() != "X86_V4":
             pytest.skip("numpy has no AVX-512 dispatch here")
         script = (
             "import json, test_arrays as a, test_reports as t, test_baselines as b; "
-            "print(json.dumps([a._dispatch(), repr(t._table_mismatches()), "
+            "print(json.dumps([a._log_loop(), repr(t._table_mismatches()), "
             "repr(t._digit_count_mismatches()), repr(t._dispersion_mismatches()), "
             "repr(b._bisection_mismatches())]))"
         )
-        assert _on_emulated_avx2_host(script) == [DISPATCH_X86_V3, "[]", "[]", "[]", "[]"]
+        assert _on_emulated_avx2_host(script) == ["X86_V3", "[]", "[]", "[]", "[]"]
 
 
 def _first_mismatch(rows, n, end="\r\n", given=None):
