@@ -23,8 +23,8 @@ from .reports import (
     METHODS,
     STATUS_OK,
     bench,
+    evaluate_method,
     report_to_dict,
-    _point,
     _sweep_parts,
     _sweep_rows,
     write_sweep_csv,
@@ -100,7 +100,7 @@ def _cmd_gen(args) -> int:
     reports = []
     for method in _FLAG_METHODS[args.method]:
         try:
-            report = _point(method, args.orness, args.n, args.beta, arrays=True)
+            report = evaluate_method(method, args.orness, args.n, args.beta)
         except ValueError as exc:
             raise ValueError(f"{method}: {exc}") from exc
         if report.status != STATUS_OK:
@@ -113,13 +113,18 @@ def _cmd_gen(args) -> int:
         payload = [report_to_dict(r) for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
     elif args.format == "csv":
-        sys.stdout.flush()  # anything in the text layer goes first
-        # The writer's bytes, with no str copy, each part let go once written.
-        sys.stdout.buffer.writelines(chain.from_iterable(_sweep_parts(reports, args.n, b"\n")))
+        # The writer's bytes, with no str copy, each part let go once written; a stdout
+        # without a binary layer (io.StringIO) is given the same parts decoded.
+        parts = chain.from_iterable(_sweep_parts(reports, args.n, b"\n"))
+        if hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()  # anything in the text layer goes first
+            sys.stdout.buffer.writelines(parts)
+        else:
+            sys.stdout.writelines(map(bytes.decode, parts))
     else:
         for r in reports:
             print(f"method: {r.method}" + (f" (beta={r.beta})" if r.beta is not None else ""))
-            print("weights: " + " ".join(format(v, ".10g") for v in r.w.tolist()))
+            print("weights: " + " ".join(format(v, ".10g") for v in r.w))
             print(f"orness: {r.achieved_orness:.10g}")
             print(f"dispersion: {r.dispersion:.10g}")
     return EXIT_OK
@@ -127,7 +132,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_sweep(args) -> int:
     betas = args.beta if args.beta else [DEFAULT_BETA]
-    rows = _sweep_rows(args.n, _FLAG_METHODS[args.method], betas, args.steps, True)  # arrays
+    rows = _sweep_rows(args.n, _FLAG_METHODS[args.method], betas, args.steps)
     provenance = (
         f"sweep --n {args.n} --method {args.method} "
         f"--steps {args.steps} betas={','.join(format(b, '.17g') for b in betas)}"

@@ -15,14 +15,14 @@ row's status.  Points where a method cannot deliver (maximum entropy at
 orness 0/1, or an unstable solve) are recorded with an explanatory status
 rather than dropped.  CSV files are written atomically and
 deterministically: no timestamps, numbers at 17 significant digits so
-parsing them back is lossless.  The families are mirror-symmetric (the
-vector at orness 1 - a is the one at a reversed), so a :func:`sweep` row,
-like a row read back, holds the floats of its mirror (:func:`_tuples`).
-``owakit sweep`` and ``owakit gen`` hand the writer the kernel's rows
-instead, as read-only arrays.  The writer reuses the weight cells of a
-repeated or mirrored row and writes a long row of few runs of equal bits
-from its run heads; :mod:`owakit._digits` formats the others, byte for
-byte as ``%.17g``.
+parsing them back is lossless.  An ``ok`` row's weights are a
+:class:`Weights`, a read-only view of its row of the kernel matrix that
+compares, hashes and iterates as the tuple of its floats; a row read back
+holds one over the floats it parsed.  The families are mirror-symmetric
+(the vector at orness 1 - a is the one at a reversed), so the writer
+reuses the weight cells of a repeated or mirrored row and writes a long
+row of few runs of equal bits from its run heads; :mod:`owakit._digits`
+formats the others, byte for byte as ``%.17g``.
 """
 
 import dataclasses
@@ -31,9 +31,9 @@ import os
 import stat
 import struct
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -120,6 +120,49 @@ STATUS_UNSUPPORTED = "unsupported"
 _NAMES = {name: name for name in (*ALL_METHODS, STATUS_OK, STATUS_UNSTABLE, STATUS_UNSUPPORTED)}
 
 
+class Weights(Sequence):
+    """A report's weights: an immutable sequence over a read-only float64 row.
+
+    ``len``, indexing and iteration give Python floats, and a slice is a
+    ``Weights`` over the row's slice.  It is equal to, and hashes as, the
+    tuple of its floats.  ``np.asarray(w)`` is the row itself, with no
+    copy: for a sweep row, a view of its kernel matrix.  A pickle or deep
+    copy is read-only too.
+    """
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row):
+        self._row = np.asarray(row, float).view()  # its own view: the caller's array keeps its flag
+        self._row.flags.writeable = False
+
+    def __len__(self):
+        return len(self._row)
+
+    def __getitem__(self, k):
+        return Weights(self._row[k]) if isinstance(k, slice) else self._row.item(k)
+
+    def __iter__(self):
+        return iter(self._row.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Weights):
+            return bool(np.array_equal(self._row, other._row))
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"Weights({tuple(self)!r})"
+
+    def __array__(self, dtype=None, copy=None):
+        return self._row.astype(dtype or float, copy=bool(copy))
+
+    def __reduce__(self):  # numpy's pickle drops the read-only flag; __init__ sets it again
+        return Weights, (self._row,)
+
+
 @dataclass(frozen=True)
 class MethodReport:
     """One method evaluated at one orness request."""
@@ -130,7 +173,7 @@ class MethodReport:
     requested_orness: float
     achieved_orness: Optional[float]
     dispersion: Optional[float]
-    w: Optional[tuple]
+    w: Optional[Weights]
     status: str
 
 
@@ -165,15 +208,10 @@ def evaluate_method(
 ) -> MethodReport:
     """Run one method at one grid point, capturing failures as statuses: a sweep of one
     point.  ``beta`` (default ``DEFAULT_BETA``) is dropped for methods that do not take it."""
-    return _point(method, requested, n, beta)
-
-
-def _point(method: str, requested, n, beta, arrays: bool = False) -> MethodReport:
-    """:func:`evaluate_method`'s report; with ``arrays``, ``w`` is a kernel row (:func:`_rows`)."""
     m = _method(method)
     grid = [_check_orness(requested)]
     beta = _check_beta(DEFAULT_BETA if beta is None else beta) if m.takes_beta else None
-    return next(_rows(m, grid, _check_n(n, m.min_n), beta, arrays))
+    return next(_rows(m, grid, _check_n(n, m.min_n), beta))
 
 
 def sweep(
@@ -185,22 +223,19 @@ def sweep(
     Methods that take beta produce rows once per beta; the others ignore
     betas, whose items go unchecked when no listed method takes them.
     Every argument is checked before the first kernel runs.  Rows are made in
-    (method, requested_orness, beta) order, so ``owakit sweep`` writes each as it is made,
-    as a row of the kernel matrix (:func:`_sweep_rows`): it holds one method's kernel
-    matrices and the kept rows of the writer.
+    (method, requested_orness, beta) order, so ``owakit sweep`` writes each as it is made
+    (:func:`_sweep_rows`): it holds one method's kernel matrices and the kept rows of the
+    writer.
 
-    The rows share repeated floats: a run of equal neighbouring weights is one
-    float object, and a row whose weights are those of the row at orness
-    1 - a reversed holds that row's floats, reversed (:func:`_tuples`).
+    An ``ok`` row's ``w`` is a :class:`Weights` view of its row of the kernel matrix, so
+    the rows hold the matrices and no float per weight.
     """
     return list(_sweep_rows(n, methods, betas, steps))
 
 
-def _sweep_rows(n, methods, betas, steps, arrays=False):
+def _sweep_rows(n, methods, betas, steps):
     """:func:`sweep`'s rows as they are taken, its arguments checked first.  zip takes
-    a point's row of every beta, so all of a method's kernels run at its first row.
-    ``arrays`` is :func:`_rows`' own: ``owakit sweep`` streams rows of the kernel
-    matrices to the writer, and makes no tuple."""
+    a point's row of every beta, so all of a method's kernels run at its first row."""
     grid = _grid(steps)
     ms = _checked_list(methods, "methods", "method names", "method", _method)
     takes_beta = any(m.takes_beta for m in ms)
@@ -208,9 +243,7 @@ def _sweep_rows(n, methods, betas, steps, arrays=False):
     n = _check_n(n, max(m.min_n for m in ms))
     ms.sort(key=lambda m: m.name)
     runs = [(m, sorted(betas) if m.takes_beta else [None]) for m in ms]
-    return (
-        r for m, bs in runs for p in zip(*(_rows(m, grid, n, b, arrays) for b in bs)) for r in p
-    )
+    return (r for m, bs in runs for p in zip(*(_rows(m, grid, n, b) for b in bs)) for r in p)
 
 
 def _checked_list(seq, name: str, what: str, item: str, check: Optional[Callable]) -> list:
@@ -239,7 +272,7 @@ def _checked_list(seq, name: str, what: str, item: str, check: Optional[Callable
     return checked
 
 
-def _rows(m: Method, grid: list, n: int, beta: Optional[float], arrays: bool = False):
+def _rows(m: Method, grid: list, n: int, beta: Optional[float]):
     """One report per orness in ``grid``, all in [0, 1], for ``n`` and ``beta`` already
     checked, yielded in grid order: one kernel call, one read-only check of the weight
     matrix, whose rows need no clip, and one pass each for every row's orness and dispersion,
@@ -247,57 +280,19 @@ def _rows(m: Method, grid: list, n: int, beta: Optional[float], arrays: bool = F
     method without ``endpoints``, and unstable when it fails the simplex check or, at n >= 2
     for a method that ``claims_orness``, misses its orness by more than ``ORNESS_TOL``.
 
-    An ``ok`` row's ``w`` is its row of the weight matrix as a tuple that shares floats
-    (:func:`_tuples` makes one for every row), or with ``arrays`` the row's view of the
-    matrix, made read-only, and no tuple is made."""
+    An ``ok`` row's ``w`` is a :class:`Weights` view of its row of the weight matrix, which
+    is made read-only first."""
     w = m.kernel(np.array(grid, dtype=float), n, beta)
-    w.flags.writeable = False  # an ``arrays`` row is a view of it
+    w.flags.writeable = False  # each ok row's weights are a view of it
     problems, achieved, dispersions = _simplex_rows(w), _orness_rows(w), _dispersion_rows(w)
-    weights = w if arrays else _tuples(w)
     claims = m.claims_orness and n > 1  # orness at n = 1 is 0.5 by convention
-    for requested, got, row, problem, disp in zip(grid, achieved, weights, problems, dispersions):
+    for requested, got, row, problem, disp in zip(grid, achieved, w, problems, dispersions):
         if not m.endpoints and requested in (0.0, 1.0):
             yield MethodReport(m.name, beta, n, requested, None, None, None, STATUS_UNSUPPORTED)
         elif problem is not None or (claims and abs(got - requested) > ORNESS_TOL):
             yield MethodReport(m.name, beta, n, requested, None, None, None, STATUS_UNSTABLE)
         else:
-            yield MethodReport(m.name, beta, n, requested, got, disp, row, STATUS_OK)
-
-
-def _tuples(w: np.ndarray):
-    """Each row of the weight matrix ``w`` as a tuple of floats, in order, sharing floats
-    by float64 bits: a run of neighbouring cells with the same bits is one float object,
-    and row last - k, whose bits are row k's reversed, is row k's tuple reversed, held only
-    until then.  Bits, not values, decide both, so -0.0 and +0.0 are not shared.  The
-    numpy scratch that finds the runs and mirrors is freed before the first tuple."""
-    bits = w.view(np.uint64)
-    rows, n = bits.shape
-    same = np.zeros((rows, n + 1), bool)  # same[k, j]: cell j of row k has cell j - 1's bits
-    np.equal(bits[:, 1:], bits[:, :-1], out=same[:, 1:-1])
-    # edges[cuts[k]:cuts[k + 1]]: the first and last cell of each run of row k, an array
-    # as a row can hold up to n of them.
-    at, edges = np.nonzero(same[:, 1:] != same[:, :-1])
-    cuts = np.searchsorted(at, np.arange(rows + 1)).tolist()
-    half = rows // 2
-    hold = set(np.flatnonzero((bits[:half] == bits[::-1, ::-1][:half]).all(axis=1)).tolist())
-    del same, at
-    held = {}  # row last - k -> row k's tuple
-    for k, row in enumerate(w):
-        if k in held:
-            values = held.pop(k)[::-1]
-        elif cuts[k] == cuts[k + 1]:
-            values = tuple(row.tolist())  # no run: faster than the loop below
-        else:
-            values, start, run = [], 0, edges[cuts[k] : cuts[k + 1]].tolist()
-            for first, last in zip(run[::2], run[1::2]):
-                values += row[start : first + 1].tolist()
-                values += repeat(values[-1], last - first)
-                start = last + 1
-            values += row[start:].tolist()  # in place: values + a tail would copy the list
-            values = tuple(values)
-        if k in hold:
-            held[rows - 1 - k] = values
-        yield values
+            yield MethodReport(m.name, beta, n, requested, got, disp, Weights(row), STATUS_OK)
 
 
 def _grid(steps) -> list:
@@ -355,7 +350,7 @@ def _sweep_parts(rows, n: int, end: bytes):
     """:func:`sweep_lines`' lines as bytes, in lists of at most ``_BLOCK_CELLS // n``
     lines (at least one): each line's UTF-8 head (up to its first weight cell; a row
     read back keeps the names it read), its ASCII weight cells and ``end``.  A row's
-    key is its weights' float64 bytes: a float64 array's own (the CLI's rows), else packed."""
+    key is its weights' float64 bytes: a :class:`Weights` row's own, else packed."""
     n = _check_n(n, 1)
     no_weights = [b"," * (n - 1)]  # the cells of a row without weights, already text
     pack = struct.Struct(f"{n}d").pack
@@ -383,8 +378,7 @@ def _sweep_parts(rows, n: int, end: bytes):
             method, kept = r.method, {}
         try:
             # Bytes, not floats: 0.0 == -0.0, but they print differently.
-            array = isinstance(r.w, np.ndarray) and r.w.dtype == float and r.w.shape == (n,)
-            key = r.w.tobytes() if array else pack(*r.w)  # a float64 row is its own bytes
+            key = r.w._row.tobytes() if isinstance(r.w, Weights) and len(r.w) == n else pack(*r.w)
         except struct.error as exc:
             raise TypeError(f"row weights are not {n} numbers: {exc}") from None
         cells, flip = kept.get(key), False
@@ -491,31 +485,15 @@ def read_sweep_csv(path: str) -> list:
     UTF-8, a row with a ``"`` (no cell is quoted), a row that does not match the header or a
     non-number cell.
 
-    The rows share repeated floats as :func:`sweep` rows do: in a row, a cell with the text of
-    the cell before it is that cell's float, and a row whose packed bytes are those of an earlier
-    row of its method and beta, or of one reversed (its mirror), holds that row's floats.  A
-    known method or status name is this module's constant; an unknown one is kept as read.
+    A row's weights are a :class:`Weights` over one float64 array of its cells, each parsed
+    by ``float``, so a row holds 8 bytes a weight.  A known method or status name is this
+    module's constant; an unknown one is kept as read.
     """
 
     def opt_float(s):
         return None if s == "" else float(s)
 
-    def weights(method, beta, cells):
-        values, text = [], None
-        for c in cells:
-            if c != text:
-                x, text = float(c), c
-            values.append(x)
-        w = tuple(values)
-        key = (method, beta, w[0], w[-1])
-        for same in (seen.get(key), seen.get((method, beta, w[-1], w[0]), ())[::-1]):
-            if w == same and pack(*w) == pack(*same):  # bytes, as 0.0 == -0.0
-                return same
-        seen.setdefault(key, w)
-        return w
-
     rows, header, fixed = [], None, len(sweep_header(0))
-    seen = {}  # (method, beta, w[0], w[-1]) -> a w already read, for later rows to share
     # surrogateescape reads a byte that is not UTF-8 as U+DC80..U+DCFF, found on its line.
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for k, line in enumerate(fh, 1):
@@ -529,7 +507,6 @@ def read_sweep_csv(path: str) -> list:
                 header, n = rec, len(rec) - fixed
                 if n < 1 or header != sweep_header(n):
                     raise ValueError(f"{path}: the header is not a sweep header")
-                pack = struct.Struct(f"{n}d").pack
                 continue
             where = f"{path} line {k}"
             if '"' in line:
@@ -539,14 +516,12 @@ def read_sweep_csv(path: str) -> list:
             cells = rec[fixed:]
             if "" in cells and any(cells):
                 raise ValueError(f"{where}: weight cells must be all empty or all numbers")
-            method = _NAMES.get(rec[0], rec[0])
             try:
-                beta = opt_float(rec[1])
                 row = MethodReport(
-                    method=method, beta=beta, n=int(rec[2]),
+                    method=_NAMES.get(rec[0], rec[0]), beta=opt_float(rec[1]), n=int(rec[2]),
                     requested_orness=float(rec[3]), achieved_orness=opt_float(rec[4]),
                     dispersion=opt_float(rec[5]), status=_NAMES.get(rec[6], rec[6]),
-                    w=None if cells[0] == "" else weights(method, beta, cells),
+                    w=None if cells[0] == "" else Weights(np.fromiter(map(float, cells), float, n)),
                 )
             except ValueError as exc:
                 raise ValueError(f"{where}: a cell is not a number ({exc})") from None
@@ -559,9 +534,9 @@ def read_sweep_csv(path: str) -> list:
 
 
 def report_to_dict(r: MethodReport) -> dict:
-    """``r`` as a JSON-ready dict, its fields in order but ``w`` last, as a list."""
+    """``r`` as a JSON-ready dict, its fields in order but ``w`` last, as a list of floats."""
     d = {f.name: getattr(r, f.name) for f in dataclasses.fields(r) if f.name != "w"}
-    d["w"] = None if r.w is None else list(r.w)
+    d["w"] = None if r.w is None else np.asarray(r.w).tolist()
     return d
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -130,6 +132,23 @@ class TestGen:
             tracemalloc.stop()
         assert code == EXIT_OK and capsys.readouterr().out.count("\n") == 2
         assert peak < 11 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("n", ["5", "20000"])
+    def test_csv_to_a_stdout_without_a_binary_layer(self, n):
+        # redirect_stdout(io.StringIO()) leaves no stdout.buffer: the text written there
+        # is the bytes a process writes to its stdout, decoded.
+        args = ["gen", "--n", n, "--orness", "0.3", "--format", "csv"]
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = main(args)
+        proc = subprocess.run(
+            [sys.executable, "-m", "owakit.cli", *args],
+            capture_output=True,
+            env=_fresh_env(),
+            check=False,
+        )
+        assert (code, proc.returncode, proc.stderr) == (EXIT_OK, EXIT_OK, b"")
+        assert text.getvalue().encode() == proc.stdout
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,11 @@
+import copy
 import csv
 import dataclasses
 import io
 import json
 import math
-import operator
 import os
+import pickle
 import re
 import stat
 import struct
@@ -475,12 +476,15 @@ class TestArrayStream:
     ARGS = ["sweep", "--n", "300", "--method", "all", "--beta", "1", "--beta", "1.5"]
 
     def test_cli_makes_no_tuple(self, monkeypatch, tmp_path):
-        # At n >= 256 the flat beta = 1 linear rows are runs, which a tuple row shares.
-        def refused(*args):
-            raise AssertionError("a tuple row was made")
+        # The writer is given each ok row's weights as a Weights view of the kernel row.
+        kinds = []
 
-        monkeypatch.setattr(reports, "_tuples", refused)
+        def spy(rows, *args):
+            write_sweep_csv((kinds.append(type(r.w)) or r for r in rows), *args)
+
+        monkeypatch.setattr(cli, "write_sweep_csv", spy)
         assert main(self.ARGS + ["--steps", "21", "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(kinds) == 105 and set(kinds) == {reports.Weights, type(None)}
 
     def test_cli_writes_the_bytes_of_sweep(self, monkeypatch, tmp_path):
         runs, flips = [], []
@@ -513,32 +517,35 @@ def _fixed_method(matrix):
 
 
 class TestSharedFloats:
-    # sweep() rows hold one float per run of equal cells, and a mirrored row
-    # holds its partner's floats; only identity differs from the kernel rows.
+    # sweep() rows hold the kernel matrices: each ok row's weights are a Weights view of
+    # its row, with the kernel's bits, and a row holds no float of its own per weight.
     @pytest.mark.filterwarnings("ignore:orness of a length-1 weight vector")
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000])
     def test_rows_are_the_kernel_rows_with_runs_shared(self, n):
         grid = reports._grid(101)
-        pack, bits = struct.Struct(f"{n}d").pack, struct.Struct("d").pack
+        pack = struct.Struct(f"{n}d").pack
         ms = sorted((m for m in METHODS if n >= m.min_n), key=lambda m: m.name)
         rows = iter(sweep(n, [m.name for m in ms], betas=(1.0, 1.25, 1.5)))
         for m in ms:
             bs = (1.0, 1.25, 1.5) if m.takes_beta else (None,)
             kernels = [m.kernel(np.array(grid), n, b) for b in bs]
+            bases = [set() for _ in bs]  # the matrix under each beta's rows
             for k in range(len(grid)):
-                for w in kernels:
+                for w, held in zip(kernels, bases):
                     r = next(rows)
                     if r.w is None:
                         continue
                     assert pack(*r.w) == w[k].tobytes()
-                    for a, b in zip(r.w, r.w[1:]):
-                        assert (a is b) == (bits(a) == bits(b))
+                    held.add(id(np.asarray(r.w).base))
+            assert all(len(held) == 1 for held in bases)  # one matrix per kernel call
         assert next(rows, None) is None
 
     @pytest.mark.parametrize("method", [METHOD_EXPONENTIAL, METHOD_EXPONENTIAL_NO_PRESET])
     def test_mirrored_row_holds_its_partners_floats(self, method):
         rows = sweep(10, [method])
-        shared = [k for k in range(50) if all(map(operator.is_, rows[k].w, rows[100 - k].w[::-1]))]
+        bits = [np.asarray(r.w).tobytes() for r in rows]
+        mirrors = [np.asarray(r.w)[::-1].tobytes() for r in rows]
+        shared = [k for k in range(50) if bits[k] == mirrors[100 - k]]
         assert len(shared) == {METHOD_EXPONENTIAL: 50, METHOD_EXPONENTIAL_NO_PRESET: 42}[method]
         for k in shared:
             assert rows[k].w == rows[100 - k].w[::-1]
@@ -546,71 +553,47 @@ class TestSharedFloats:
     def test_mirror_that_differs_in_a_zeros_sign_is_not_shared(self):
         m = _fixed_method([[1.0, 0.0, 0.0], [0.25, 0.5, 0.25], [-0.0, 0.0, 1.0]])
         first, middle, last = reports._rows(m, [0.0, 0.5, 1.0], 3, None)
-        assert first.w == last.w[::-1]
-        assert not any(map(operator.is_, first.w, last.w[::-1]))
+        assert first.w == last.w[::-1]  # equal as tuples are: 0.0 == -0.0
+        assert np.asarray(first.w).tobytes() != np.asarray(last.w[::-1]).tobytes()
         assert math.copysign(1.0, last.w[0]) == -1.0
-        assert first.w[1] is first.w[2] and last.w[0] is not last.w[1]
 
     def test_mirror_is_shared_within_one_grid(self):
         m = _fixed_method([[0.75, 0.25, 0.0], [0.25, 0.5, 0.25], [0.0, 0.25, 0.75]])
         first, middle, last = reports._rows(m, [0.0, 0.5, 1.0], 3, None)
-        assert all(map(operator.is_, first.w, last.w[::-1]))
-        # With arrays, each row is its own read-only view of the one matrix.
-        first, middle, last = reports._rows(m, [0.0, 0.5, 1.0], 3, None, True)
-        assert first.w.base is last.w.base and not last.w.flags.writeable
-        assert first.w.tobytes() == last.w[::-1].tobytes()
+        # Each row is its own read-only view of the one matrix.
+        a, b = np.asarray(first.w), np.asarray(last.w)
+        assert a.base is b.base and not b.flags.writeable and not b.base.flags.writeable
+        assert a.tobytes() == b[::-1].tobytes()
 
     def test_each_run_of_equal_bits_is_one_float(self):
         row = [0.0, 0.0, 0.125, 0.125, 0.25, 0.25, 0.25, 0.0, -0.0]
         (r,) = reports._rows(_fixed_method([row]), [0.5], 9, None)
         assert struct.pack("9d", *r.w) == struct.pack("9d", *row)
-        assert [[id(x) for x in r.w].index(id(x)) for x in r.w] == [0, 0, 2, 2, 4, 4, 4, 7, 8]
+        assert all(type(x) is float for x in r.w) and math.copysign(1.0, r.w[8]) == -1.0
 
     def test_flat_row_holds_two_floats(self):
         rows = sweep(1000, [METHOD_LINEAR], betas=[1.0])
-        assert {len(set(map(id, r.w))) for r in rows} == {2}
+        assert {len(set(r.w)) for r in rows} == {2}
 
     def test_stream_keeps_no_earlier_rows_weights(self):
-        # owakit sweep's stream: every row of these is ok, and its w is a read-only
-        # view of its row of the kernel matrix, not a tuple.  zip keeps the tuple of
-        # one point's rows of both betas for reuse, up to two points, so a row four
-        # places back is referenced from here alone.
+        # owakit sweep's stream: every row of these is ok, and its w is a Weights view of
+        # its row of the read-only kernel matrix.  zip keeps the tuple of one point's rows
+        # of both betas for reuse, up to two points, so a row four places back is
+        # referenced from here alone.
         grid, kernel = np.array(reports._grid(101)), reports._method(METHOD_LINEAR).kernel
         expected = {b: kernel(grid, 10, b) for b in (1.0, 1.25)}
         behind = []
-        for k, r in enumerate(reports._sweep_rows(10, [METHOD_LINEAR], [1.0, 1.25], 101, True)):
-            assert r.status == STATUS_OK and isinstance(r.w, np.ndarray)
-            assert r.w.base.shape == (101, 10) and not r.w.base.flags.writeable
-            assert r.w.tobytes() == expected[r.beta][k // 2].tobytes()
+        for k, r in enumerate(reports._sweep_rows(10, [METHOD_LINEAR], [1.0, 1.25], 101)):
+            assert r.status == STATUS_OK and type(r.w) is reports.Weights
+            base = np.asarray(r.w).base
+            assert base.shape == (101, 10) and not base.flags.writeable
+            assert np.asarray(r.w).tobytes() == expected[r.beta][k // 2].tobytes()
             behind.append(r.w)
-            del r
+            del r, base
             if len(behind) > 4:
                 w = behind.pop(0)
                 assert sys.getrefcount(w) == 2  # w and the argument
         assert len(behind) == 4
-
-
-def _reference_tuples(w):
-    """The rows of ``w`` as tuples, shared by a plain rule: row last - k, for k in the first
-    half, is row k's tuple reversed if its bytes are row k's reversed; in any other row a
-    cell with the bytes of the cell before it is that cell's float."""
-    tuples, last = [], len(w) - 1
-    for k, row in enumerate(w):
-        if last - k < k and row.tobytes() == w[last - k][::-1].tobytes():
-            tuples.append(tuples[last - k][::-1])
-            continue
-        cells = []
-        for j, x in enumerate(row.tolist()):
-            same = j > 0 and row[j : j + 1].tobytes() == row[j - 1 : j].tobytes()
-            cells.append(cells[-1] if same else x)
-        tuples.append(tuple(cells))
-    return tuples
-
-
-def _objects(tuples):
-    """Each cell of ``tuples`` as the index of the first cell that holds its float object."""
-    first = {}
-    return [[first.setdefault(id(x), len(first)) for x in t] for t in tuples]
 
 
 def _planted(rows, n, seed):
@@ -635,29 +618,77 @@ def _planted(rows, n, seed):
 
 
 class TestTuples:
-    # _tuples gives every row of the weight matrix as a tuple with its bits, and shares
-    # float objects exactly as _reference_tuples does.
+    # A Weights over each row of a planted matrix shares the matrix's memory and is the
+    # tuple of the row's floats: the same bits, equal as tuples are and of equal hash.
     SHAPES = [(1, 1), (1, 6), (2, 1), (5, 1), (7, 3), (11, 9), (40, 30), (101, 64)]
 
     @pytest.mark.parametrize("seed, shape", enumerate(SHAPES))
     def test_sharing_matches_the_reference(self, seed, shape):
         w = _planted(*shape, seed)
+        w.flags.writeable = False
         pack = struct.Struct(f"{shape[1]}d").pack
-        got = list(reports._tuples(w))
-        assert len(got) == len(w)
+        got = [reports.Weights(row) for row in w]
         for t, row in zip(got, w):
-            assert type(t) is tuple and pack(*t) == pack(*row.tolist())
-        assert _objects(got) == _objects(_reference_tuples(w))
-        if len(w) > 2:  # the mirror of row 0 but for a zero's sign shares none of its floats
-            assert not set(map(id, got[0])) & set(map(id, got[-1]))
+            reference = tuple(row.tolist())
+            assert np.shares_memory(np.asarray(t), w) and pack(*t) == pack(*reference)
+            clean = not np.isnan(row).any()  # a NaN equals no other float object
+            assert (t == reference) == clean
+            assert hash(t) == hash(reference) or not clean
+        if len(w) > 2:  # the mirror of row 0 but for a zero's sign is equal, not the same bits
+            assert got[0] == got[-1][::-1] and pack(*got[0]) != pack(*got[-1][::-1])
 
     def test_the_planted_cases_are_there(self):
         w = _planted(101, 64, 7)
-        expected = _reference_tuples(w)
-        shares = [all(map(operator.is_, expected[k], expected[-1 - k][::-1])) for k in range(2, 50)]
-        assert any(shares)  # a planted mirror
-        assert np.isnan(w[1]).all() and len(set(map(id, expected[1] + expected[99]))) == 1
-        assert any(len(set(map(id, t))) < 64 for t in expected[2:99])
+        mirrors = [w[k].tobytes() == w[-1 - k][::-1].tobytes() for k in range(2, 50)]
+        assert any(mirrors)  # a planted mirror
+        assert np.isnan(w[1]).all() and np.isnan(w[99]).all()
+        bits = w.view(np.uint64)
+        assert any((row[1:] == row[:-1]).any() for row in bits[2:99])  # a run of equal bits
+
+
+class TestWeights:
+    # The contract of an ok row's weights.
+    def test_equal_to_and_hashes_as_the_tuple_of_its_floats(self):
+        for r in sweep(7, list(ALL_METHODS), steps=11):
+            if r.w is not None:
+                assert r.w == tuple(r.w) and tuple(r.w) == r.w and hash(r.w) == hash(tuple(r.w))
+                assert r.w != tuple(r.w)[1:] and r.w != list(r.w)
+        one = reports.Weights([1.0])
+        assert one == (1.0,) and (1.0,) == one and hash(one) == hash((1.0,))
+        assert one != (1.0, 0.0) and {one: "w"}[(1.0,)] == "w"
+
+    def test_items_are_python_floats_and_keep_a_zeros_sign(self):
+        w = reports.Weights([0.5, -0.0, 0.0, 0.5])
+        assert len(w) == 4 and all(type(x) is float for x in (*w, w[1], w[-1]))
+        assert [math.copysign(1.0, x) for x in w] == [1.0, -1.0, 1.0, 1.0]
+        assert math.copysign(1.0, w[1]) == -1.0 and w[::-1][2] == -0.0
+        with pytest.raises(IndexError):
+            w[4]
+
+    def test_array_is_the_read_only_kernel_row(self):
+        m = reports._method(METHOD_LINEAR)
+        made = []
+
+        def kernel(a, n, beta):
+            made.append(m.kernel(a, n, beta))
+            return made[-1]
+
+        rows = reports._rows(dataclasses.replace(m, kernel=kernel), reports._grid(11), 5, 1.25)
+        rows = list(rows)
+        (matrix,) = made
+        for row, r in zip(matrix, rows):
+            w = np.asarray(r.w)
+            assert w is np.asarray(r.w, dtype=float) and np.shares_memory(w, matrix)
+            assert not w.flags.writeable and w.tobytes() == row.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                w[0] = 0.5
+
+    def test_pickle_and_deepcopy_keep_it_read_only(self):
+        r = sweep(6, [METHOD_LINEAR], steps=3)[1]
+        for w in (pickle.loads(pickle.dumps(r.w)), copy.deepcopy(r.w)):
+            assert type(w) is reports.Weights and w == r.w
+            assert not np.asarray(w).flags.writeable
+        assert pickle.loads(pickle.dumps(r)) == r
 
 
 class TestCsv:
@@ -903,15 +934,9 @@ def _read_cells(tmp_path, rows):
     return read_sweep_csv(str(path))
 
 
-def _shares(a, b):
-    """Whether weight tuples ``a`` and ``b`` hold any float object in common."""
-    return bool(set(map(id, a)) & set(map(id, b)))
-
-
 class TestReadBackSharesFloats:
-    # Rows read back hold one float per run of equal cell text, and a repeated
-    # or mirrored row holds its partner's floats; only identity differs from a
-    # parse that makes one float per cell.
+    # A row read back holds a Weights over one float64 array of its cells, each parsed
+    # by float: its bits are those of a parse that makes one float per cell.
     @pytest.mark.filterwarnings("ignore:orness of a length-1 weight vector")
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000])
     def test_rows_are_the_plain_parse(self, tmp_path, n):
@@ -925,7 +950,8 @@ class TestReadBackSharesFloats:
 
     def test_run_of_equal_text_is_one_float(self, tmp_path):
         (r,) = _read_cells(tmp_path, [("m", "", "0,0,0.125,0.125,0.25,0.25,0.25,0,-0")])
-        assert [[id(x) for x in r.w].index(id(x)) for x in r.w] == [0, 0, 2, 2, 4, 4, 4, 7, 8]
+        row = [0.0, 0.0, 0.125, 0.125, 0.25, 0.25, 0.25, 0.0, -0.0]
+        assert struct.pack("9d", *r.w) == struct.pack("9d", *row)
         assert math.copysign(1.0, r.w[8]) == -1.0
 
     def test_mirrored_and_repeated_rows_hold_their_partners_floats(self, tmp_path):
@@ -934,27 +960,30 @@ class TestReadBackSharesFloats:
             [("m", "", "0.5,0.25,0.125"), ("m", "", "0.125,0.25,0.5")]
             + [("m", "", "0.5,0.25,0.125"), ("m", "", "0.125,0.25,0.5")],
         )
-        assert repeat.w is first.w
+        assert repeat.w == first.w and hash(repeat.w) == hash(first.w)
         for r in (mirror, mirror_again):
-            assert all(map(operator.is_, r.w, first.w[::-1]))
+            assert r.w == first.w[::-1] == (0.125, 0.25, 0.5)
 
     @pytest.mark.parametrize("method", [METHOD_EXPONENTIAL, METHOD_EXPONENTIAL_NO_PRESET])
     def test_sweep_mirrors_read_back_shared(self, tmp_path, method):
         path = tmp_path / "s.csv"
         write_sweep_csv(sweep(10, [method]), 10, str(path), "")
         rows = read_sweep_csv(str(path))
-        shared = [k for k in range(50) if all(map(operator.is_, rows[k].w, rows[100 - k].w[::-1]))]
+        bits = [np.asarray(r.w).tobytes() for r in rows]
+        mirrors = [np.asarray(r.w)[::-1].tobytes() for r in rows]
+        shared = [k for k in range(50) if bits[k] == mirrors[100 - k]]
         assert len(shared) == {METHOD_EXPONENTIAL: 50, METHOD_EXPONENTIAL_NO_PRESET: 42}[method]
 
     def test_mirror_that_differs_in_a_zeros_sign_is_not_shared(self, tmp_path):
         first, last = _read_cells(tmp_path, [("m", "", "1,0,0"), ("m", "", "-0,0,1")])
-        assert first.w == last.w[::-1] and not _shares(first.w, last.w)
+        assert first.w == last.w[::-1]
+        assert np.asarray(first.w).tobytes() != np.asarray(last.w)[::-1].tobytes()
         assert math.copysign(1.0, last.w[0]) == -1.0
 
     @pytest.mark.parametrize("cells", ["0.5,0.375,0.125", "0.125,0.375,0.5"])
     def test_row_that_differs_in_its_middle_is_not_shared(self, tmp_path, cells):
         first, other = _read_cells(tmp_path, [("m", "", "0.5,0.25,0.125"), ("m", "", cells)])
-        assert not _shares(first.w, other.w)
+        assert first.w not in (other.w, other.w[::-1])
 
     def test_rows_of_another_beta_or_method_are_not_shared(self, tmp_path):
         rows = _read_cells(
@@ -962,8 +991,11 @@ class TestReadBackSharesFloats:
             [("a", "1", "0.5,0.25,0.125"), ("a", "1.25", "0.5,0.25,0.125")]
             + [("b", "1", "0.5,0.25,0.125"), ("b", "1", "0.125,0.25,0.5")],
         )
-        assert not any(_shares(a.w, b.w) for a, b in combinations(rows[:3], 2))
-        assert all(map(operator.is_, rows[3].w, rows[2].w[::-1]))
+        assert [(r.method, r.beta) for r in rows] == [("a", 1.0), ("a", 1.25)] + [("b", 1.0)] * 2
+        # Each row holds an array of its own.
+        pairs = combinations([np.asarray(r.w) for r in rows], 2)
+        assert not any(np.shares_memory(a, b) for a, b in pairs)
+        assert rows[0].w == rows[1].w == rows[2].w == rows[3].w[::-1]
 
     def test_nan_cells_read_back_as_a_plain_parse(self, tmp_path):
         back = _read_cells(tmp_path, [("m", "", "nan,nan,nan"), ("m", "", "nan,0.5,nan")] * 2)
@@ -988,8 +1020,10 @@ class TestReadBackSharesFloats:
         assert (r.method, r.status) == ("mine", "odd")
 
     def test_read_holds_no_more_than_the_sweep(self, tmp_path):
-        # The n = 1000 job of the sweep benchmark; its rows held as sweep()
-        # holds them cost about 9.6 MiB, and one float per cell about 15.5.
+        # The n = 1000 job of the sweep benchmark.  Its rows as sweep() holds them, views
+        # of the kernel matrices, trace 4.0 MiB, and read back 4.1 MiB; as tuples that share
+        # the floats of runs and mirrors they traced 9.6 and 9.7 MiB, and with one float per
+        # cell about 15.5 MiB.
         job = (1000, [METHOD_LINEAR, METHOD_EXPONENTIAL, METHOD_EXPONENTIAL_NO_PRESET])
         path = tmp_path / "s.csv"
         tracemalloc.start()
@@ -1004,6 +1038,7 @@ class TestReadBackSharesFloats:
         finally:
             tracemalloc.stop()
         assert len(back) == 505
+        assert held < 5 * 2**20 and read - before < 5 * 2**20
         assert read - before <= 1.05 * held
 
     def test_write_holds_a_bounded_batch(self, tmp_path):
