@@ -18,8 +18,8 @@ polynomial overflows (large n) and no root can be bracketed, the first
 weight is found instead by bisection on the achieved orness of the
 rebuilt geometric vector.  Near extreme orness and large n the problem becomes
 ill-conditioned (catastrophic cancellation between terms of order
-A**(n-1)); results that fail validation raise a flagged error instead of
-returning garbage.
+A**(n-1)); a row that ``core._simplex_rows``, the rule of every report row,
+refuses raises a flagged error instead of returning garbage.
 """
 
 import math
@@ -27,11 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightVector, _check_n, _check_number, _check_orness, _orness_rows
-from .core import orness as _orness  # the public calls' parameter shadows the name
-
-# Successful results must reproduce the requested orness this closely.
-ORNESS_TOL = 1e-9
+from .core import ORNESS_TOL, WeightVector, _check_n, _check_number, _check_orness
+from .core import _orness_rows, _simplex_rows
 
 # Halvings of the exponential parameter's bracket [0, 1]: 2^-40 <= 1e-12,
 # so every calibrated parameter is pinned to within 1e-12.
@@ -208,26 +205,25 @@ def _calibrated_grid(orness: np.ndarray, n: int) -> np.ndarray:
 def exponential_weights(orness: float, n: int):
     """Exponential weights calibrated so the achieved orness matches.
 
-    Returns ``(WeightVector, CalibrationResult)``; the result's
-    ``achieved_orness`` is the orness of the returned vector, measured as
-    every report row measures it.  Raises :class:`CalibrationError` if
-    the 40 halvings leave the orness more than ``ORNESS_TOL`` off: valid
-    requests from about n = 2*10^4 on, where 2^-40 pins the small
-    parameter too coarsely (see ROADMAP.md).
+    Returns ``(WeightVector, CalibrationResult)``: the kernel row, certified
+    by ``core._simplex_rows`` as every report row is, and its parameter and
+    orness.  Raises :class:`CalibrationError` if the 40 halvings leave the
+    orness more than ``ORNESS_TOL`` off (or NaN): valid requests from about
+    n = 2*10^4 on, where 2^-40 pins the small parameter too coarsely (see
+    ROADMAP.md).
     """
     orness, n = _check_orness(orness), _check_n(n, 2)
     w, a = _calibrated_exponential_array(np.array([orness], dtype=float), n)
-    vec, a = WeightVector(w[0]), float(a[0])
-    achieved = _orness(vec)
-    residual = abs(achieved - orness)
-    if not residual <= ORNESS_TOL:
+    a, achieved = float(a[0]), _orness_rows(w)
+    (verdict,) = _simplex_rows(w, [orness], achieved)
+    if isinstance(verdict, float):
         raise CalibrationError(
             f"exponential preset did not converge: best parameter {a:.17g} "
-            f"leaves orness residual {residual:.3g}",
+            f"leaves orness residual {verdict:.3g}",
             parameter=a,
-            residual=residual,
+            residual=verdict,
         )
-    return vec, CalibrationResult(parameter=a, achieved_orness=achieved, iterations=_HALVINGS)
+    return WeightVector._of(w, verdict), CalibrationResult(a, achieved[0], _HALVINGS)
 
 
 def _no_preset_exponential_array(orness: np.ndarray, n: int) -> np.ndarray:
@@ -241,9 +237,10 @@ def _no_preset_exponential_array(orness: np.ndarray, n: int) -> np.ndarray:
 def exponential_weights_no_preset(orness: float, n: int) -> WeightVector:
     """Exponential weights with the shape parameter set to the requested
     orness directly (no calibration).  Exact only at 0 and 1; included to
-    mirror the no-preset rows of the timing comparison."""
+    mirror the no-preset rows of the timing comparison; certified on the simplex alone."""
     orness, n = _check_orness(orness), _check_n(n, 2)
-    return WeightVector(_no_preset_exponential_array(np.array([orness], dtype=float), n)[0])
+    w = _no_preset_exponential_array(np.array([orness], dtype=float), n)
+    return WeightVector._of(w, *_simplex_rows(w))
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +465,11 @@ def maxent_weights(orness: float, n: int) -> WeightVector:
     """Weights maximizing dispersion subject to the requested orness: the
     one row of :func:`_maxent_rows` at ``orness``.
 
-    Raises :class:`UnsupportedOrnessError` for orness 0 or 1 and
-    :class:`MaxentInstabilityError` whenever the solve cannot certify the
-    result: no root found (as for every orness <= 2^-54 at n >= 3, which
-    folds to 1.0), achieved orness off by more than ``ORNESS_TOL`` or
-    weights outside [0, 1].  An invalid vector is never returned silently.
+    Raises :class:`UnsupportedOrnessError` for orness 0 or 1, before the kernel runs, and
+    :class:`MaxentInstabilityError` where no root is found (as for every orness <= 2^-54 at
+    n >= 3, which folds to 1.0) or ``core._simplex_rows`` refuses the row: weights off the
+    simplex, or orness off by more than ``ORNESS_TOL`` (which sets ``residual``).  An invalid
+    vector is never returned silently.
     """
     orness, n = _check_orness(orness), _check_n(n, 2)
     if orness in (0.0, 1.0):
@@ -481,27 +478,22 @@ def maxent_weights(orness: float, n: int) -> WeightVector:
             "objective needs every weight strictly positive, so the min and "
             "max operators are out of reach"
         )
-    (w,) = _maxent_rows(np.array([orness]), n)
+    w = _maxent_rows(np.array([orness]), n)
+    (verdict,) = _simplex_rows(w, [orness], _orness_rows(w))
+    unstable = f"maximum-entropy solve unstable at orness={orness} n={n}: "
     try:
         if np.isnan(w).all():
             raise ValueError("no valid root of the first-weight equation")
-        vec = WeightVector(w)
+        if not isinstance(verdict, float):
+            return WeightVector._of(w, verdict)
     except ValueError as exc:
-        raise MaxentInstabilityError(
-            f"maximum-entropy solve unstable at orness={orness} n={n}: {exc}",
-            orness=orness,
-            n=n,
-        ) from exc
-    residual = abs(_orness(vec) - orness)
-    if residual > ORNESS_TOL:
-        raise MaxentInstabilityError(
-            f"maximum-entropy solve unstable at orness={orness} n={n}: "
-            f"achieved-orness residual {residual:.3g} exceeds {ORNESS_TOL:g}",
-            orness=orness,
-            n=n,
-            residual=residual,
-        )
-    return vec
+        raise MaxentInstabilityError(f"{unstable}{exc}", orness=orness, n=n) from exc
+    raise MaxentInstabilityError(
+        f"{unstable}achieved-orness residual {verdict:.3g} exceeds {ORNESS_TOL:g}",
+        orness=orness,
+        n=n,
+        residual=verdict,
+    )
 
 
 __all__ = [

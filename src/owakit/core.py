@@ -10,6 +10,8 @@ import numpy as np
 
 # Closed-form weight constructions should be exact to rounding.
 WEIGHT_SUM_TOL = 1e-12
+# Successful results must reproduce the requested orness this closely.
+ORNESS_TOL = 1e-9
 # Linear-family shape exponent when none is given: the steepest slope.
 DEFAULT_BETA = 1.5
 # The native float64 dtype; a byte-swapped '>f8' is another object.
@@ -44,26 +46,28 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be finite")
 
 
-def _simplex_rows(rows: np.ndarray) -> list:
-    """Per row of ``rows``, a non-empty 2-d float array holding one weight
-    vector per row: None, or the message naming its fault, a weight
-    outside [0, 1] or a sum off 1, both by more than ``WEIGHT_SUM_TOL``.
-    One pass takes each row's min, max and sum once.  NaN and +-inf fail
-    the range check before the sum is read, so a sum that overflows or is
-    NaN warns nothing.  ``rows`` is only read."""
+def _simplex_rows(rows: np.ndarray, requested=None, achieved=None) -> list:
+    """The one certification rule, a verdict per row of ``rows``, a non-empty 2-d float array
+    holding one weight vector per row: None; the message naming its fault, a weight outside
+    [0, 1] or a sum off 1, both by more than ``WEIGHT_SUM_TOL``; or, given the list of the
+    rows' orness ``achieved``, abs(achieved - requested) where that is NaN or over
+    ``ORNESS_TOL``.  One pass takes each row's min, max and sum once.  NaN and +-inf fail the
+    range check before the sum is read, so a sum that overflows or is NaN warns nothing.
+    ``rows`` is only read."""
     with np.errstate(over="ignore", invalid="ignore"):
         totals = rows.sum(axis=1)
-    problems = []
-    for low, high, total in zip(
-        rows.min(axis=1).tolist(), rows.max(axis=1).tolist(), totals.tolist()
+    residuals = map(abs, map(operator.sub, achieved, requested)) if achieved else [0.0] * len(rows)
+    verdicts = []
+    for low, high, total, residual in zip(
+        rows.min(axis=1).tolist(), rows.max(axis=1).tolist(), totals.tolist(), residuals
     ):
         if not (low >= -WEIGHT_SUM_TOL and high <= 1.0 + WEIGHT_SUM_TOL):
-            problems.append(f"weights must lie in [0, 1]; got range [{low:.17g}, {high:.17g}]")
+            verdicts.append(f"weights must lie in [0, 1]; got range [{low:.17g}, {high:.17g}]")
         elif not abs(total - 1.0) <= WEIGHT_SUM_TOL:
-            problems.append(f"weights must sum to 1; got {total:.17g}")
+            verdicts.append(f"weights must sum to 1; got {total:.17g}")
         else:
-            problems.append(None)
-    return problems
+            verdicts.append(None if residual <= ORNESS_TOL else residual)
+    return verdicts
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,22 +76,34 @@ class WeightVector:
 
     ``w[0]`` is paired with the largest ordered input.  Construction
     validates the simplex invariants: every weight in [0, 1] and the
-    weights summing to 1 within ``WEIGHT_SUM_TOL``.  It keeps a
-    read-only copy clipped to [0, 1]; -0.0 stays -0.0.
+    weights summing to 1 within ``WEIGHT_SUM_TOL``.  It keeps a read-only
+    copy clipped to [0, 1]; -0.0 stays -0.0.  Public weight calls use :meth:`_of`.
     """
 
     w: np.ndarray
 
     def __post_init__(self):
-        arr = _real_array(self.w, "weights")
-        (problem,) = _simplex_rows(arr[np.newaxis])
-        if problem is not None:
-            # Non-finite weights fail the range test; name them first.
-            _check_finite(arr, "weights")
-            raise ValueError(problem)
-        arr = arr.clip(0.0, 1.0)
-        arr.flags.writeable = False
-        object.__setattr__(self, "w", arr)
+        arr = _real_array(self.w, "weights")[np.newaxis]
+        (verdict,) = _simplex_rows(arr)
+        self._keep(arr.clip(0.0, 1.0) if verdict is None else arr, verdict)
+
+    @classmethod
+    def _of(cls, rows: np.ndarray, verdict) -> "WeightVector":
+        """The vector of a fresh 1 x n kernel matrix and its :func:`_simplex_rows` verdict: its
+        row itself, no copy and no clip (a row that passes lies in [0, 1]), made read-only."""
+        vec = object.__new__(cls)
+        vec._keep(rows, verdict)
+        return vec
+
+    def _keep(self, rows: np.ndarray, verdict) -> None:
+        """Keep the row of the 1 x n ``rows``, read-only with it, or raise for a refused verdict."""
+        if isinstance(verdict, str):
+            _check_finite(rows, "weights")  # NaN and inf fail the range test; name them first
+            raise ValueError(verdict)
+        if verdict is not None:
+            raise RuntimeError(f"achieved orness misses the request by {verdict:.3g}")
+        rows.flags.writeable = False  # w is a view of it
+        object.__setattr__(self, "w", rows[0])
 
     @property
     def n(self) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_BETA, WEIGHT_SUM_TOL, OrnessTarget, WeightVector
-from .core import _check_alpha, _check_beta, _check_n
+from .core import _check_alpha, _check_beta, _check_n, _orness_rows, _simplex_rows
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,14 @@ def _weight_array(orness: np.ndarray, n: int, beta: float) -> np.ndarray:
 def linear_weights(target, n: int) -> WeightVector:
     """Weights of size ``n`` whose orness equals the request exactly.
 
-    ``target`` is an :class:`OrnessTarget` or a bare orness float (beta
-    then defaults to ``DEFAULT_BETA``).  Orness <= 0.5 builds the and-like
-    line directly; orness > 0.5 builds the line for 1 - orness and
-    reverses it, which keeps the family symmetric about 0.5.
+    ``target`` is an :class:`OrnessTarget` or a bare orness float (beta then defaults to
+    ``DEFAULT_BETA``).  Orness <= 0.5 builds the and-like line directly; orness > 0.5 builds
+    the line for 1 - orness and reverses it, which keeps the family symmetric about 0.5.  The
+    orness, 0.5 by convention at n = 1, is certified from n = 2 on (RuntimeError on a miss).
     """
     if not isinstance(target, OrnessTarget):
         target = OrnessTarget(target)
     n = _check_n(n, 1)
-    return WeightVector(_weight_array(np.array([target.orness], dtype=float), n, target.beta)[0])
+    w = _weight_array(np.array([target.orness], dtype=float), n, target.beta)
+    achieved = _orness_rows(w) if n > 1 else None
+    return WeightVector._of(w, *_simplex_rows(w, [target.orness], achieved))

@@ -38,12 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__, _digits
-from .baselines import (
-    ORNESS_TOL,
-    _calibrated_exponential_array,
-    _maxent_rows,
-    _no_preset_exponential_array,
-)
+from .baselines import _calibrated_exponential_array, _maxent_rows, _no_preset_exponential_array
 from .core import (
     DEFAULT_BETA,
     _check_beta,
@@ -274,22 +269,22 @@ def _checked_list(seq, name: str, what: str, item: str, check: Optional[Callable
 
 def _rows(m: Method, grid: list, n: int, beta: Optional[float]):
     """One report per orness in ``grid``, all in [0, 1], for ``n`` and ``beta`` already
-    checked, yielded in grid order: one kernel call, one read-only check of the weight
-    matrix, whose rows need no clip, and one pass each for every row's orness and dispersion,
-    their scratch freed before the first row.  A row is unsupported at orness 0 and 1 for a
-    method without ``endpoints``, and unstable when it fails the simplex check or, at n >= 2
-    for a method that ``claims_orness``, misses its orness by more than ``ORNESS_TOL``.
+    checked, yielded in grid order: one kernel call, one pass each for every row's orness and
+    dispersion, their scratch freed before the first row, and the public calls' rule on the
+    read-only matrix, whose rows need no clip.  A row is unsupported at orness 0 and 1 for a
+    method without ``endpoints``, and unstable when ``core._simplex_rows`` refuses it: off the
+    simplex or, at n >= 2 for a method that ``claims_orness``, off by more than ``ORNESS_TOL``.
 
     An ``ok`` row's ``w`` is a :class:`Weights` view of its row of the weight matrix, which
     is made read-only first."""
     w = m.kernel(np.array(grid, dtype=float), n, beta)
     w.flags.writeable = False  # each ok row's weights are a view of it
-    problems, achieved, dispersions = _simplex_rows(w), _orness_rows(w), _dispersion_rows(w)
-    claims = m.claims_orness and n > 1  # orness at n = 1 is 0.5 by convention
-    for requested, got, row, problem, disp in zip(grid, achieved, w, problems, dispersions):
+    achieved, dispersions = _orness_rows(w), _dispersion_rows(w)  # 0.5 at n = 1, by convention
+    verdicts = _simplex_rows(w, grid, achieved if m.claims_orness and n > 1 else None)
+    for requested, got, row, verdict, disp in zip(grid, achieved, w, verdicts, dispersions):
         if not m.endpoints and requested in (0.0, 1.0):
             yield MethodReport(m.name, beta, n, requested, None, None, None, STATUS_UNSUPPORTED)
-        elif problem is not None or (claims and abs(got - requested) > ORNESS_TOL):
+        elif verdict is not None:
             yield MethodReport(m.name, beta, n, requested, None, None, None, STATUS_UNSTABLE)
         else:
             yield MethodReport(m.name, beta, n, requested, got, disp, Weights(row), STATUS_OK)

@@ -271,7 +271,7 @@ class TestBatchedSweep:
         assert [(r.achieved_orness, r.w) for r in rows] == [(0.5, (1.0,))] * 3
 
     def test_exponential_residual_over_tolerance_is_unstable(self, monkeypatch):
-        monkeypatch.setattr(reports, "ORNESS_TOL", 0.0)
+        monkeypatch.setattr("owakit.core.ORNESS_TOL", 0.0)
         rows = sweep(10, [METHOD_EXPONENTIAL], steps=11)
         unstable = [r for r in rows if r.status == STATUS_UNSTABLE]
         assert unstable

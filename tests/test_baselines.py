@@ -155,7 +155,7 @@ class TestExponentialCalibration:
         _, res = exponential_weights(0.3, 5)
         residual = abs(res.achieved_orness - 0.3)
         assert residual > 0.0
-        monkeypatch.setattr(baselines, "ORNESS_TOL", 0.0)
+        monkeypatch.setattr("owakit.core.ORNESS_TOL", 0.0)
         with pytest.raises(CalibrationError) as info:
             exponential_weights(0.3, 5)
         assert str(info.value) == (

@@ -72,6 +72,25 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             v.w[0] = 0.9
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: linear_weights(0.3, 5),
+            lambda: owakit.exponential_weights(0.3, 5)[0],
+            lambda: owakit.exponential_weights_no_preset(0.3, 5),
+            lambda: owakit.maxent_weights(0.3, 5),
+        ],
+        ids=["linear", "exponential", "exponential-no-preset", "maxent"],
+    )
+    def test_a_public_call_keeps_its_kernel_row_read_only(self, call):
+        # The row is kept with no copy: the kernel matrix it views is
+        # read-only too, so no write through ``w.base`` reaches it.
+        v = call()
+        assert v.w.base is not None
+        for a in (v.w, v.w.base):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.9
+
     def test_clips_a_copy_and_keeps_negative_zero(self):
         raw = np.array([1.0 + 5e-13, -5e-13, -0.0])
         v = WeightVector(raw)

@@ -3,6 +3,7 @@ import pytest
 
 from owakit import OrnessTarget, f_alpha, linear_coefficients, linear_weights, orness
 from owakit.linear import _weight_array
+from owakit.reports import STATUS_UNSTABLE, evaluate_method
 from oracle import solve_system_oracle
 
 BETAS = (1.0, 1.25, 1.5)
@@ -136,6 +137,18 @@ class TestLinearWeights:
     def test_special_sizes(self):
         np.testing.assert_allclose(linear_weights(0.7, 1).w, [1.0])
         np.testing.assert_allclose(linear_weights(0.7, 2).w, [0.7, 0.3], atol=1e-15)
+
+    def test_an_orness_miss_is_refused(self, monkeypatch):
+        # With no tolerance, the row at orness 0.003 misses by a few 1e-19:
+        # the public call raises and the report row is unstable, one rule.
+        target = OrnessTarget(0.003, 1.5)
+        residual = abs(orness(linear_weights(target, 5)) - 0.003)
+        assert 0.0 < residual < 1e-18
+        monkeypatch.setattr("owakit.core.ORNESS_TOL", 0.0)
+        with pytest.raises(RuntimeError) as info:
+            linear_weights(target, 5)
+        assert str(info.value) == f"achieved orness misses the request by {residual:.3g}"
+        assert evaluate_method("linear", 0.003, 5, 1.5).status == STATUS_UNSTABLE
 
     def test_accepts_bare_float(self):
         w = linear_weights(0.6, 5)

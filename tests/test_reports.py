@@ -72,10 +72,12 @@ class TestEvaluateMethod:
         assert r.w is None
 
     @pytest.mark.filterwarnings("ignore:orness of a length-1")
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000, 2 * 10**4])
     def test_matches_the_public_calls(self, n):
-        # 0.99 and 0.999 are in the flagged maxent region at n = 100.
-        grid = [k / 20 for k in range(21)] + [0.37, 0.99, 0.999]
+        # 0.99 and 0.999 are in the flagged maxent region at n = 100.  The
+        # refusals by orness residual: maxent at (0.01, 1000) and the
+        # exponential's CalibrationError at (0.48, 2*10^4).
+        grid = [k / 20 for k in range(21)] + [0.01, 0.37, 0.48, 0.99, 0.999]
         for m in METHODS:
             if n < m.min_n:
                 continue
@@ -155,8 +157,9 @@ def _public_call(method, requested, n, beta):
 
 def _public_report(method, requested, n, beta):
     """The report for one request built from the public calls, their
-    exceptions mapped to statuses: a reference that shares no code with
-    the report rows."""
+    exceptions mapped to statuses.  The calls share the certification rule
+    (``core._simplex_rows``) with the report rows; test_arrays' own simplex
+    and orness predicate is the reference independent of it."""
     beta = (DEFAULT_BETA if beta is None else beta) if method == METHOD_LINEAR else None
     try:
         vec = _public_call(method, requested, n, beta)
